@@ -10,13 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 import numpy as np
 
 from .intlinalg import (
     SmithDecomposition,
+    identity,
     in_image_lattice,
-    kernel_basis,
+    intmat,
+    rational_inverse,
     restrict_to_sublattice,
     smith_normal_form,
     solve_mod_lattice,
@@ -33,7 +37,8 @@ class FixedSetReport:
 
     components are rational points in [0,1)^n, one per connected component
     of the fixed set, sorted; fixed_lattice_basis is a Z-basis of
-    Gamma intersected with ker(w - 1).
+    Gamma intersected with ker(w - 1), the columns V[:, r:] of the Smith
+    form U (w - 1) V = D of rank r.
     """
 
     w: Matrix | None
@@ -66,6 +71,38 @@ class FixedSetReport:
             raise AssertionError("component membership must be unique")
         return hits[0]
 
+    @cached_property
+    def _smith_coordinates(self):
+        """Blocks of U, U^-1, D_tors, V^-1, V; intmat checks the inverses are integral."""
+        u, d, v = self._snf.u, self._snf.diagonal, self._snf.v
+        r = self._snf.rank
+        tors = [i for i in range(r) if d[i] > 1]
+        u_inv = intmat(rational_inverse(u))
+        v_inv = intmat(rational_inverse(v))
+        d_tors = np.diag(np.array([d[i] for i in tors], dtype=object))
+        return u[tors, :], u_inv[:, tors], d_tors, v_inv[r:, :], v[:, r:]
+
+    def action(self, z) -> tuple[int, np.ndarray]:
+        """Action of a centralizer element z of w, as integers.
+
+        Returns (fixed, restriction).  With U (w - 1) V = D of rank r, the
+        components of T^w form the group tors coker(w - 1) = sum Z/d_i over
+        the d_i > 1, on which z acts as B = U z U^-1.  fixed is the number
+        of components z fixes, |ker(B - 1)| = |coker [B - 1 | D_tors]|, the
+        product of the invariant factors of that matrix.  restriction is the
+        integer matrix (V^-1 z V)[r:, r:] of z on Gamma^w in the basis
+        fixed_lattice_basis.
+
+        Only for a report of fixed_set(w); z must commute with w, which is
+        not checked.
+        """
+        u_tors, u_inv_tors, d_tors, v_inv_free, v_free = self._smith_coordinates
+        zarr = np.array(z, dtype=object)
+        b = u_tors @ zarr @ u_inv_tors
+        coker = np.hstack([b - identity(len(d_tors)), d_tors])
+        fixed = prod(smith_normal_form(coker).diagonal)
+        return fixed, v_inv_free @ zarr @ v_free
+
 
 def _difference_matrix(w: Matrix) -> np.ndarray:
     n = len(w)
@@ -80,14 +117,13 @@ def fixed_set(w) -> FixedSetReport:
     n = len(wm)
     m = _difference_matrix(wm)
     snf = smith_normal_form(m)
-    kern = kernel_basis(m)
     comps = solve_mod_lattice(m, modulo_kernel=True)
     return FixedSetReport(
         w=wm,
         rank=n,
         fixed_dim=n - snf.rank,
         components=tuple(tuple(c) for c in comps),
-        fixed_lattice_basis=tuple(tuple(int(x) for x in v) for v in kern),
+        fixed_lattice_basis=tuple(tuple(int(x) for x in col) for col in snf.v.T[snf.rank:]),
         _matrix=m,
         _snf=snf,
     )

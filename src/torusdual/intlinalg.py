@@ -39,25 +39,36 @@ class InfiniteSolutionSetError(ValueError):
     solution set is a positive-dimensional family."""
 
 
+def _as_int(x) -> int:
+    """x as a Python int; raises ValueError unless x is an integer value.
+
+    Integral Fractions and numpy integers pass; 1.5 or Fraction(3, 2) are
+    rejected, not truncated.
+    """
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"expected an integer, got {x!r}") from exc
+    if i != x:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return i
+
+
 def intmat(rows) -> np.ndarray:
     """Build an immutable exact integer matrix from nested sequences."""
-    try:
-        data = [[int(x) for x in row] for row in rows]
-    except TypeError as exc:
-        raise ValueError("expected a 2-D array of integers") from exc
-    arr = np.array(data, dtype=object)
+    arr = np.array(rows, dtype=object)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D array of integers")
-    arr.flags.writeable = False
-    return arr
+    out = np.array([[_as_int(x) for x in row] for row in arr], dtype=object)
+    return _freeze(out.reshape(arr.shape))
 
 
 def identity(n: int) -> np.ndarray:
-    return intmat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return intmat(np.eye(n, dtype=int))
 
 
 def zeros(m: int, n: int) -> np.ndarray:
-    return intmat([[0] * n for _ in range(m)])
+    return intmat(np.zeros((m, n), dtype=int))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -130,7 +141,7 @@ def smith_normal_form(mat) -> SmithDecomposition:
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     m, n = a.shape
-    work = [[int(a[i, j]) for j in range(n)] for i in range(m)]
+    work = [[_as_int(a[i, j]) for j in range(n)] for i in range(m)]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -211,11 +222,10 @@ def smith_normal_form(mat) -> SmithDecomposition:
             add_row(culprit, t, 1)
         t += 1
 
-    d = np.array(work, dtype=object)
     return SmithDecomposition(
-        _freeze(np.array(u, dtype=object)),
-        _freeze(d),
-        _freeze(np.array(v, dtype=object)),
+        _freeze(np.array(u, dtype=object).reshape(m, m)),
+        _freeze(np.array(work, dtype=object).reshape(m, n)),
+        _freeze(np.array(v, dtype=object).reshape(n, n)),
     )
 
 
@@ -258,7 +268,7 @@ def det(mat) -> int:
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return 1
-    w = [[int(a[i, j]) for j in range(n)] for i in range(n)]
+    w = [[_as_int(a[i, j]) for j in range(n)] for i in range(n)]
     sign = 1
     prev = 1
     for k in range(n - 1):

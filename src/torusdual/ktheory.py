@@ -8,25 +8,31 @@ the fixed sets T^w:
     rank K^0 = sum_[w] 1/|Z(w)| sum_{z in Z(w)} #{components c of T^w
                fixed by z} * tr_even(z | ker(w-1) tensor Q)
 
-and likewise for K^1 with tr_odd, where tr_even/odd(M) are the traces on
-the even/odd exterior algebra, evaluated as (det(1+M) +- det(1-M))/2.
-All arithmetic is exact; every class average is asserted to be a
-non-negative integer before it is believed.
+and likewise for K^1 with tr_odd, where tr_even/odd(R) are the traces on
+the even/odd exterior algebra, evaluated as (det(1+R) +- det(1-R))/2.
+
+The class sum runs in integers, in the Smith coordinates U (w-1) V = D of
+rank r that :meth:`FixedSetReport.action` reads off: the components of T^w
+form tors coker(w-1), on which z acts as U z U^-1, so the count of fixed
+components is the product of the invariant factors of
+[U z U^-1 - 1 | D_tors]; R is the integer matrix (V^-1 z V)[r:, r:] of z on
+Gamma^w.  Each class is accumulated as 2|Z(w)| times its average, which
+must divide exactly and be non-negative before it is believed.
 
 The commuting-pairs oracle recomputes the same quantity as a sum over all
-pairs (w, z) with wz = zw, weighted 1/|W|, without touching the class
-decomposition; the two must agree.
+pairs (w, z) with wz = zw, weighted 1/|W|, without the class decomposition
+and without the Smith coordinates: it enumerates the components of each
+T^w, counts those z fixes by membership tests, and restricts z to Gamma^w
+by rational elimination, checked integral before its determinants are
+taken.  The two must agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from .fixedpoints import FixedSetReport, fixed_set
-from .intlinalg import in_image_lattice, restrict_to_sublattice
+from .fixedpoints import centralizer_action, fixed_set
+from .intlinalg import det, identity, intmat
 from .rootdata import RootDatum, center as center_of, dualize
 from .weyl import Matrix, WeylGroup, generate
 
@@ -126,76 +132,23 @@ class AffineComparisonReport:
         return self.extended == self.own_affine
 
 
-def _det_plusminus(m: np.ndarray) -> tuple[Fraction, Fraction]:
-    """(det(1+M), det(1-M)) for a rational matrix, exactly."""
-    d = m.shape[0]
-    if d == 0:
-        return Fraction(1), Fraction(1)
-
-    def fdet(rows):
-        w = [list(map(Fraction, r)) for r in rows]
-        n = len(w)
-        sign = 1
-        out = Fraction(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if w[i][k] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                w[k], w[piv] = w[piv], w[k]
-                sign = -sign
-            out *= w[k][k]
-            for i in range(k + 1, n):
-                if w[i][k] != 0:
-                    f = w[i][k] / w[k][k]
-                    w[i] = [x - f * y for x, y in zip(w[i], w[k])]
-        return sign * out
-
-    eye = np.array([[Fraction(int(i == j)) for j in range(d)] for i in range(d)], dtype=object)
-    return fdet(eye + m), fdet(eye - m)
-
-
-def _tr_even_odd(m: np.ndarray) -> tuple[Fraction, Fraction]:
-    plus, minus = _det_plusminus(m)
-    return (plus + minus) / 2, (plus - minus) / 2
-
-
-def _fixed_component_count(report: FixedSetReport, z: Matrix) -> int:
-    zarr = np.array(z, dtype=object)
-    count = 0
-    for c in report.components:
-        diff = zarr @ np.array(c, dtype=object) - np.array(c, dtype=object)
-        if in_image_lattice(report._snf, report._matrix @ diff):
-            count += 1
-    return count
-
-
-def _restriction(z: Matrix, report: FixedSetReport) -> np.ndarray:
-    if report.fixed_dim == 0:
-        return np.empty((0, 0), dtype=object)
-    basis = np.array(report.fixed_lattice_basis, dtype=object).T
-    return restrict_to_sublattice(np.array(z, dtype=object), basis)
-
-
 def _class_contribution(group: WeylGroup, rep_index: int, members) -> ClassContribution:
     w = group.elements[rep_index]
     report = fixed_set(w)
     cent = group.centralizer_indices(rep_index)
-    even = Fraction(0)
-    odd = Fraction(0)
+    ident = identity(report.fixed_dim)
+    # 2 |Z(w)| times the even/odd class averages
+    even = odd = 0
     for zi in cent:
-        z = group.elements[zi]
-        fixed = _fixed_component_count(report, z)
-        if fixed:
-            tr_e, tr_o = _tr_even_odd(_restriction(z, report))
-            even += fixed * tr_e
-            odd += fixed * tr_o
-    even /= len(cent)
-    odd /= len(cent)
+        fixed, restriction = report.action(group.elements[zi])
+        plus, minus = det(ident + restriction), det(ident - restriction)
+        even += fixed * (plus + minus)
+        odd += fixed * (plus - minus)
+    scale = 2 * len(cent)
     for val in (even, odd):
-        if val.denominator != 1 or val < 0:
+        if val % scale != 0 or val < 0:
             raise NonIntegralInvariantError(
-                f"class average {val} is not a non-negative integer"
+                f"class average {val}/{scale} is not a non-negative integer"
             )
     return ClassContribution(
         representative=w,
@@ -203,8 +156,8 @@ def _class_contribution(group: WeylGroup, rep_index: int, members) -> ClassContr
         centralizer_order=len(cent),
         fixed_dim=report.fixed_dim,
         component_count=report.component_count(),
-        even_invariants=int(even),
-        odd_invariants=int(odd),
+        even_invariants=even // scale,
+        odd_invariants=odd // scale,
     )
 
 
@@ -231,26 +184,26 @@ def rational_equivariant_k(rd) -> GradedRank:
 def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
     """Independent oracle: sum over all commuting pairs (w, z), weight 1/|W|.
 
-    Recomputes fixed sets per element (not per class); must agree with
-    :func:`graded_rank_with_classes`.
+    Recomputes fixed sets per element (not per class) and acts on them by
+    :func:`centralizer_action`, which enumerates the components and tests
+    membership explicitly; must agree with :func:`graded_rank_with_classes`.
     """
-    order = len(group)
-    k0 = Fraction(0)
-    k1 = Fraction(0)
+    # 2 |W| times k0 and k1
+    k0 = k1 = 0
     for wi, w in enumerate(group.elements):
         report = fixed_set(w)
+        ident = identity(report.fixed_dim)
         for zi in group.centralizer_indices(wi):
-            z = group.elements[zi]
-            fixed = _fixed_component_count(report, z)
-            if fixed:
-                tr_e, tr_o = _tr_even_odd(_restriction(z, report))
-                k0 += fixed * tr_e
-                k1 += fixed * tr_o
-    k0 /= order
-    k1 /= order
-    if k0.denominator != 1 or k1.denominator != 1:
+            perm, restriction = centralizer_action(w, group.elements[zi], report)
+            fixed = sum(1 for i, j in enumerate(perm) if i == j)
+            restriction = intmat(restriction)  # raises ValueError unless integral
+            plus, minus = det(ident + restriction), det(ident - restriction)
+            k0 += fixed * (plus + minus)
+            k1 += fixed * (plus - minus)
+    scale = 2 * len(group)
+    if k0 % scale != 0 or k1 % scale != 0:
         raise NonIntegralInvariantError("commuting-pairs sum is not integral")
-    return GradedRank(int(k0), int(k1))
+    return GradedRank(k0 // scale, k1 // scale)
 
 
 def verify_duality(rd: RootDatum) -> DualityReport:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -135,16 +134,6 @@ def pairing(f1, f2, x, eta) -> complex:
                 continue
             total += va * vb * np.exp(2j * np.pi * float(eta @ (b - a)))
     return total
-
-
-def dual_action_matrix(w) -> np.ndarray:
-    """Action of w on the dual side: inverse transpose, exact for lattice w."""
-    warr = np.array([[Fraction(int(v)) for v in row] for row in np.asarray(w)], dtype=object)
-    n = warr.shape[0]
-    from .intlinalg import rational_inverse
-
-    winv_t = rational_inverse(warr).T
-    return np.array([[float(x) for x in row] for row in winv_t])
 
 
 def quasi_periodicity_check(f, rng, samples: int = 100) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -313,12 +312,6 @@ def classify_form(rd: RootDatum) -> str:
 
 def dual_type(type_: str) -> str:
     return DUAL_TYPE[type_]
-
-
-@lru_cache(maxsize=None)
-def _cached_simple(type_: str, rank: int, form_key) -> RootDatum:
-    form = form_key if isinstance(form_key, str) else [list(g) for g in form_key]
-    return build_simple(type_, rank, form)
 
 
 def datum_to_json(rd: RootDatum) -> dict:

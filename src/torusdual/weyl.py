@@ -65,9 +65,8 @@ class ConjugacyClass:
 
 @dataclass
 class WeylGroup:
-    """A finite group of integer matrices with its Cayley structure.
+    """A finite group of integer matrices, closed from its generators.
 
-    `cayley[i][g]` is the index of elements[i] @ elements[generators[g]].
     Conjugacy classes are sorted by their (lexicographically minimal)
     representative matrix, which makes every downstream report ordering
     reproducible.
@@ -76,7 +75,6 @@ class WeylGroup:
     rank: int
     elements: list[Matrix]
     generators: list[int]
-    cayley: list[list[int]]
     index: dict[Matrix, int] = field(repr=False, default_factory=dict)
     _classes: list[ConjugacyClass] | None = field(default=None, repr=False)
     _centralizers: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
@@ -144,9 +142,7 @@ class WeylGroup:
                             )
             frontier = nxt
         gen_indices = [index[g] for g in mats]
-        cayley = [[index[mat_mul(m, g)] for g in mats] for m in elements]
-        return cls(rank=rank, elements=elements, generators=gen_indices,
-                   cayley=cayley, index=index)
+        return cls(rank=rank, elements=elements, generators=gen_indices, index=index)
 
 
 def _compute_classes(group: WeylGroup) -> list[ConjugacyClass]:

@@ -188,3 +188,22 @@ def test_restriction_is_exact_rational():
             assert np.array_equal(
                 basis @ restriction, np.array(z, dtype=object) @ basis
             )
+
+
+@pytest.mark.parametrize("type_,rank,form", [
+    ("B", 3, "sc"), ("A", 3, "adjoint"), ("D", 4, [[1, 0, 0, 0]]),
+], ids=["B3-sc", "A3-adjoint", "D4-so"])
+def test_action_matches_component_enumeration(type_, rank, form):
+    # Smith coordinates against the explicit component permutation and the
+    # rational restriction, for every commuting pair (w, z)
+    group = weyl.generate(rdm.build_simple(type_, rank, form))
+    for wi, w in enumerate(group.elements):
+        rep = fp.fixed_set(w)
+        for zi in group.centralizer_indices(wi):
+            z = group.elements[zi]
+            fixed, restriction = rep.action(z)
+            perm, expected = fp.centralizer_action(w, z, rep)
+            assert fixed == sum(1 for i, j in enumerate(perm) if i == j)
+            assert restriction.shape == expected.shape
+            assert np.array_equal(restriction, expected)
+            assert all(type(x) is int for x in restriction.flat)

@@ -25,6 +25,10 @@ def test_snf_identity():
     snf = il.smith_normal_form(m)
     assert np.array_equal(snf.d, m)
     check_decomposition(m, snf)
+    empty = il.identity(0)
+    assert empty.shape == (0, 0)
+    assert il.det(empty) == 1
+    assert il.smith_normal_form(empty).diagonal == ()
 
 
 def test_snf_zero():
@@ -32,6 +36,30 @@ def test_snf_zero():
     snf = il.smith_normal_form(m)
     assert np.array_equal(snf.d, m)
     check_decomposition(m, snf)
+    for shape in ((0, 3), (3, 0)):
+        m = il.zeros(*shape)
+        assert m.shape == shape
+        snf = il.smith_normal_form(m)
+        assert snf.d.shape == shape and snf.rank == 0
+        check_decomposition(m, snf)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: il.det([[Fraction(1, 2)]]),
+    lambda: il.det([[1.7, 0], [0, 1]]),
+    lambda: il.intmat([[1.5]]),
+    lambda: il.smith_normal_form([[Fraction(3, 2)]]),
+], ids=["det-fraction", "det-float", "intmat-float", "snf-fraction"])
+def test_non_integer_input_is_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_integral_values_are_accepted():
+    m = il.intmat([[Fraction(4, 2), np.int64(3)]])
+    assert m.tolist() == [[2, 3]] and all(type(x) is int for x in m.flat)
+    assert il.det([[Fraction(6, 3), 0], [0, np.int32(3)]]) == 6
+    assert il.smith_normal_form([[Fraction(4, 2)]]).diagonal == (2,)
 
 
 def test_snf_diag_2_3():

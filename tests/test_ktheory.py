@@ -4,6 +4,7 @@ from torusdual import intlinalg as il
 from torusdual import ktheory as kt
 from torusdual import rootdata as rdm
 from torusdual import weyl
+from torusdual.fixedpoints import fixed_set
 
 SMALL_DATA = [
     ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2),
@@ -58,6 +59,19 @@ def test_class_representative_independence(type_, rank):
                 base.even_invariants,
                 base.odd_invariants,
             )
+
+
+@pytest.mark.parametrize("type_,rank,form", [
+    ("B", 3, "sc"), ("A", 3, "adjoint"), ("D", 4, [[1, 0, 0, 0]]),
+], ids=["B3-sc", "A3-adjoint", "D4-so"])
+def test_class_rows_match_fixed_sets(type_, rank, form):
+    group = weyl.generate(rdm.build_simple(type_, rank, form))
+    _, rows = kt.graded_rank_with_classes(group)
+    assert len(rows) == len(group.classes)
+    for row in rows:
+        report = fixed_set(row.representative)
+        assert row.component_count == report.component_count()
+        assert row.fixed_dim == report.fixed_dim
 
 
 def euler_characteristic_oracle(group):

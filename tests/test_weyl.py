@@ -56,17 +56,6 @@ def test_elements_permute_coroots():
                 assert il.det(il.intmat(g)) in (1, -1)
 
 
-def test_cayley_table_shape():
-    rd = rdm.build_simple("B", 2, "sc")
-    group = weyl.generate(rd)
-    assert len(group.cayley) == len(group)
-    assert all(len(row) == len(group.generators) for row in group.cayley)
-    for i, row in enumerate(group.cayley):
-        for gpos, j in enumerate(row):
-            gen = group.elements[group.generators[gpos]]
-            assert group.elements[j] == weyl.mat_mul(group.elements[i], gen)
-
-
 def test_conjugacy_classes_a1():
     group = weyl.WeylGroup.from_generators([((-1,),)], rank=1)
     assert len(group.classes) == 2
