@@ -202,32 +202,30 @@ def generator(n: int, kind: str, j: int) -> CliffordElement:
     return CliffordElement.from_dict(n, {(idx,): ONE})
 
 
+def _projection(n: int, first: str, second: str) -> CliffordElement:
+    """prod_j (1 - i first_j second_j)/2, exactly."""
+    if not 1 <= n <= 4:
+        raise ValueError("projection is supported for 1 <= n <= 4")
+    p = one(n)
+    half = QI(Fraction(1, 2))
+    for j in range(1, n + 1):
+        factor = (one(n) - (generator(n, first, j) * generator(n, second, j)).scale(I_UNIT)).scale(half)
+        p = p * factor
+    return p
+
+
 def clifford_projection(n: int) -> CliffordElement:
     """The spinor projection P = prod_j (1 - i e_j eps_j)/2.
 
     Exact arithmetic bounds the sensible range to n <= 4 (the coefficient
     space has dimension 4^n).
     """
-    if not 1 <= n <= 4:
-        raise ValueError("projection is supported for 1 <= n <= 4")
-    p = one(n)
-    half = QI(Fraction(1, 2))
-    for j in range(1, n + 1):
-        factor = (one(n) - (generator(n, "e", j) * generator(n, "eps", j)).scale(I_UNIT)).scale(half)
-        p = p * factor
-    return p
+    return _projection(n, "e", "eps")
 
 
 def dual_projection(n: int) -> CliffordElement:
     """P_dual = prod_j (1 - i eps_j e_j)/2, the projection of the dual picture."""
-    if not 1 <= n <= 4:
-        raise ValueError("projection is supported for 1 <= n <= 4")
-    p = one(n)
-    half = QI(Fraction(1, 2))
-    for j in range(1, n + 1):
-        factor = (one(n) - (generator(n, "eps", j) * generator(n, "e", j)).scale(I_UNIT)).scale(half)
-        p = p * factor
-    return p
+    return _projection(n, "eps", "e")
 
 
 def intertwiner_u(n: int) -> CliffordElement:

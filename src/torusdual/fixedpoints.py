@@ -17,13 +17,13 @@ import numpy as np
 
 from .intlinalg import (
     SmithDecomposition,
+    _cosets_from_smith,
     identity,
     in_image_lattice,
     intmat,
     rational_inverse,
     restrict_to_sublattice,
     smith_normal_form,
-    solve_mod_lattice,
 )
 from .rootdata import RootDatum
 from .weyl import Matrix, as_matrix, mat_mul
@@ -117,7 +117,7 @@ def fixed_set(w) -> FixedSetReport:
     n = len(wm)
     m = _difference_matrix(wm)
     snf = smith_normal_form(m)
-    comps = solve_mod_lattice(m, modulo_kernel=True)
+    comps = _cosets_from_smith(snf, modulo_kernel=True)
     return FixedSetReport(
         w=wm,
         rank=n,
@@ -149,8 +149,8 @@ def full_fixed_points(rd: RootDatum) -> FixedSetReport:
         ],
         dtype=object,
     )
-    points = solve_mod_lattice(stacked, modulo_kernel=False)
     snf = smith_normal_form(stacked)
+    points = _cosets_from_smith(snf, modulo_kernel=False)
     return FixedSetReport(
         w=None,
         rank=n,

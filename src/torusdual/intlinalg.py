@@ -385,7 +385,7 @@ def solve_mod_lattice(mat, target=None, *, modulo_kernel: bool = True) -> list[t
     :class:`InfiniteSolutionSetError`.
     """
     a = np.asarray(mat, dtype=object)
-    m, n = a.shape
+    m, _ = a.shape
     q = 1
     work = a
     if target is not None:
@@ -397,9 +397,18 @@ def solve_mod_lattice(mat, target=None, *, modulo_kernel: bool = True) -> list[t
         q = lcm(*(Fraction(x).denominator for x in frac.flat), 1)
         work = np.array([[int(Fraction(x) * q) for x in row] for row in frac], dtype=object)
 
-    snf = smith_normal_form(work)
+    return _cosets_from_smith(smith_normal_form(work), q, modulo_kernel=modulo_kernel)
+
+
+def _cosets_from_smith(snf: SmithDecomposition, q: int = 1, *,
+                       modulo_kernel: bool) -> list[tuple[Fraction, ...]]:
+    """The cosets of solve_mod_lattice from the Smith form of the (scaled) matrix.
+
+    q is the lcm that scaled the matrix to integers (1 for L = Z^m).
+    """
     diag = snf.diagonal
     r = snf.rank
+    n = snf.v.shape[0]
     if not modulo_kernel and r < n:
         raise InfiniteSolutionSetError(
             "solution set is positive-dimensional transverse to Z^n"

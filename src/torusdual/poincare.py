@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,9 +69,12 @@ class TransformedBump:
     def _w(self) -> np.ndarray:
         return np.array(self.matrix, dtype=float)
 
+    @cached_property
+    def _winv(self) -> np.ndarray:
+        return np.linalg.inv(self._w())
+
     def __call__(self, x) -> float:
-        winv = np.linalg.inv(self._w())
-        return self.base(winv @ np.asarray(x, dtype=float))
+        return self.base(self._winv @ np.asarray(x, dtype=float))
 
     def support_bounds(self):
         # image of the support ball under w: bounding box via corner scan

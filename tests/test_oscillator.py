@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from torusdual import oscillator as osc
 
@@ -38,7 +41,8 @@ def test_collocated_spectrum_doubles():
     # scheme sees the kernel twice; this is why the spectral checks run
     # on the staggered assembly
     disc = osc.build_q0(1, 300, 6.0, scheme="collocated")
-    qsq = disc.q @ disc.q
+    q = disc.q.toarray()
+    qsq = q @ q
     import scipy.linalg
 
     vals = scipy.linalg.eigh(qsq, eigvals_only=True, subset_by_index=[0, 3])
@@ -47,8 +51,9 @@ def test_collocated_spectrum_doubles():
 
 def test_q_symmetric_and_square_psd():
     disc = osc.build_q0(1, 200, 6.0)
-    assert np.max(np.abs(disc.q - disc.q.T)) == 0.0
-    qsq = disc.q @ disc.q
+    q = disc.q.toarray()
+    assert np.max(np.abs(q - q.T)) == 0.0
+    qsq = q @ q
     assert np.max(np.abs(qsq - qsq.T)) < 1e-10
     vals = np.linalg.eigvalsh(qsq)
     assert vals.min() > -1e-8
@@ -152,3 +157,67 @@ def test_report_json():
         "dim", "grid", "halfwidth", "eigenvalues", "expected", "kernel_dim",
         "kernel_parity", "kernel_even_fraction", "kernel_cosine", "residual_max",
     }
+
+
+def _sector_blocks(disc):
+    """Q^2 sector by sector: A^T A, A A^T in 1D; their Kronecker sums in 2D."""
+    a = disc.axis_operator
+    blocks = [a.T @ a, a @ a.T]
+    if disc.dimension == 1:
+        return blocks
+    eye = [sp.identity(b.shape[0]) for b in blocks]
+    # assembled order nn, mn, nm, mm: the first axis varies fastest
+    return [sp.kron(blocks[p], eye[q]) + sp.kron(eye[p], blocks[q]) for q in (0, 1) for p in (0, 1)]
+
+
+@pytest.mark.parametrize("dimension, grid, scheme", [
+    (1, 50, "staggered"), (1, 50, "collocated"), (2, 12, "staggered"),
+])
+def test_square_is_block_diagonal_over_sectors(dimension, grid, scheme):
+    disc = osc.build_q0(dimension, grid, 4.0, enforce_ranges=False, scheme=scheme)
+    qsq = disc.q @ disc.q
+    diff = qsq - sp.block_diag(_sector_blocks(disc))
+    assert abs(diff).max() <= 1e-12 * abs(qsq).max()
+
+
+@pytest.mark.parametrize("scheme", ["staggered", "collocated"])
+def test_1d_levels_match_dense_eigh(scheme):
+    disc = osc.build_q0(1, 200, 6.0, scheme=scheme)
+    q = disc.q.toarray()
+    oracle = scipy.linalg.eigh(q @ q, eigvals_only=True, subset_by_index=[0, 9])
+    got = osc.spectral_check(disc).eigenvalues
+    np.testing.assert_allclose(got, oracle, rtol=1e-9, atol=1e-9 * PI4)
+
+
+def test_2d_levels_match_shift_invert():
+    disc = osc.build_q0(2, 30, 4.0)
+    qsq = (disc.q @ disc.q).tocsc()
+    oracle = spla.eigsh(qsq, k=6, sigma=-1.0, which="LM", v0=np.ones(disc.size),
+                        return_eigenvectors=False)
+    got = osc.spectral_check(disc).eigenvalues
+    np.testing.assert_allclose(got, np.sort(oracle), rtol=1e-9, atol=1e-9 * PI4)
+
+
+@pytest.mark.parametrize("dimension, grid, halfwidth", [(1, 200, 6.0), (2, 30, 4.0)])
+def test_residual_guard_checks_the_assembled_operator(dimension, grid, halfwidth):
+    # the levels come from the axis operator, the guard from q: an edit of
+    # q alone must be caught
+    disc = osc.build_q0(dimension, grid, halfwidth)
+    mid = grid // 2 if dimension == 1 else (grid // 2) * (grid + 1)
+    row, col = grid**dimension + mid, mid  # an entry of the axis-1 block at the centre
+    assert disc.q[row, col] != 0.0
+    disc.q[row, col] += 1.0
+    with pytest.raises(ArithmeticError):
+        osc.spectral_check(disc)
+
+
+def test_1d_observed_convergence_order():
+    # the two-point staggered stencil is second order: doubling the grid
+    # quarters the error of the 8 pi and 12 pi levels (both copies)
+    errors = []
+    for n in (200, 400, 800):
+        report = osc.spectral_check(osc.build_q0(1, n, 6.0))
+        errors.append(np.abs(report.eigenvalues[3:7] - report.expected[3:7]))
+    for coarse, fine in zip(errors, errors[1:]):
+        order = np.log2(coarse / fine)
+        assert np.all((1.8 <= order) & (order <= 2.2)), order
