@@ -19,7 +19,6 @@ from .intlinalg import (
     SmithDecomposition,
     _cosets_from_smith,
     identity,
-    in_image_lattice,
     intmat,
     rational_inverse,
     restrict_to_sublattice,
@@ -54,33 +53,56 @@ class FixedSetReport:
 
     def contains(self, x) -> bool:
         """Membership of a rational point in the fixed set, exactly."""
-        vec = self._matrix @ np.array([Fraction(v) for v in x], dtype=object)
-        return all(Fraction(v).denominator == 1 for v in vec)
+        return self._component_key(x) is not None
 
     def component_of(self, x) -> int:
         """Index of the component containing x; x must lie in the fixed set."""
-        if not self.contains(x):
+        key = self._component_key(x)
+        if key is None:
             raise ValueError("point is not in the fixed set")
-        xv = np.array([Fraction(v) for v in x], dtype=object)
-        hits = []
-        for idx, rep in enumerate(self.components):
-            diff = xv - np.array(rep, dtype=object)
-            if in_image_lattice(self._snf, self._matrix @ diff):
-                hits.append(idx)
-        if len(hits) != 1:
-            raise AssertionError("component membership must be unique")
-        return hits[0]
+        return self._component_index[key]
+
+    def _component_key(self, x) -> tuple[int, ...] | None:
+        """The class of x in tors coker M, or None when x is not fixed.
+
+        M is the report's matrix (w - 1, or the stacked s - 1).  x is fixed
+        when y = M x is integral; two fixed points share a component
+        exactly when their y differ by an element of M Z^n, so with
+        U M V = D the key is ((U y)_i mod d_i) over the d_i > 1.
+        """
+        vec = self._matrix @ np.array([Fraction(v) for v in x], dtype=object)
+        if any(Fraction(v).denominator != 1 for v in vec):
+            return None
+        _, u_tors, d_tors = self._torsion
+        y = np.array([int(v) for v in vec], dtype=object)
+        return tuple(int(s) % d for s, d in zip(u_tors @ y, d_tors))
+
+    @cached_property
+    def _component_index(self) -> dict[tuple[int, ...], int]:
+        index = {self._component_key(c): i for i, c in enumerate(self.components)}
+        if len(index) != len(self.components):
+            raise AssertionError("component keys must be distinct")
+        return index
+
+    @cached_property
+    def _torsion(self):
+        """Indices, rows of U and invariant factors at the d_i > 1 of the Smith form."""
+        d = self._snf.diagonal
+        tors = [i for i in range(self._snf.rank) if d[i] > 1]
+        return tors, self._snf.u[tors, :], tuple(d[i] for i in tors)
 
     @cached_property
     def _smith_coordinates(self):
-        """Blocks of U, U^-1, D_tors, V^-1, V; intmat checks the inverses are integral."""
-        u, d, v = self._snf.u, self._snf.diagonal, self._snf.v
+        """Blocks of U, U^-1, D_tors, V^-1, V and the torsion identity.
+
+        intmat checks that the inverses are integral.
+        """
+        tors, u_tors, d = self._torsion
         r = self._snf.rank
-        tors = [i for i in range(r) if d[i] > 1]
-        u_inv = intmat(rational_inverse(u))
-        v_inv = intmat(rational_inverse(v))
-        d_tors = np.diag(np.array([d[i] for i in tors], dtype=object))
-        return u[tors, :], u_inv[:, tors], d_tors, v_inv[r:, :], v[:, r:]
+        u_inv = intmat(rational_inverse(self._snf.u))
+        v_inv = intmat(rational_inverse(self._snf.v))
+        d_tors = np.diag(np.array(d, dtype=object))
+        return u_tors, u_inv[:, tors], d_tors, v_inv[r:, :], self._snf.v[:, r:], identity(len(d))
 
     def action(self, z) -> tuple[int, np.ndarray]:
         """Action of a centralizer element z of w, as integers.
@@ -96,10 +118,10 @@ class FixedSetReport:
         Only for a report of fixed_set(w); z must commute with w, which is
         not checked.
         """
-        u_tors, u_inv_tors, d_tors, v_inv_free, v_free = self._smith_coordinates
+        u_tors, u_inv_tors, d_tors, v_inv_free, v_free, ident = self._smith_coordinates
         zarr = np.array(z, dtype=object)
         b = u_tors @ zarr @ u_inv_tors
-        coker = np.hstack([b - identity(len(d_tors)), d_tors])
+        coker = np.hstack([b - ident, d_tors])
         fixed = prod(smith_normal_form(coker).diagonal)
         return fixed, v_inv_free @ zarr @ v_free
 

@@ -5,13 +5,18 @@ of a root datum into the full Weyl group acting on the cocharacter side.
 The group machinery itself (closure, conjugacy classes, centralizers) is
 generic, so test fixtures like {1} or {+-1} on Z are first-class citizens.
 
-Elements are tuples of tuples of Python ints: exact, hashable, immutable.
+A group is stored as one read-only ``(|W|, n, n)`` int8 array, with a dict
+from each element's int8 bytes to its index.  Products are taken in int64
+and every cast back to int8 is checked, so an entry outside +-127 raises
+:class:`OverflowError` instead of wrapping.  ``elements[i]`` is the same
+matrix as a tuple of tuples of Python ints (exact, hashable, immutable),
+derived once from the array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +36,7 @@ __all__ = [
 ]
 
 WEYL_ORDER_CAP = 2_000_000
+INT8_LIMIT = 127
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -57,50 +63,69 @@ def as_matrix(m) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in arr)
 
 
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """int8 copy of an integer array; raises instead of wrapping."""
+    if a.size and np.abs(a).max() > INT8_LIMIT:
+        raise OverflowError(f"matrix entry outside +-{INT8_LIMIT}; int8 storage would wrap")
+    return a.astype(np.int8)
+
+
+def _keys(mats: np.ndarray) -> list[bytes]:
+    """Hash keys of a stack of int8 matrices: the bytes of each one."""
+    width = mats.shape[1] * mats.shape[2]
+    flat = np.ascontiguousarray(mats).reshape(len(mats), width)
+    return flat.view(np.dtype((np.void, width))).ravel().tolist()
+
+
 @dataclass(frozen=True)
 class ConjugacyClass:
     representative: int
     members: tuple[int, ...]
 
 
-@dataclass
 class WeylGroup:
     """A finite group of integer matrices, closed from its generators.
 
-    Conjugacy classes are sorted by their (lexicographically minimal)
-    representative matrix, which makes every downstream report ordering
-    reproducible.
+    ``array[i]`` is element i as int8, ``generators`` are the indices of
+    the generating matrices and ``lookup`` maps the bytes of each element
+    to its index.  Conjugacy classes are sorted by their
+    (lexicographically minimal) representative matrix, which makes every
+    downstream report ordering reproducible.
     """
 
-    rank: int
-    elements: list[Matrix]
-    generators: list[int]
-    index: dict[Matrix, int] = field(repr=False, default_factory=dict)
-    _classes: list[ConjugacyClass] | None = field(default=None, repr=False)
-    _centralizers: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self.index:
-            self.index = {m: i for i, m in enumerate(self.elements)}
+    def __init__(self, array: np.ndarray, generators: list[int], lookup: dict[bytes, int]):
+        self.rank = array.shape[1]
+        self.array = array
+        self.array.flags.writeable = False
+        self.generators = generators
+        self.elements: list[Matrix] = [tuple(map(tuple, m)) for m in array.tolist()]
+        self._lookup = lookup
+        self._classes: list[ConjugacyClass] | None = None
+        self._centralizers: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.array)
+
+    @cached_property
+    def index(self) -> dict[Matrix, int]:
+        return {m: i for i, m in enumerate(self.elements)}
+
+    def _indices(self, mats: np.ndarray) -> list[int]:
+        """Indices of a stack of int64 matrices, which must all be elements."""
+        return [self._lookup[key] for key in _keys(_narrow(mats))]
 
     @property
     def identity_index(self) -> int:
-        return self.index[mat_identity(self.rank)]
+        return self._indices(np.eye(self.rank, dtype=np.int64)[None])[0]
 
     def multiply(self, i: int, j: int) -> int:
-        return self.index[mat_mul(self.elements[i], self.elements[j])]
+        a = self.array[[i, j]].astype(np.int64)
+        return self._indices((a[0] @ a[1])[None])[0]
 
     def inverse(self, i: int) -> int:
-        # finite order: some power is the identity
-        j = i
-        prev = self.identity_index
-        while j != self.identity_index:
-            prev = j
-            j = self.multiply(j, i)
-        return prev if i != self.identity_index else i
+        a = self.array.astype(np.int64)
+        hits = (a @ a[i] == np.eye(self.rank, dtype=np.int64)).all(axis=(1, 2))
+        return int(np.flatnonzero(hits)[0])
 
     @property
     def classes(self) -> list[ConjugacyClass]:
@@ -110,70 +135,71 @@ class WeylGroup:
 
     def centralizer_indices(self, i: int) -> tuple[int, ...]:
         if i not in self._centralizers:
-            w = self.elements[i]
-            self._centralizers[i] = tuple(
-                k for k, z in enumerate(self.elements)
-                if mat_mul(z, w) == mat_mul(w, z)
-            )
+            a = self.array.astype(np.int64)
+            commutes = (a @ a[i] == a[i] @ a).all(axis=(1, 2))
+            self._centralizers[i] = tuple(np.flatnonzero(commutes).tolist())
         return self._centralizers[i]
 
     @classmethod
     def from_generators(cls, gens, rank: int, cap: int = WEYL_ORDER_CAP) -> "WeylGroup":
-        mats = [as_matrix(g) for g in gens]
-        for g in mats:
-            if len(g) != rank or any(len(row) != rank for row in g):
-                raise ValueError("generator shape does not match rank")
-        ident = mat_identity(rank)
-        elements = [ident]
-        index = {ident: 0}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in mats:
-                    prod = mat_mul(m, g)
-                    if prod not in index:
-                        index[prod] = len(elements)
-                        elements.append(prod)
-                        nxt.append(prod)
-                        if len(elements) > cap:
-                            raise GroupTooLargeError(
-                                f"group closure exceeded the cap of {cap} elements"
-                            )
-            frontier = nxt
-        gen_indices = [index[g] for g in mats]
-        return cls(rank=rank, elements=elements, generators=gen_indices, index=index)
+        """Breadth-first closure: each frontier times each generator, first-seen order."""
+        mats = [np.array(g, dtype=np.int64) for g in gens]
+        if any(g.shape != (rank, rank) for g in mats):
+            raise ValueError("generator shape does not match rank")
+        gen_arr = _narrow(np.array(mats, dtype=np.int64).reshape(-1, rank, rank))
+        wide_gens = gen_arr.astype(np.int64)[None]
+        frontier = np.eye(rank, dtype=np.int8)[None]
+        lookup = {key: i for i, key in enumerate(_keys(frontier))}
+        blocks = [frontier]
+        while len(frontier):
+            prods = _narrow(frontier.astype(np.int64)[:, None] @ wide_gens)
+            prods = prods.reshape(-1, rank, rank)
+            new = []
+            for k, key in enumerate(_keys(prods)):
+                if key not in lookup:
+                    lookup[key] = len(lookup)
+                    new.append(k)
+                    if len(lookup) > cap:
+                        raise GroupTooLargeError(
+                            f"group closure exceeded the cap of {cap} elements"
+                        )
+            frontier = prods[new]
+            blocks.append(frontier)
+        generators = [lookup[key] for key in _keys(gen_arr)]
+        return cls(np.concatenate(blocks), generators, lookup)
 
 
 def _compute_classes(group: WeylGroup) -> list[ConjugacyClass]:
-    n = len(group.elements)
-    gen_idx = group.generators
-    gens = [group.elements[i] for i in gen_idx]
+    """Orbits of the conjugation permutations of the generators."""
+    a = group.array.astype(np.int64)
     # simple reflections are involutions, but stay generic: use inverses
-    gen_invs = [group.elements[group.inverse(i)] for i in gen_idx]
-    assigned = [False] * n
-    classes = []
-    for start in range(n):
-        if assigned[start]:
-            continue
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                m = group.elements[i]
-                for g, ginv in zip(gens, gen_invs):
-                    c = group.index[mat_mul(mat_mul(g, m), ginv)]
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        members = tuple(sorted(seen))
-        rep = min(members, key=lambda i: group.elements[i])
-        for i in members:
-            assigned[i] = True
-        classes.append(ConjugacyClass(representative=rep, members=members))
-    classes.sort(key=lambda c: group.elements[c.representative])
+    perms = [
+        np.array(group._indices(a[g] @ a @ a[group.inverse(g)]))
+        for g in group.generators
+    ]
+    # label[i] falls to the smallest index in the orbit of i
+    label = np.arange(len(group))
+    while True:
+        new = label
+        for p in perms:
+            new = np.minimum(new, new[p])
+        new = new[new]
+        if (new == label).all():
+            break
+        label = new
+    flat = group.array.reshape(len(group), -1)
+    lex_rank = np.empty(len(group), dtype=np.int64)
+    lex_rank[np.lexsort(flat.T[::-1])] = np.arange(len(group))
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    classes = [
+        ConjugacyClass(
+            representative=int(members[np.argmin(lex_rank[members])]),
+            members=tuple(members.tolist()),
+        )
+        for members in np.split(order, cuts)
+    ]
+    classes.sort(key=lambda c: lex_rank[c.representative])
     return classes
 
 

@@ -133,6 +133,16 @@ def test_verify_duality_g2_self_dual():
     assert rep.primal == rep.dual
 
 
+def test_verify_duality_e6():
+    rd = rdm.build_simple("E", 6, "sc")
+    group = weyl.generate(rd)
+    assert (len(group), len(group.classes)) == (51840, 25)
+    rep = kt.verify_duality(rd)
+    assert rep.dual_label == ("E", 6, "adjoint")
+    assert (rep.primal.k0, rep.primal.k1) == (rep.dual.k0, rep.dual.k1) == (47, 11)
+    assert rep.verdict == "equal"
+
+
 def test_verify_duality_quotient_forms():
     # SO(6) and SO(8) are self-dual intermediate forms
     so6 = rdm.build_simple("D", 3, [[1, 0, 0]])

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusdual import intlinalg as il
 from torusdual import rootdata as rdm
@@ -129,3 +132,100 @@ def test_trivial_and_fixture_groups():
     inv = weyl.WeylGroup.from_generators([((-1,),)], rank=1)
     assert len(inv) == 2
     assert inv.inverse(1) == 1
+
+
+def tuple_closure(gens, rank):
+    """Reference closure: breadth-first on tuples, one product at a time."""
+    ident = weyl.mat_identity(rank)
+    elements, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = weyl.mat_mul(m, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    elements.append(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return elements
+
+
+def tuple_classes(elements, gens):
+    """Reference classes: conjugation orbits, sorted by the smallest matrix."""
+    ident = weyl.mat_identity(len(elements[0]))
+    index = {m: i for i, m in enumerate(elements)}
+    inverses = [next(h for h in elements if weyl.mat_mul(g, h) == ident) for g in gens]
+    classes, assigned = [], set()
+    for start in range(len(elements)):
+        if start in assigned:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for g, ginv in zip(gens, inverses):
+                    c = index[weyl.mat_mul(weyl.mat_mul(g, elements[i]), ginv)]
+                    if c not in orbit:
+                        orbit.add(c)
+                        nxt.append(c)
+            frontier = nxt
+        assigned |= orbit
+        rep = min(orbit, key=elements.__getitem__)
+        classes.append((rep, tuple(sorted(orbit))))
+    return sorted(classes, key=lambda c: elements[c[0]])
+
+
+def _reference_input(name):
+    fixtures = {"trivial": ([], 2), "sign": ([((-1,),)], 1)}
+    if name in fixtures:
+        return fixtures[name]
+    type_, rank, form = {
+        "A3": ("A", 3, "sc"), "B3": ("B", 3, "sc"), "G2": ("G", 2, "sc"),
+        "D4-so": ("D", 4, [[1, 0, 0, 0]]), "F4": ("F", 4, "sc"),
+    }[name]
+    return weyl.simple_reflection_matrices(rdm.build_simple(type_, rank, form)), rank
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4-so", "F4", "trivial", "sign"])
+def test_array_group_matches_tuple_reference(name):
+    gens, rank = _reference_input(name)
+    group = weyl.WeylGroup.from_generators(gens, rank)
+    elements = tuple_closure(gens, rank)
+    assert group.elements == elements
+    assert group.array.dtype == np.int8
+    assert [weyl.as_matrix(m) for m in group.array] == elements
+    classes = tuple_classes(elements, gens)
+    assert [(c.representative, c.members) for c in group.classes] == classes
+    for rep, _ in classes:
+        w = elements[rep]
+        brute = tuple(
+            k for k, z in enumerate(elements)
+            if weyl.mat_mul(z, w) == weyl.mat_mul(w, z)
+        )
+        assert group.centralizer_indices(rep) == brute
+
+
+@pytest.mark.parametrize("gen", [((200,),), ((2,),)])
+def test_entries_outside_int8_raise(gen):
+    # ((2,),) generates 2, 4, ..., 64 and then 128, which int8 would wrap
+    with pytest.raises(OverflowError):
+        weyl.WeylGroup.from_generators([gen], rank=1)
+
+
+@pytest.mark.parametrize("type_,rank", [("B", 3), ("F", 4)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_multiply_inverse_match_int64_products(type_, rank, data):
+    rd = rdm.build_simple(type_, rank, "sc")
+    group = weyl.generate(rd)
+    gens = [np.array(s, dtype=np.int64) for s in weyl.simple_reflection_matrices(rd)]
+    word = data.draw(st.lists(st.integers(0, rank - 1), max_size=16))
+    idx, mat = group.identity_index, np.eye(rank, dtype=np.int64)
+    for s in word:
+        idx = group.multiply(idx, group.generators[s])
+        mat = mat @ gens[s]
+    assert group.elements[idx] == weyl.as_matrix(mat)
+    inv = group.inverse(idx)
+    assert (np.array(group.elements[inv], dtype=np.int64) @ mat == np.eye(rank)).all()
+    assert group.multiply(idx, inv) == group.multiply(inv, idx) == group.identity_index
