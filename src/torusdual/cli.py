@@ -344,11 +344,10 @@ def cmd_clifford_check(args) -> int:
             eps = cliff.generator(n, "eps", j)
             checks[f"u e{j} u* = e{j}"] = cliff.conjugation_by_u(n, e) == e
             checks[f"u eps{j} u* = -eps{j}"] = cliff.conjugation_by_u(n, eps) == -eps
-        if n <= 3:
-            checks["P invariant under signed permutations"] = all(
-                cliff.symmetric_invariance_check(n, g, p)
-                for g in cliff.signed_permutations(n)
-            )
+        checks["P invariant under signed permutations"] = all(
+            cliff.symmetric_invariance_check(n, g, p)
+            for g in cliff.signed_permutations(n)
+        )
         bad = [name for name, ok in checks.items() if not ok]
         failures.extend(f"n={n}: {name}" for name in bad)
         print(f"n={n}: {len(checks) - len(bad)}/{len(checks)} identities hold")

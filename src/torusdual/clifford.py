@@ -12,6 +12,12 @@ the +1 convention.
 Elements are stored as maps from canonical words (sorted generator index
 tuples) to Gaussian-rational coefficients, so those identities are
 checked as literal equalities, with no floats anywhere.
+
+An exact orthogonal matrix g acts diagonally on t x t*.  It sends each
+word through the images of its generators, with Python int coefficients
+where the entries of g are integral and Fraction ones where they are
+not, and scales the expansion by the word's coefficient once; only the
+result is wrapped in ``QI`` and ``CliffordElement``.
 """
 
 from __future__ import annotations
@@ -245,48 +251,55 @@ def conjugation_by_u(n: int, a: CliffordElement) -> CliffordElement:
     return u * a * u.star()
 
 
-def _generator_images(n: int, g) -> list[CliffordElement]:
-    """Images of the 2n generators under g acting diagonally on t x t*.
+def _exact(x):
+    """An exact matrix entry: a Python int when integral, else a Fraction."""
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _generator_images(n: int, g) -> list[list[tuple[int, object]]]:
+    """Images of the 2n generators under g acting diagonally on t x t*,
+    each as (generator index, coefficient) pairs with exact coefficients.
 
     g acts on the e-basis by its matrix and on the dual basis by the
     inverse transpose; for exactly orthogonal g those coincide.
     """
-    garr = np.array([[Fraction(x) for x in row] for row in np.asarray(g)], dtype=object)
-    m = garr.shape[0]
-    if garr.shape != (m, m) or m != n:
+    rows = [[_exact(x) for x in row] for row in np.asarray(g)]
+    m = len(rows)
+    if m != n or any(len(row) != m for row in rows):
         raise ValueError("matrix size must match the Clifford dimension")
-    gtg = garr.T @ garr
     for i in range(m):
         for j in range(m):
-            if gtg[i, j] != (1 if i == j else 0):
+            if sum(rows[k][i] * rows[k][j] for k in range(m)) != (1 if i == j else 0):
                 raise ValueError("matrix is not exactly orthogonal")
-    images = []
-    for j in range(n):  # e_j -> sum_k g[k][j] e_k
-        acc: dict[Word, QI] = {}
-        for k in range(n):
-            if garr[k, j]:
-                acc[(k,)] = QI(garr[k, j])
-        images.append(CliffordElement.from_dict(n, acc))
-    for j in range(n):  # eps_j -> sum_k g[k][j] eps_k (orthogonal: g^{-T} = g)
-        acc = {}
-        for k in range(n):
-            if garr[k, j]:
-                acc[(n + k,)] = QI(garr[k, j])
-        images.append(CliffordElement.from_dict(n, acc))
-    return images
+    # e_j -> sum_k g[k][j] e_k and eps_j -> sum_k g[k][j] eps_k
+    # (orthogonal: g^{-T} = g)
+    return [
+        [(shift + k, rows[k][j]) for k in range(n) if rows[k][j]]
+        for shift in (0, n)
+        for j in range(n)
+    ]
 
 
 def orthogonal_action(g, a: CliffordElement) -> CliffordElement:
     """Apply an exact orthogonal matrix to a Clifford element, diagonally."""
     n = a.dimension
     images = _generator_images(n, g)
-    out = CliffordElement.from_dict(n, {})
+    out: dict[Word, list] = {}
     for w, c in a.coefficients:
-        term = scalar(n, c)
+        terms: dict[Word, object] = {(): 1}
         for gidx in w:
-            term = term * images[gidx]
-        out = out + term
-    return out
+            nxt: dict[Word, object] = {}
+            for word, coeff in terms.items():
+                for k, v in images[gidx]:
+                    sign, prod = _mul_words(word, (k,))
+                    nxt[prod] = nxt.get(prod, 0) + sign * coeff * v
+            terms = nxt
+        for word, coeff in terms.items():
+            acc = out.setdefault(word, [0, 0])
+            acc[0] += c.re * coeff
+            acc[1] += c.im * coeff
+    return CliffordElement.from_dict(n, {w: QI(re, im) for w, (re, im) in out.items()})
 
 
 def symmetric_invariance_check(n: int, g, a: CliffordElement) -> bool:

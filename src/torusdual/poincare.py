@@ -9,6 +9,20 @@ is a finite sum because the supports are balls.  The checks exercised
 here are the quasi-periodicity of the section transform, the
 periodicity of the pairing in both variables, its Weyl equivariance, and
 a truncated Gram-matrix surrogate for positivity.
+
+A bump is any callable with a ``support_bounds()`` method returning the
+corners (lo, hi) of a box outside which it vanishes.  It is evaluated on
+an ``(..., n)`` array of points and returns the matching ``(...)`` array
+of values (a single point gives a float).  The lattice sums therefore run
+over one window per bump: the integer offsets of a box as wide as the
+support box, shifted by a per-point start; offsets whose translate misses
+the support contribute exact zeros.  ``pairing`` and ``section_transform``
+take one point or an ``(s, n)`` stack of points.
+
+The checks draw their samples from ``rng`` one sample at a time, in the
+same order for every block layout, so a seed fixes the sample points.
+They evaluate the samples in blocks of ``BLOCK`` so that memory stays
+bounded for any sample count.
 """
 
 from __future__ import annotations
@@ -32,6 +46,9 @@ __all__ = [
 ]
 
 
+BLOCK = 256  # samples evaluated per array pass in the checks
+
+
 @dataclass(frozen=True)
 class CompactBump:
     """C^1 radial bump (1 - (r/R)^2)^2 supported on the ball |x - c| <= R."""
@@ -43,12 +60,11 @@ class CompactBump:
     def rank(self) -> int:
         return len(self.center)
 
-    def __call__(self, x) -> float:
+    def __call__(self, x):
         dx = np.asarray(x, dtype=float) - np.asarray(self.center, dtype=float)
-        r2 = float(dx @ dx) / float(self.radius) ** 2
-        if r2 >= 1.0:
-            return 0.0
-        return (1.0 - r2) ** 2
+        r2 = np.einsum("...i,...i->...", dx, dx) / float(self.radius) ** 2
+        vals = np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0)
+        return float(vals) if vals.ndim == 0 else vals
 
     def support_bounds(self):
         c = np.asarray(self.center, dtype=float)
@@ -73,18 +89,13 @@ class TransformedBump:
     def _winv(self) -> np.ndarray:
         return np.linalg.inv(self._w())
 
-    def __call__(self, x) -> float:
-        return self.base(self._winv @ np.asarray(x, dtype=float))
+    def __call__(self, x):
+        return self.base(np.asarray(x, dtype=float) @ self._winv.T)
 
     def support_bounds(self):
         # image of the support ball under w: bounding box via corner scan
         lo, hi = self.base.support_bounds()
-        w = self._w()
-        corners = [
-            w @ np.array(pt)
-            for pt in itertools.product(*zip(lo, hi))
-        ]
-        corners = np.array(corners)
+        corners = np.array(list(itertools.product(*zip(lo, hi)))) @ self._w().T
         return corners.min(axis=0), corners.max(axis=0)
 
 
@@ -96,77 +107,95 @@ def transform_bump(w, f):
     return TransformedBump(base=base, matrix=tuple(tuple(int(v) for v in row) for row in mat))
 
 
-def _lattice_points_meeting_support(f, x) -> list[np.ndarray]:
-    """Integer vectors a with x - a inside the support box of f."""
-    lo, hi = f.support_bounds()
-    x = np.asarray(x, dtype=float)
-    ranges = [
-        range(int(np.ceil(x[i] - hi[i] - 1e-9)), int(np.floor(x[i] - lo[i] + 1e-9)) + 1)
-        for i in range(len(x))
-    ]
-    return [np.array(a) for a in itertools.product(*ranges)]
+def _window(f, xs: np.ndarray) -> np.ndarray:
+    """(s, K, n) integer points g covering every lattice g with xs[i] - g
+    in the support box of f: one fixed offset box as wide as the support
+    box, shifted by a start per point."""
+    lo, hi = (np.asarray(b, dtype=float) for b in f.support_bounds())
+    # an interval of length L holds at most floor(L) + 1 integers; the
+    # extra 1e-9 absorbs the rounding of the per-point ends below
+    widths = np.floor(hi - lo + 3e-9).astype(int) + 1
+    offsets = np.array(list(itertools.product(*(range(k) for k in widths))))
+    starts = np.ceil(xs - hi - 1e-9).astype(int)
+    return starts[:, None, :] + offsets[None, :, :]
 
 
-def section_transform(f, x, chi) -> complex:
+def _stack(*arrays):
+    """Promote points to (s, n) stacks; report whether the input was one point."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    return arrays[0].ndim == 1, [np.atleast_2d(a) for a in arrays]
+
+
+def section_transform(f, x, chi):
     """sigma(x, chi) = sum_g f(x - g) chi(g), chi given as a point of the dual torus.
 
-    chi is the character g -> e^{2 pi i <chi, g>}.
+    chi is the character g -> e^{2 pi i <chi, g>}.  One point gives a
+    complex; an (s, n) stack of points and characters gives s values.
     """
-    x = np.asarray(x, dtype=float)
-    chi = np.asarray(chi, dtype=float)
-    total = 0.0 + 0.0j
-    for g in _lattice_points_meeting_support(f, x):
-        val = f(x - g)
-        if val:
-            total += val * np.exp(2j * np.pi * float(chi @ g))
-    return total
+    single, (xs, chis) = _stack(x, chi)
+    g = _window(f, xs)
+    vals = f(xs[:, None, :] - g)
+    phases = np.exp(2j * np.pi * (g * chis[:, None, :]).sum(axis=-1))
+    out = (vals * phases).sum(axis=-1)
+    return complex(out[0]) if single else out
 
 
-def pairing(f1, f2, x, eta) -> complex:
+def pairing(f1, f2, x, eta):
     """The module-valued inner product at the point (x, eta), by the
-    defining double lattice sum."""
-    x = np.asarray(x, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    total = 0.0 + 0.0j
-    alphas = [(a, f1(x - a)) for a in _lattice_points_meeting_support(f1, x)]
-    betas = [(b, f2(x - b)) for b in _lattice_points_meeting_support(f2, x)]
-    for a, va in alphas:
-        if not va:
-            continue
-        for b, vb in betas:
-            if not vb:
-                continue
-            total += va * vb * np.exp(2j * np.pi * float(eta @ (b - a)))
-    return total
+    defining double lattice sum.  One point gives a complex; an (s, n)
+    stack of points gives s values."""
+    single, (xs, etas) = _stack(x, eta)
+    ga, gb = _window(f1, xs), _window(f2, xs)
+    va = f1(xs[:, None, :] - ga)
+    vb = f2(xs[:, None, :] - gb)
+    diffs = gb[:, None, :, :] - ga[:, :, None, :]  # b - a, indexed (s, a, b)
+    phases = np.exp(2j * np.pi * (diffs * etas[:, None, None, :]).sum(axis=-1))
+    out = np.einsum("sa,sab,sb->s", np.conj(va), phases, vb)
+    return complex(out[0]) if single else out
+
+
+def _sample_blocks(samples: int, draw):
+    """Call draw() once per sample, in order, and yield the draws in
+    blocks of at most BLOCK samples as one stacked array per drawn field."""
+    for start in range(0, samples, BLOCK):
+        rows = [draw() for _ in range(min(BLOCK, samples - start))]
+        yield [np.array(field) for field in zip(*rows)]
+
+
+def _max_abs(worst: float, diff) -> float:
+    return max(worst, float(np.abs(diff).max()))
 
 
 def quasi_periodicity_check(f, rng, samples: int = 100) -> float:
     """Max deviation of sigma(x + d, chi) - chi(d) sigma(x, chi) over
     random x, chi, and lattice shifts d."""
     n = f.rank
+
+    def draw():
+        return (rng.uniform(-2, 2, size=n), rng.uniform(-3, 3, size=n),
+                rng.integers(-3, 4, size=n))
+
     worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(-2, 2, size=n)
-        chi = rng.uniform(-3, 3, size=n)
-        d = rng.integers(-3, 4, size=n)
+    for x, chi, d in _sample_blocks(samples, draw):
         lhs = section_transform(f, x + d, chi)
-        rhs = np.exp(2j * np.pi * float(chi @ d)) * section_transform(f, x, chi)
-        worst = max(worst, float(abs(lhs - rhs)))
+        rhs = np.exp(2j * np.pi * (chi * d).sum(axis=-1)) * section_transform(f, x, chi)
+        worst = _max_abs(worst, lhs - rhs)
     return worst
 
 
 def periodicity_check(f1, f2, rng, samples: int = 100) -> float:
     """Max deviation of the pairing under integer shifts of x and of eta."""
     n = f1.rank
+
+    def draw():
+        return (rng.uniform(-2, 2, size=n), rng.uniform(-3, 3, size=n),
+                rng.integers(-3, 4, size=n), rng.integers(-3, 4, size=n))
+
     worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(-2, 2, size=n)
-        eta = rng.uniform(-3, 3, size=n)
-        gx = rng.integers(-3, 4, size=n)
-        geta = rng.integers(-3, 4, size=n)
+    for x, eta, gx, geta in _sample_blocks(samples, draw):
         base = pairing(f1, f2, x, eta)
-        worst = max(worst, float(abs(pairing(f1, f2, x + gx, eta) - base)))
-        worst = max(worst, float(abs(pairing(f1, f2, x, eta + geta) - base)))
+        worst = _max_abs(worst, pairing(f1, f2, x + gx, eta) - base)
+        worst = _max_abs(worst, pairing(f1, f2, x, eta + geta) - base)
     return worst
 
 
@@ -184,13 +213,15 @@ def equivariance_check(w, f1, f2, rng, samples: int = 100) -> float:
     # w^{-1} acting on eta is the forward transpose of w
     wf1 = transform_bump(warr, f1)
     wf2 = transform_bump(warr, f2)
+
+    def draw():
+        return rng.uniform(-2, 2, size=n), rng.uniform(-3, 3, size=n)
+
     worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(-2, 2, size=n)
-        eta = rng.uniform(-3, 3, size=n)
+    for x, eta in _sample_blocks(samples, draw):
         lhs = pairing(wf1, wf2, x, eta)
-        rhs = pairing(f1, f2, winv @ x, warr.T @ eta)
-        worst = max(worst, float(abs(lhs - rhs)))
+        rhs = pairing(f1, f2, x @ winv.T, eta @ warr)
+        worst = _max_abs(worst, lhs - rhs)
     return worst
 
 
@@ -203,9 +234,8 @@ def gram_matrix(f, x, window: int = 2) -> np.ndarray:
     for positivity of the module inner product.
     """
     n = f.rank
-    x = np.asarray(x, dtype=float)
-    translates = list(itertools.product(range(-window, window + 1), repeat=n))
-    vals = np.array([f(x - np.array(t)) for t in translates])
+    translates = np.array(list(itertools.product(range(-window, window + 1), repeat=n)))
+    vals = f(np.asarray(x, dtype=float) - translates)
     return np.outer(vals.conj(), vals)
 
 

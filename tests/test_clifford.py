@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from torusdual import clifford as cl
@@ -153,7 +155,7 @@ def test_u_is_unitary():
         assert u * u.star() == cl.one(n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_projection_invariant_under_signed_permutations(n):
     p = cl.clifford_projection(n)
     for g in cl.signed_permutations(n):
@@ -206,3 +208,96 @@ def test_grading_parity():
     assert cl.generator(2, "e", 1).grading_parity() == 1
     mixed = p + cl.generator(2, "e", 1)
     assert mixed.grading_parity() is None
+
+
+# -- the word-image action against an element-by-element reference ---------
+
+
+def reference_action(g, a):
+    """Old-style action: each generator image is a CliffordElement and each
+    word is the Clifford product of its images, scaled by its coefficient."""
+    n = a.dimension
+    garr = [[Fraction(x) for x in row] for row in g]
+    images = [
+        cl.CliffordElement.from_dict(
+            n, {(shift + k,): QI(garr[k][j]) for k in range(n) if garr[k][j]}
+        )
+        for shift in (0, n)
+        for j in range(n)
+    ]
+    out = cl.CliffordElement.from_dict(n, {})
+    for w, c in a.coefficients:
+        term = cl.scalar(n, c)
+        for gidx in w:
+            term = term * images[gidx]
+        out = out + term
+    return out
+
+
+def random_element(rng, n, terms=6):
+    words = [
+        tuple(sorted(rng.sample(range(2 * n), rng.randint(0, 2 * n))))
+        for _ in range(terms)
+    ]
+    return cl.CliffordElement.from_dict(
+        n,
+        {
+            w: QI(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                  Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            for w in words
+        },
+    )
+
+
+ROT = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+
+
+def test_swap_moves_generators():
+    swap = [[0, 1], [1, 0]]
+    e = lambda j: cl.generator(2, "e", j)  # noqa: E731
+    eps = lambda j: cl.generator(2, "eps", j)  # noqa: E731
+    assert cl.orthogonal_action(swap, e(1)) == e(2)
+    assert cl.orthogonal_action(swap, e(1) * eps(2)) == e(2) * eps(1)
+    assert not cl.symmetric_invariance_check(2, swap, e(1) * eps(2))
+
+
+def test_rotation_moves_e1():
+    e1, e2 = cl.generator(2, "e", 1), cl.generator(2, "e", 2)
+    image = cl.orthogonal_action(ROT, e1)
+    assert image == e1.scale(QI(Fraction(3, 5))) + e2.scale(QI(Fraction(4, 5)))
+    assert not cl.symmetric_invariance_check(2, ROT, e1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_action_matches_reference_product(n):
+    rng = random.Random(n)
+    mats = list(cl.signed_permutations(n))[:: 3 if n == 3 else 1]
+    if n == 2:
+        mats.append(ROT)
+    for g in mats:
+        for _ in range(3):
+            a = random_element(rng, n)
+            got = cl.orthogonal_action(g, a)
+            assert got == reference_action(g, a)
+            for _, c in got.coefficients:
+                assert type(c.re) is Fraction and type(c.im) is Fraction
+
+
+def test_integral_entry_types_agree():
+    a = random_element(random.Random(7), 3)
+    g = [[0, -1, 0], [0, 0, 1], [1, 0, 0]]
+    results = [
+        cl.orthogonal_action(g, a),
+        cl.orthogonal_action(np.array(g, dtype=np.int64), a),
+        cl.orthogonal_action([[Fraction(v, 1) for v in row] for row in g], a),
+    ]
+    assert results[0] == results[1] == results[2] == reference_action(g, a)
+    assert results[0] != a
+
+
+def test_non_orthogonal_action_rejected():
+    a = cl.generator(2, "e", 1)
+    for g in ([[1, 1], [0, 1]], [[2, 0], [0, 1]],
+              [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(3, 5)]]):
+        with pytest.raises(ValueError):
+            cl.orthogonal_action(g, a)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,153 @@ def test_equivariance_rank_mismatch():
     f1, f2 = pc.random_bump(rng, 2), pc.random_bump(rng, 2)
     with pytest.raises(ValueError):
         pc.equivariance_check([[1]], f1, f2, rng, 5)
+
+
+# -- the batched sums against a per-point reference ------------------------
+
+
+def reference_points(f, x):
+    """Integer vectors a with x - a inside the support box of f, one by one."""
+    lo, hi = f.support_bounds()
+    ranges = [
+        range(int(np.ceil(x[i] - hi[i] - 1e-9)), int(np.floor(x[i] - lo[i] + 1e-9)) + 1)
+        for i in range(len(x))
+    ]
+    return [np.array(a) for a in itertools.product(*ranges)]
+
+
+def reference_section(f, x, chi):
+    x, chi = np.asarray(x, dtype=float), np.asarray(chi, dtype=float)
+    return sum(
+        (f(x - g) * np.exp(2j * np.pi * float(chi @ g)) for g in reference_points(f, x)),
+        0j,
+    )
+
+
+def reference_pairing(f1, f2, x, eta):
+    x, eta = np.asarray(x, dtype=float), np.asarray(eta, dtype=float)
+    total = 0j
+    for a in reference_points(f1, x):
+        for b in reference_points(f2, x):
+            total += f1(x - a) * f2(x - b) * np.exp(2j * np.pi * float(eta @ (b - a)))
+    return total
+
+
+def _bumps(rank):
+    rng = np.random.default_rng(10 + rank)
+    f = pc.random_bump(rng, rank, radius_range=(0.8, 1.6))
+    g = pc.random_bump(rng, rank)
+    # radius 1/2 at the origin: a support box of integer width
+    half = pc.CompactBump(center=(0.0,) * rank, radius=0.5)
+    cases = {"compact": f, "integer_width": half, "sum": SumBump(0.7, f, -1.3, g)}
+    mats = {"minus": -np.eye(rank, dtype=int)}
+    if rank == 2:
+        mats.update(swap=[[0, 1], [1, 0]], shear=[[1, 1], [0, 1]])
+    for name, w in mats.items():
+        cases[name] = pc.transform_bump(w, f)
+    return cases
+
+
+def _edge_points(f, rng, count=20):
+    """Points on the faces of the support box of f, shifted by lattice
+    vectors, plus random ones."""
+    lo, hi = (np.asarray(b, dtype=float) for b in f.support_bounds())
+    pts = []
+    for corner in itertools.product(*zip(lo, hi)):
+        pts.append(np.array(corner) + rng.integers(-2, 3, size=len(lo)))
+        mixed = np.array(corner)
+        mixed[0] = rng.uniform(lo[0], hi[0])
+        pts.append(mixed)
+    pts += list(rng.uniform(-2, 2, size=(count, len(lo))))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_batched_sums_match_per_point_reference(rank):
+    rng = np.random.default_rng(20 + rank)
+    cases = _bumps(rank)
+    other = pc.random_bump(rng, rank)
+    for name, f in cases.items():
+        xs = _edge_points(f, rng)
+        chis = rng.uniform(-3, 3, size=xs.shape)
+        sections = pc.section_transform(f, xs, chis)
+        pairs = pc.pairing(f, other, xs, chis)
+        pairs_rev = pc.pairing(other, f, xs, chis)
+        assert sections.shape == pairs.shape == (len(xs),)
+        for i, (x, chi) in enumerate(zip(xs, chis)):
+            assert abs(sections[i] - reference_section(f, x, chi)) <= 1e-12, name
+            assert abs(pairs[i] - reference_pairing(f, other, x, chi)) <= 1e-12, name
+            assert abs(pairs_rev[i] - reference_pairing(other, f, x, chi)) <= 1e-12, name
+            assert abs(pc.pairing(f, f, x, chi) - reference_pairing(f, f, x, chi)) <= 1e-12
+
+
+def test_single_points_return_python_scalars():
+    rng = np.random.default_rng(30)
+    for rank in (1, 2):
+        f = pc.random_bump(rng, rank)
+        wf = pc.transform_bump(-np.eye(rank, dtype=int), f)
+        x, eta = rng.uniform(-1, 1, rank), rng.uniform(-1, 1, rank)
+        for bump in (f, wf):
+            assert type(bump(x)) is float
+            assert bump(x) == pytest.approx(bump(x[None, :])[0])
+            assert bump(np.zeros((3, 4, rank))).shape == (3, 4)
+        assert type(pc.section_transform(f, x, eta)) is complex
+        assert type(pc.pairing(f, wf, x, eta)) is complex
+
+
+def test_gram_matrix_matches_per_translate_values():
+    rng = np.random.default_rng(31)
+    f = pc.random_bump(rng, 2, radius_range=(0.8, 2.0))
+    x = rng.uniform(-1, 1, 2)
+    vals = np.array([f(x - np.array(t)) for t in itertools.product(range(-2, 3), repeat=2)])
+    assert np.array_equal(pc.gram_matrix(f, x), np.outer(vals, vals))
+
+
+def _old_draws(kind, rng, n, samples):
+    """The per-sample draw sequence of each check, one sample at a time."""
+    for _ in range(samples):
+        rng.uniform(-2, 2, size=n)
+        rng.uniform(-3, 3, size=n)
+        if kind != "equivariance":
+            rng.integers(-3, 4, size=n)
+        if kind == "periodicity":
+            rng.integers(-3, 4, size=n)
+
+
+@pytest.mark.parametrize("samples", [0, 1, 7, pc.BLOCK + 1])
+def test_checks_consume_the_per_sample_stream(samples):
+    f1 = pc.CompactBump(center=(0.1, -0.2), radius=0.9)
+    f2 = pc.CompactBump(center=(-0.3, 0.05), radius=1.3)
+    runs = {
+        "periodicity": lambda rng: pc.periodicity_check(f1, f2, rng, samples),
+        "quasi_periodicity": lambda rng: pc.quasi_periodicity_check(f1, rng, samples),
+        "equivariance": lambda rng: pc.equivariance_check([[0, 1], [1, 0]], f1, f2, rng, samples),
+    }
+    for kind, run in runs.items():
+        rng, ref = np.random.default_rng(40), np.random.default_rng(40)
+        worst = run(rng)
+        _old_draws(kind, ref, 2, samples)
+        assert rng.bit_generator.state == ref.bit_generator.state, kind
+        assert type(worst) is float
+        assert worst <= TOL
+        if samples == 0:
+            assert worst == 0.0
+
+
+def test_block_boundary_check_matches_per_sample_reference():
+    f1 = pc.CompactBump(center=(0.2,), radius=0.7)
+    f2 = pc.CompactBump(center=(-0.1,), radius=1.1)
+    samples = pc.BLOCK + 1
+    rng, ref = np.random.default_rng(50), np.random.default_rng(50)
+    worst = pc.periodicity_check(f1, f2, rng, samples)
+    expected = 0.0
+    for _ in range(samples):
+        x, eta = ref.uniform(-2, 2, size=1), ref.uniform(-3, 3, size=1)
+        gx, geta = ref.integers(-3, 4, size=1), ref.integers(-3, 4, size=1)
+        base = reference_pairing(f1, f2, x, eta)
+        expected = max(
+            expected,
+            abs(reference_pairing(f1, f2, x + gx, eta) - base),
+            abs(reference_pairing(f1, f2, x, eta + geta) - base),
+        )
+    assert abs(worst - expected) <= 1e-12
