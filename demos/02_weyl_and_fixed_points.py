@@ -20,7 +20,7 @@ print("== fixed sets per conjugacy class, SU(3) ==")
 su3 = build_simple("A", 2, "sc")
 group = generate(su3)
 for c in group.classes:
-    w = group.elements[c.representative]
+    w = group.array[c.representative]
     rep = fixed_set(w)
     print(f"  class of size {len(c.members)}: T^w has dimension {rep.fixed_dim} "
           f"with {rep.component_count()} component(s)")

@@ -20,6 +20,7 @@ from . import oscillator as osc
 from . import poincare as pc
 from .fixedpoints import fixed_set, full_fixed_points
 from .rootdata import (
+    SIMPLE_TYPES,
     RootDatum,
     build_simple,
     center,
@@ -29,6 +30,7 @@ from .rootdata import (
     dual_type,
     dualize,
     fundamental_group,
+    is_simple_type,
 )
 from .weyl import GroupTooLargeError, generate
 
@@ -151,26 +153,14 @@ def cmd_table_check(args) -> int:
 
 
 def _duality_targets(max_rank: int, forms):
-    targets = []
-    for r in range(1, max_rank + 1):
-        targets.append(("A", r))
-    for r in range(2, max_rank + 1):
-        targets.append(("B", r))
-        targets.append(("C", r))
-    for r in range(3, max_rank + 1):
-        targets.append(("D", r))
-    if max_rank >= 2:
-        targets.append(("G", 2))
-    if max_rank >= 4:
-        targets.append(("F", 4))
-    for r in (6, 7, 8):
-        if max_rank >= r:
-            targets.append(("E", r))
-    out = []
-    for t, r in sorted(targets):
-        for form in forms:
-            out.append((t, r, form))
-    return out
+    """Every simple (type, rank) up to max_rank, in sorted order, in each form."""
+    return [
+        (t, r, form)
+        for t in SIMPLE_TYPES
+        for r in range(1, max_rank + 1)
+        if is_simple_type(t, r)
+        for form in forms
+    ]
 
 
 def _check_rank_cap(max_rank: int, allow_large: bool) -> int | None:
@@ -274,7 +264,7 @@ def cmd_fixed_points(args) -> int:
     print(f"{rd}: per-conjugacy-class fixed sets on T")
     rows = []
     for c in group.classes:
-        rep = fixed_set(group.elements[c.representative])
+        rep = fixed_set(group.array[c.representative])
         rows.append({
             "class_size": len(c.members),
             "fixed_dim": rep.fixed_dim,

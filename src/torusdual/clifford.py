@@ -49,8 +49,11 @@ class QI:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        # products of Fraction parts are already Fractions; wrap only the rest
+        if not isinstance(self.re, Fraction):
+            object.__setattr__(self, "re", Fraction(self.re))
+        if not isinstance(self.im, Fraction):
+            object.__setattr__(self, "im", Fraction(self.im))
 
     def __add__(self, other: "QI") -> "QI":
         return QI(self.re + other.re, self.im + other.im)

@@ -3,7 +3,10 @@
 Everything here works in coordinates where Gamma = Z^n.  For w a lattice
 automorphism, T^w = {x : (w - 1) x in Z^n} / Z^n is a finite disjoint
 union of parallel subtori of dimension dim ker(w - 1); the components are
-enumerated as rational coset representatives, exactly.
+enumerated as rational coset representatives, exactly.  One Smith form
+U (w - 1) V = D per fixed set gives the components, their keys in
+tors coker(w - 1) and the lattice Gamma^w; the action of a centralizer
+element is read off it with no further elimination.
 """
 
 from __future__ import annotations
@@ -11,16 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 
 import numpy as np
 
 from .intlinalg import (
     SmithDecomposition,
     _cosets_from_smith,
-    identity,
-    intmat,
-    rational_inverse,
     restrict_to_sublattice,
     smith_normal_form,
 )
@@ -62,19 +61,28 @@ class FixedSetReport:
             raise ValueError("point is not in the fixed set")
         return self._component_index[key]
 
-    def _component_key(self, x) -> tuple[int, ...] | None:
-        """The class of x in tors coker M, or None when x is not fixed.
+    def _image(self, x) -> np.ndarray | None:
+        """y = M x as integers, or None when x is not fixed.
 
-        M is the report's matrix (w - 1, or the stacked s - 1).  x is fixed
-        when y = M x is integral; two fixed points share a component
-        exactly when their y differ by an element of M Z^n, so with
-        U M V = D the key is ((U y)_i mod d_i) over the d_i > 1.
+        M is the report's matrix (w - 1, or the stacked s - 1); x is fixed
+        when M x is integral.
         """
         vec = self._matrix @ np.array([Fraction(v) for v in x], dtype=object)
         if any(Fraction(v).denominator != 1 for v in vec):
             return None
-        _, u_tors, d_tors = self._torsion
-        y = np.array([int(v) for v in vec], dtype=object)
+        return np.array([int(v) for v in vec], dtype=object)
+
+    def _component_key(self, x) -> tuple[int, ...] | None:
+        """The class of x in tors coker M, or None when x is not fixed.
+
+        Two fixed points share a component exactly when their images
+        y = M x differ by an element of M Z^n, so with U M V = D the key
+        is ((U y)_i mod d_i) over the d_i > 1.
+        """
+        y = self._image(x)
+        if y is None:
+            return None
+        u_tors, d_tors = self._torsion
         return tuple(int(s) % d for s, d in zip(u_tors @ y, d_tors))
 
     @cached_property
@@ -86,50 +94,46 @@ class FixedSetReport:
 
     @cached_property
     def _torsion(self):
-        """Indices, rows of U and invariant factors at the d_i > 1 of the Smith form."""
+        """Rows of U and invariant factors at the d_i > 1 of the Smith form."""
         d = self._snf.diagonal
         tors = [i for i in range(self._snf.rank) if d[i] > 1]
-        return tors, self._snf.u[tors, :], tuple(d[i] for i in tors)
+        return self._snf.u[tors, :], tuple(d[i] for i in tors)
 
     @cached_property
-    def _smith_coordinates(self):
-        """Blocks of U, U^-1, D_tors, V^-1, V and the torsion identity.
-
-        intmat checks that the inverses are integral.
-        """
-        tors, u_tors, d = self._torsion
-        r = self._snf.rank
-        u_inv = intmat(rational_inverse(self._snf.u))
-        v_inv = intmat(rational_inverse(self._snf.v))
-        d_tors = np.diag(np.array(d, dtype=object))
-        return u_tors, u_inv[:, tors], d_tors, v_inv[r:, :], self._snf.v[:, r:], identity(len(d))
+    def _component_images(self) -> np.ndarray:
+        """The integer images y_c = M x_c of the components, one per column."""
+        return np.array([self._image(c) for c in self.components], dtype=object).T
 
     def action(self, z) -> tuple[int, np.ndarray]:
         """Action of a centralizer element z of w, as integers.
 
         Returns (fixed, restriction).  With U (w - 1) V = D of rank r, the
-        components of T^w form the group tors coker(w - 1) = sum Z/d_i over
-        the d_i > 1, on which z acts as B = U z U^-1.  fixed is the number
-        of components z fixes, |ker(B - 1)| = |coker [B - 1 | D_tors]|, the
-        product of the invariant factors of that matrix.  restriction is the
-        integer matrix (V^-1 z V)[r:, r:] of z on Gamma^w in the basis
-        fixed_lattice_basis.
+        component of a fixed point x is keyed by U_tors y mod d, where
+        y = (w - 1) x and U_tors, d are the rows of U and the invariant
+        factors at the d_i > 1.  As z commutes with w, z x has the image
+        z y, so fixed, the number of components z fixes, is the number of
+        images y_c whose key U_tors (z - 1) y_c vanishes mod d.  restriction
+        is the integer matrix V^-1[r:] z V[:, r:] of z on Gamma^w in the
+        basis fixed_lattice_basis.
 
         Only for a report of fixed_set(w); z must commute with w, which is
         not checked.
         """
-        u_tors, u_inv_tors, d_tors, v_inv_free, v_free, ident = self._smith_coordinates
+        snf, r = self._snf, self._snf.rank
+        u_tors, d_tors = self._torsion
         zarr = np.array(z, dtype=object)
-        b = u_tors @ zarr @ u_inv_tors
-        coker = np.hstack([b - ident, d_tors])
-        fixed = prod(smith_normal_form(coker).diagonal)
-        return fixed, v_inv_free @ zarr @ v_free
+        y = self._component_images
+        moved = u_tors @ (zarr @ y - y)
+        modulus = np.array(d_tors, dtype=object).reshape(-1, 1)
+        fixed = int((moved % modulus == 0).all(axis=0).sum())
+        return fixed, snf.v_inv[r:] @ zarr @ snf.v[:, r:]
 
 
-def _difference_matrix(w: Matrix) -> np.ndarray:
-    n = len(w)
+def _difference_matrix(*mats: Matrix) -> np.ndarray:
+    """The matrices m - 1, stacked one above the other."""
     return np.array(
-        [[w[i][j] - int(i == j) for j in range(n)] for i in range(n)], dtype=object
+        [[m[i][j] - int(i == j) for j in range(len(m))] for m in mats for i in range(len(m))],
+        dtype=object,
     )
 
 
@@ -161,16 +165,8 @@ def full_fixed_points(rd: RootDatum) -> FixedSetReport:
     """
     from .weyl import simple_reflection_matrices
 
-    mats = simple_reflection_matrices(rd)
     n = rd.rank
-    stacked = np.array(
-        [
-            [s[i][j] - int(i == j) for j in range(n)]
-            for s in mats
-            for i in range(n)
-        ],
-        dtype=object,
-    )
+    stacked = _difference_matrix(*simple_reflection_matrices(rd))
     snf = smith_normal_form(stacked)
     points = _cosets_from_smith(snf, modulo_kernel=False)
     return FixedSetReport(

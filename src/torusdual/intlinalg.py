@@ -114,11 +114,16 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Unimodular U, V and diagonal D with U @ M @ V = D and d1 | d2 | ..."""
+    """Unimodular U, V and diagonal D with U @ M @ V = D and d1 | d2 | ...
+
+    v_inv is the exact inverse of V, kept in step with the column
+    operations that build V, so no separate inversion is needed.
+    """
 
     u: np.ndarray
     d: np.ndarray
     v: np.ndarray
+    v_inv: np.ndarray
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -144,6 +149,7 @@ def smith_normal_form(mat) -> SmithDecomposition:
     work = [[_as_int(a[i, j]) for j in range(n)] for i in range(m)]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v_inv = [row[:] for row in v]
 
     def swap_rows(i, j):
         work[i], work[j] = work[j], work[i]
@@ -154,6 +160,7 @@ def smith_normal_form(mat) -> SmithDecomposition:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def negate_row(i):
         work[i] = [-x for x in work[i]]
@@ -169,10 +176,14 @@ def smith_normal_form(mat) -> SmithDecomposition:
             udst[k] += q * usrc[k]
 
     def add_col(src, dst, q):
+        # col_dst += q * col_src, so row_src of V^-1 loses q * row_dst
         for row in work:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        vsrc, vdst = v_inv[src], v_inv[dst]
+        for k in range(n):
+            vsrc[k] -= q * vdst[k]
 
     def pivot_position(t):
         best = None
@@ -226,6 +237,7 @@ def smith_normal_form(mat) -> SmithDecomposition:
         _freeze(np.array(u, dtype=object).reshape(m, m)),
         _freeze(np.array(work, dtype=object).reshape(m, n)),
         _freeze(np.array(v, dtype=object).reshape(n, n)),
+        _freeze(np.array(v_inv, dtype=object).reshape(n, n)),
     )
 
 

@@ -11,13 +11,14 @@ the fixed sets T^w:
 and likewise for K^1 with tr_odd, where tr_even/odd(R) are the traces on
 the even/odd exterior algebra, evaluated as (det(1+R) +- det(1-R))/2.
 
-The class sum runs in integers, in the Smith coordinates U (w-1) V = D of
-rank r that :meth:`FixedSetReport.action` reads off: the components of T^w
-form tors coker(w-1), on which z acts as U z U^-1, so the count of fixed
-components is the product of the invariant factors of
-[U z U^-1 - 1 | D_tors]; R is the integer matrix (V^-1 z V)[r:, r:] of z on
-Gamma^w.  Each class is accumulated as 2|Z(w)| times its average, which
-must divide exactly and be non-negative before it is believed.
+The class sum runs in integers, from the one Smith form U (w-1) V = D of
+rank r that :meth:`FixedSetReport.action` reads: a component x_c of T^w is
+keyed by its image y_c = (w-1) x_c modulo (w-1) Z^n, i.e. by U y_c mod the
+invariant factors d_i > 1, and z fixes it when z y_c has the same key; R
+is the integer matrix V^-1[r:] z V[:, r:] of z on Gamma^w, with V^-1 kept
+by the Smith form itself.  Each class is accumulated as 2|Z(w)| times its
+average, which must divide exactly and be non-negative before it is
+believed.
 
 The commuting-pairs oracle recomputes the same quantity as a sum over all
 pairs (w, z) with wz = zw, weighted 1/|W|, without the class decomposition
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from .fixedpoints import centralizer_action, fixed_set
 from .intlinalg import det, identity, intmat
 from .rootdata import RootDatum, center as center_of, dualize
-from .weyl import Matrix, WeylGroup, generate
+from .weyl import Matrix, WeylGroup, as_matrix, generate
 
 __all__ = [
     "NonIntegralInvariantError",
@@ -133,14 +134,14 @@ class AffineComparisonReport:
 
 
 def _class_contribution(group: WeylGroup, rep_index: int, members) -> ClassContribution:
-    w = group.elements[rep_index]
+    w = as_matrix(group.array[rep_index])
     report = fixed_set(w)
     cent = group.centralizer_indices(rep_index)
     ident = identity(report.fixed_dim)
     # 2 |Z(w)| times the even/odd class averages
     even = odd = 0
     for zi in cent:
-        fixed, restriction = report.action(group.elements[zi])
+        fixed, restriction = report.action(group.array[zi])
         plus, minus = det(ident + restriction), det(ident - restriction)
         even += fixed * (plus + minus)
         odd += fixed * (plus - minus)

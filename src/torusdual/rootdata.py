@@ -15,18 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
 
-from .intlinalg import (
-    FiniteAbelianGroup,
-    cokernel,
-    intmat,
-    rational_inverse,
-    smith_normal_form,
-)
+from .intlinalg import FiniteAbelianGroup, cokernel, intmat, smith_normal_form
 
 __all__ = [
     "RootDatum",
@@ -38,6 +31,7 @@ __all__ = [
     "cartan_matrix",
     "classify_form",
     "dual_type",
+    "is_simple_type",
     "datum_to_json",
     "SIMPLE_TYPES",
     "ROOT_COUNTS",
@@ -59,8 +53,9 @@ _E_EDGES = {
 }
 
 
-def _validate_type_rank(type_: str, rank: int) -> None:
-    ok = {
+def is_simple_type(type_: str, rank: int) -> bool:
+    """Whether (type, rank) names a simple compact type, e.g. D3 but not D2."""
+    return {
         "A": rank >= 1,
         "B": rank >= 2,
         "C": rank >= 2,
@@ -68,8 +63,11 @@ def _validate_type_rank(type_: str, rank: int) -> None:
         "E": rank in (6, 7, 8),
         "F": rank == 4,
         "G": rank == 2,
-    }
-    if type_ not in ok or not ok[type_]:
+    }.get(type_, False)
+
+
+def _validate_type_rank(type_: str, rank: int) -> None:
+    if not is_simple_type(type_, rank):
         raise ValueError(f"invalid simple type {type_}{rank}")
 
 
@@ -192,20 +190,6 @@ ROOT_COUNTS = {
 }
 
 
-def _lattice_basis_containing(columns: np.ndarray) -> np.ndarray:
-    """Basis of the full-rank lattice spanned by the given integer columns."""
-    snf = smith_normal_form(columns)
-    n = columns.shape[0]
-    if snf.rank != n:
-        raise ValueError("columns do not span a full-rank lattice")
-    uinv = rational_inverse(snf.u)
-    basis = np.array(
-        [[int(uinv[i, j]) * int(snf.d[j, j]) for j in range(n)] for i in range(n)],
-        dtype=object,
-    )
-    return basis
-
-
 def build_simple(type_: str, rank: int, form: GroupForm = "sc", *, max_rank: int = 8) -> RootDatum:
     """Construct the root datum of a simple compact type in a given isogeny form.
 
@@ -237,18 +221,19 @@ def build_simple(type_: str, rank: int, form: GroupForm = "sc", *, max_rank: int
         if any(len(g) != n for g in gens):
             raise ValueError("quotient generators must be integer vectors of length rank")
         # X_* = coroot lattice + <gens> inside the coweight lattice Z^n
-        columns = np.array([[int(a[i, j]) for j in range(n)] for i in range(n)], dtype=object)
-        if gens:
-            columns = np.hstack([columns, np.array(gens, dtype=object).T])
-        basis = _lattice_basis_containing(columns)
-        binv = rational_inverse(basis)
-        new_coroots = binv @ a  # j-th column = coroot j in the new basis
-        if any(Fraction(x).denominator != 1 for x in new_coroots.flat):
+        columns = np.hstack([a, np.array(gens, dtype=object).T]) if gens else a
+        # U C V = D: the basis C V[:, :n] = U^-1 D of the span, in which
+        # coroot j (column j of a) has the coordinates D^-1 U a[:, j]
+        snf = smith_normal_form(columns)
+        basis = (columns @ snf.v)[:, :n]
+        scaled = snf.u @ a
+        d = snf.diagonal
+        if any(x % d[i] for i in range(n) for x in scaled[i]):
             raise ValueError("quotient generators must define a lattice containing the coroots")
         simples = [
             (
                 tuple(int(basis[i, k]) for k in range(n)),  # row i of basis = alpha_i
-                tuple(int(new_coroots[k, i]) for k in range(n)),
+                tuple(scaled[k, i] // d[k] for k in range(n)),
             )
             for i in range(n)
         ]

@@ -10,7 +10,7 @@ from each element's int8 bytes to its index.  Products are taken in int64
 and every cast back to int8 is checked, so an entry outside +-127 raises
 :class:`OverflowError` instead of wrapping.  ``elements[i]`` is the same
 matrix as a tuple of tuples of Python ints (exact, hashable, immutable),
-derived once from the array.
+derived from the array on first use; the library itself reads ``array``.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ class WeylGroup:
 
     ``array[i]`` is element i as int8, ``generators`` are the indices of
     the generating matrices and ``lookup`` maps the bytes of each element
-    to its index.  Conjugacy classes are sorted by their
+    to its index.  ``elements`` is the tuple form of ``array``, built
+    lazily on first access.  Conjugacy classes are sorted by their
     (lexicographically minimal) representative matrix, which makes every
     downstream report ordering reproducible.
     """
@@ -98,7 +99,6 @@ class WeylGroup:
         self.array = array
         self.array.flags.writeable = False
         self.generators = generators
-        self.elements: list[Matrix] = [tuple(map(tuple, m)) for m in array.tolist()]
         self._lookup = lookup
         self._classes: list[ConjugacyClass] | None = None
         self._centralizers: dict[int, tuple[int, ...]] = {}
@@ -107,8 +107,8 @@ class WeylGroup:
         return len(self.array)
 
     @cached_property
-    def index(self) -> dict[Matrix, int]:
-        return {m: i for i, m in enumerate(self.elements)}
+    def elements(self) -> list[Matrix]:
+        return [tuple(map(tuple, m)) for m in self.array.tolist()]
 
     def _indices(self, mats: np.ndarray) -> list[int]:
         """Indices of a stack of int64 matrices, which must all be elements."""
@@ -235,7 +235,8 @@ def conjugacy_classes(group: WeylGroup) -> list[ConjugacyClass]:
 
 def centralizer(group: WeylGroup, w) -> list[Matrix]:
     """Elements commuting with w (which must belong to the group)."""
-    wm = as_matrix(w)
-    if wm not in group.index:
-        raise ValueError("element does not belong to the group")
-    return [group.elements[i] for i in group.centralizer_indices(group.index[wm])]
+    try:
+        i = group._indices(np.array(w, dtype=np.int64)[None])[0]
+    except (KeyError, OverflowError):
+        raise ValueError("element does not belong to the group") from None
+    return [group.elements[i] for i in group.centralizer_indices(i)]

@@ -76,6 +76,16 @@ def test_verify_duality_small(tmp_path, capsys):
     assert all(r["verdict"] == "equal" for r in payload["reports"])
 
 
+def test_duality_targets_follow_the_type_rank_rule():
+    assert [t[:2] for t in cli._duality_targets(4, ["sc"])] == [
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+        ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("F", 4), ("G", 2),
+    ]
+    targets = cli._duality_targets(8, ["sc", "adjoint"])
+    assert targets == sorted(targets, key=lambda t: t[:2])
+    assert {t[:2] for t in targets if t[0] == "E"} == {("E", 6), ("E", 7), ("E", 8)}
+
+
 def test_verify_duality_rank_cap(capsys):
     assert run(["verify-duality", "--max-rank", "7"]) == 2
     assert "--allow-large" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -207,3 +208,34 @@ def test_action_matches_component_enumeration(type_, rank, form):
             assert restriction.shape == expected.shape
             assert np.array_equal(restriction, expected)
             assert all(type(x) is int for x in restriction.flat)
+
+
+def smith_reference_fixed_count(report, z):
+    """Components of T^w fixed by z, as the order of ker(B - 1) for
+    B = U z U^-1 on tors coker(w - 1) = sum Z/d_i: the product of the
+    invariant factors of [B - 1 | D_tors]."""
+    snf = report._snf
+    d = snf.diagonal
+    tors = [i for i in range(snf.rank) if d[i] > 1]
+    u_inv = il.intmat(il.rational_inverse(snf.u))
+    b = snf.u[tors, :] @ np.array(z, dtype=object) @ u_inv[:, tors]
+    d_tors = np.diag(np.array([d[i] for i in tors], dtype=object))
+    coker = np.hstack([b - il.identity(len(tors)), d_tors])
+    return prod(il.smith_normal_form(coker).diagonal)
+
+
+@pytest.mark.parametrize("type_,rank,form", [("F", 4, "sc"), ("C", 4, "adjoint")],
+                         ids=["F4-sc", "C4-adjoint"])
+def test_action_count_matches_smith_reference(type_, rank, form):
+    group = weyl.generate(rdm.build_simple(type_, rank, form))
+    for c in group.classes:
+        rep = fp.fixed_set(group.array[c.representative])
+        for zi in group.centralizer_indices(c.representative):
+            z = group.array[zi]
+            assert rep.action(z)[0] == smith_reference_fixed_count(rep, z)
+
+
+def test_difference_matrix_stacks():
+    a, b = ((0, 1), (1, 0)), ((-1, 0), (0, 1))
+    assert fp._difference_matrix(a, b).tolist() == [[-1, 1], [1, -1], [-2, 0], [0, 0]]
+    assert fp._difference_matrix(a).tolist() == [[-1, 1], [1, -1]]

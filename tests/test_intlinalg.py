@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from torusdual import intlinalg as il
 
@@ -79,6 +82,25 @@ def test_snf_random_matrices():
         )
         snf = il.smith_normal_form(m)
         check_decomposition(m, snf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+              elements=st.integers(-20, 20)))
+def test_snf_contract_property(entries):
+    m = il.intmat(entries.tolist())
+    snf = il.smith_normal_form(m)
+    rows, cols = m.shape
+    assert np.array_equal(snf.u @ m @ snf.v, snf.d)
+    assert abs(il.det(snf.u)) == 1 and abs(il.det(snf.v)) == 1
+    diag = snf.diagonal
+    assert all(snf.d[i, j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b == 0 if a == 0 else b % a == 0
+    eye = il.identity(cols)
+    assert np.array_equal(snf.v @ snf.v_inv, eye)
+    assert np.array_equal(snf.v_inv @ snf.v, eye)
 
 
 def test_snf_diagonal_matches_sympy():

@@ -91,6 +91,23 @@ def test_dualize_involution_quotient_forms(type_, rank, gens):
     assert rdm.center(dual).order == rdm.fundamental_group(rd).order
 
 
+@pytest.mark.parametrize("type_,rank,gens,pi1,center", [
+    ("A", 5, [[0, 0, 1, 0, 0]], (2,), (3,)),
+    ("A", 5, [[0, 1, 0, 0, 0]], (3,), (2,)),
+    ("D", 4, [[1, 0, 0, 0]], (2,), (2,)),
+    ("D", 4, [[0, 0, 1, 0]], (2,), (2,)),
+    ("D", 4, [[0, 0, 0, 1]], (2,), (2,)),
+    ("D", 6, [[0, 0, 0, 0, 0, 1]], (2,), (2,)),
+], ids=["A5/Z2", "A5/Z3", "D4-so", "D4-half-spin-3", "D4-half-spin-4", "D6-half-spin"])
+def test_isogeny_quotients_swap_pi1_and_center(type_, rank, gens, pi1, center):
+    rd = rdm.build_simple(type_, rank, gens)
+    dual = rdm.dualize(rd)
+    assert rdm.fundamental_group(rd).invariant_factors == pi1
+    assert rdm.center(rd).invariant_factors == center
+    assert rdm.fundamental_group(rd) == rdm.center(dual)
+    assert rdm.center(rd) == rdm.fundamental_group(dual)
+
+
 def test_dualize_su_to_psu():
     su3 = rdm.build_simple("A", 2, "sc")
     psu3 = rdm.build_simple("A", 2, "adjoint")

@@ -108,6 +108,19 @@ def test_centralizers_in_s3():
         weyl.centralizer(group, ((2, 0), (0, 2)))
 
 
+def test_centralizer_rejects_non_members():
+    group = weyl.generate(rdm.build_simple("A", 2, "sc"))
+    for bad in (((300, 0), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        with pytest.raises(ValueError):
+            weyl.centralizer(group, bad)
+
+
+def test_elements_are_built_on_first_use():
+    group = weyl.WeylGroup.from_generators([((-1,),)], rank=1)
+    assert "elements" not in vars(group)
+    assert group.elements == [((1,),), ((-1,),)]
+
+
 def test_action_commutes_with_dualize():
     # matrices of W on X*(dual datum) equal the matrices of W on X_*(datum):
     # as sets, the dual group consists of the transposed matrices
