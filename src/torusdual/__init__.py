@@ -4,7 +4,7 @@ K-theory, spectral, and line-bundle checks that quantify the duality.
 The library is organized in layers:
 
 - :mod:`torusdual.intlinalg`: exact integer/rational lattice algebra
-  (Smith normal form, kernels, cokernel torsion, solving modulo lattices);
+  (Smith normal form, cokernel torsion, solving modulo lattices);
 - :mod:`torusdual.rootdata`: root data of the simple compact types and
   their isogeny forms, dualization, pi_1 / center / connection index;
 - :mod:`torusdual.weyl`: Weyl groups as exact integer matrix groups;
@@ -24,7 +24,6 @@ from .intlinalg import (
     SmithDecomposition,
     cokernel,
     intmat,
-    kernel_basis,
     smith_normal_form,
     solve_mod_lattice,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "SmithDecomposition",
     "cokernel",
     "intmat",
-    "kernel_basis",
     "smith_normal_form",
     "solve_mod_lattice",
     "RootDatum",

@@ -6,7 +6,8 @@ union of parallel subtori of dimension dim ker(w - 1); the components are
 enumerated as rational coset representatives, exactly.  One Smith form
 U (w - 1) V = D per fixed set gives the components, their keys in
 tors coker(w - 1) and the lattice Gamma^w; the action of a centralizer
-element is read off it with no further elimination.
+element, or of a whole stack of them, is read off it in int64 with no
+further elimination.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
 from .intlinalg import (
     SmithDecomposition,
+    _as_int,
     _cosets_from_smith,
     restrict_to_sublattice,
     smith_normal_form,
@@ -27,6 +30,8 @@ from .rootdata import RootDatum
 from .weyl import Matrix, as_matrix, mat_mul
 
 __all__ = ["FixedSetReport", "fixed_set", "full_fixed_points", "centralizer_action"]
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -65,12 +70,17 @@ class FixedSetReport:
         """y = M x as integers, or None when x is not fixed.
 
         M is the report's matrix (w - 1, or the stacked s - 1); x is fixed
-        when M x is integral.
+        when M x is integral, i.e. when M (q x) is divisible by the common
+        denominator q of x.
         """
-        vec = self._matrix @ np.array([Fraction(v) for v in x], dtype=object)
-        if any(Fraction(v).denominator != 1 for v in vec):
+        fracs = [Fraction(v) for v in x]
+        q = lcm(*(f.denominator for f in fracs))
+        scaled = self._matrix @ np.array(
+            [f.numerator * (q // f.denominator) for f in fracs], dtype=object
+        )
+        if any(v % q for v in scaled):
             return None
-        return np.array([int(v) for v in vec], dtype=object)
+        return np.array([v // q for v in scaled], dtype=object)
 
     def _component_key(self, x) -> tuple[int, ...] | None:
         """The class of x in tors coker M, or None when x is not fixed.
@@ -104,29 +114,77 @@ class FixedSetReport:
         """The integer images y_c = M x_c of the components, one per column."""
         return np.array([self._image(c) for c in self.components], dtype=object).T
 
-    def action(self, z) -> tuple[int, np.ndarray]:
-        """Action of a centralizer element z of w, as integers.
+    @cached_property
+    def _wide(self):
+        """What :meth:`action` multiplies, as int64: U_tors, the invariant
+        factors d as a column, the component images Y, V^-1[r:] and V[:, r:]."""
+        snf, r = self._snf, self._snf.rank
+        u_tors, d_tors = self._torsion
+        return (
+            _as_int64(u_tors),
+            np.array(d_tors, dtype=np.int64).reshape(-1, 1),
+            _as_int64(self._component_images),
+            _as_int64(snf.v_inv[r:]),
+            _as_int64(snf.v[:, r:]),
+        )
 
-        Returns (fixed, restriction).  With U (w - 1) V = D of rank r, the
-        component of a fixed point x is keyed by U_tors y mod d, where
-        y = (w - 1) x and U_tors, d are the rows of U and the invariant
-        factors at the d_i > 1.  As z commutes with w, z x has the image
-        z y, so fixed, the number of components z fixes, is the number of
-        images y_c whose key U_tors (z - 1) y_c vanishes mod d.  restriction
-        is the integer matrix V^-1[r:] z V[:, r:] of z on Gamma^w in the
-        basis fixed_lattice_basis.
+    def action(self, z):
+        """Action of centralizer elements z of w, in int64.
+
+        z is one matrix or a (k, n, n) stack.  With U (w - 1) V = D of rank
+        r, the component of a fixed point x is keyed by U_tors y mod d,
+        where y = (w - 1) x and U_tors, d are the rows of U and the
+        invariant factors at the d_i > 1.  As z commutes with w, z x has the
+        image z y, so the number of components z fixes is the number of
+        component images y_c (the columns of Y) with U_tors (z Y - Y) = 0
+        mod d.  The restriction of z to Gamma^w is the integer matrix
+        V^-1[r:] z V[:, r:] in the basis fixed_lattice_basis.  Both come
+        from one product over the whole stack.
+
+        Returns (fixed, restriction): an int and a (d, d) matrix of Python
+        ints for one z, a (k,) and a (k, d, d) int64 array for a stack.
+        U_tors, Y, V and V^-1 are cast to int64 checked, and the largest
+        entry either product can reach is bounded first: past the int64
+        range this raises OverflowError instead of wrapping.
 
         Only for a report of fixed_set(w); z must commute with w, which is
         not checked.
         """
-        snf, r = self._snf, self._snf.rank
-        u_tors, d_tors = self._torsion
-        zarr = np.array(z, dtype=object)
-        y = self._component_images
-        moved = u_tors @ (zarr @ y - y)
-        modulus = np.array(d_tors, dtype=object).reshape(-1, 1)
-        fixed = int((moved % modulus == 0).all(axis=0).sum())
-        return fixed, snf.v_inv[r:] @ zarr @ snf.v[:, r:]
+        u_tors, d, y, v_inv, v = self._wide
+        zs = _as_int64(z)
+        single = zs.ndim == 2
+        zs = zs.reshape(-1, self.rank, self.rank)
+        n, mz = self.rank, _max_abs(zs)
+        reach = max(
+            n * _max_abs(u_tors) * (n * mz + 1) * _max_abs(y),
+            n * n * _max_abs(v_inv) * mz * _max_abs(v),
+        )
+        if reach > INT64_MAX:
+            raise OverflowError("fixed-set action could pass the int64 range")
+        moved = u_tors @ (zs @ y - y)
+        fixed = (moved % d == 0).all(axis=1).sum(axis=1)
+        restriction = v_inv @ zs @ v
+        if single:
+            return int(fixed[0]), restriction[0].astype(object)
+        return fixed, restriction
+
+
+def _as_int64(a) -> np.ndarray:
+    """int64 copy of an exact integer array; raises instead of wrapping."""
+    a = np.asarray(a)
+    if a.dtype.kind == "i":
+        if a.size and a.min() < -INT64_MAX:
+            raise OverflowError("integer entry outside the int64 range")
+        return a.astype(np.int64)
+    flat = [_as_int(x) for x in a.flat]
+    if any(abs(x) > INT64_MAX for x in flat):
+        raise OverflowError("integer entry outside the int64 range")
+    return np.array(flat, dtype=np.int64).reshape(a.shape)
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """The largest absolute entry of an int64 array, at least 1."""
+    return max(1, int(np.abs(a).max(initial=0)))
 
 
 def _difference_matrix(*mats: Matrix) -> np.ndarray:

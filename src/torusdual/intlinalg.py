@@ -3,7 +3,7 @@
 All matrices are carried as 2-D numpy arrays of ``dtype=object`` holding
 Python ints (or :class:`fractions.Fraction` for rational data), so every
 computation in this module is exact.  Smith normal form is the workhorse:
-kernels, cokernel torsion and solution sets of ``M x in lattice`` are all
+ranks, cokernel torsion and solution sets of ``M x in lattice`` are all
 read off from it.
 """
 
@@ -24,7 +24,6 @@ __all__ = [
     "zeros",
     "smith_normal_form",
     "rank",
-    "kernel_basis",
     "cokernel",
     "solve_mod_lattice",
     "in_image_lattice",
@@ -243,23 +242,6 @@ def smith_normal_form(mat) -> SmithDecomposition:
 
 def rank(mat) -> int:
     return smith_normal_form(mat).rank
-
-
-def kernel_basis(mat) -> list[np.ndarray]:
-    """Z-basis of the integer kernel {v : M v = 0}.
-
-    The columns of V matching the zero part of the Smith form are such a
-    basis; list length is cols - rank(M).
-    """
-    a = np.asarray(mat, dtype=object)
-    snf = smith_normal_form(a)
-    m, n = a.shape
-    diag = snf.diagonal
-    basis = []
-    for j in range(n):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append(_freeze(np.array([int(x) for x in snf.v[:, j]], dtype=object)))
-    return basis
 
 
 def cokernel(mat) -> tuple[int, FiniteAbelianGroup]:

@@ -11,14 +11,22 @@ the fixed sets T^w:
 and likewise for K^1 with tr_odd, where tr_even/odd(R) are the traces on
 the even/odd exterior algebra, evaluated as (det(1+R) +- det(1-R))/2.
 
-The class sum runs in integers, from the one Smith form U (w-1) V = D of
-rank r that :meth:`FixedSetReport.action` reads: a component x_c of T^w is
-keyed by its image y_c = (w-1) x_c modulo (w-1) Z^n, i.e. by U y_c mod the
-invariant factors d_i > 1, and z fixes it when z y_c has the same key; R
-is the integer matrix V^-1[r:] z V[:, r:] of z on Gamma^w, with V^-1 kept
-by the Smith form itself.  Each class is accumulated as 2|Z(w)| times its
-average, which must divide exactly and be non-negative before it is
-believed.
+The class sum takes one batched pass per class, from the one Smith form
+U (w-1) V = D of rank r that :meth:`FixedSetReport.action` reads.  The
+centralizer Z(w) is stacked as one int64 array, and one product gives,
+for every z at once, the number of components of T^w it fixes (a
+component is keyed by its image y_c = (w-1) x_c modulo (w-1) Z^n, i.e. by
+U y_c mod the invariant factors d_i > 1, and z fixes it when z y_c has the
+same key) and its integer matrix R = V^-1[r:] z V[:, r:] on Gamma^w.
+
+det(1 +- R) is one batched float determinant per sign, guarded: R has
+finite order, so its eigenvalues are roots of unity and |det(1 +- R)| is
+at most 2^dim(Gamma^w).  A value is accepted only when it lies within
+DET_TOLERANCE of an integer inside that bound; any other is recomputed
+exactly by Bareiss elimination and counted as a fallback.  Each class is
+accumulated as 2|Z(w)| times its average, which must divide exactly and be
+non-negative before it is believed.  The rows are computed once per group
+and kept on it.
 
 The commuting-pairs oracle recomputes the same quantity as a sum over all
 pairs (w, z) with wz = zw, weighted 1/|W|, without the class decomposition
@@ -30,7 +38,9 @@ taken.  The two must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .fixedpoints import centralizer_action, fixed_set
 from .intlinalg import det, identity, intmat
@@ -53,6 +63,9 @@ __all__ = [
 ]
 
 AFFINE_SELF_DUAL_TYPES = ("A", "D", "E", "F", "G")
+
+# a float determinant is accepted within this distance of an integer
+DET_TOLERANCE = 1e-6
 
 
 class NonIntegralInvariantError(ArithmeticError):
@@ -78,7 +91,13 @@ class GradedRank:
 
 @dataclass(frozen=True)
 class ClassContribution:
-    """Per-conjugacy-class line of the delocalized sum."""
+    """Per-conjugacy-class line of the delocalized sum.
+
+    det_fallbacks counts the determinants det(1 +- R) that failed the float
+    guard and were recomputed exactly; min_margin is the smallest
+    DET_TOLERANCE - |x - round(x)| over the float values x of the class,
+    negative when a value missed an integer by more than the tolerance.
+    """
 
     representative: Matrix
     class_size: int
@@ -87,6 +106,8 @@ class ClassContribution:
     component_count: int
     even_invariants: int
     odd_invariants: int
+    det_fallbacks: int = field(compare=False)
+    min_margin: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -133,18 +154,38 @@ class AffineComparisonReport:
         return self.extended == self.own_affine
 
 
+def _exact_dets(mats: np.ndarray, bound: int) -> tuple[np.ndarray, int, float]:
+    """Exact determinants of a (k, d, d) int64 stack whose values lie in [-bound, bound].
+
+    Returns (dets, fallbacks, margin): one batched float determinant per
+    matrix, each accepted only within DET_TOLERANCE of an integer of
+    absolute value at most bound and otherwise recomputed by Bareiss
+    (fallbacks counts those), and the smallest DET_TOLERANCE - |x - round(x)|.
+    """
+    approx = np.linalg.det(mats.astype(np.float64))
+    nearest = np.rint(approx)
+    gap = np.where(np.isfinite(approx), np.abs(approx - nearest), np.inf)
+    ok = (gap <= DET_TOLERANCE) & (np.abs(nearest) <= bound)
+    dets = np.where(ok, nearest, 0).astype(np.int64)
+    redo = np.flatnonzero(~ok)
+    for i in redo:
+        dets[i] = det(mats[i])
+    return dets, len(redo), DET_TOLERANCE - float(gap.max(initial=0.0))
+
+
 def _class_contribution(group: WeylGroup, rep_index: int, members) -> ClassContribution:
     w = as_matrix(group.array[rep_index])
     report = fixed_set(w)
     cent = group.centralizer_indices(rep_index)
-    ident = identity(report.fixed_dim)
-    # 2 |Z(w)| times the even/odd class averages
-    even = odd = 0
-    for zi in cent:
-        fixed, restriction = report.action(group.array[zi])
-        plus, minus = det(ident + restriction), det(ident - restriction)
-        even += fixed * (plus + minus)
-        odd += fixed * (plus - minus)
+    fixed, restriction = report.action(group.array[list(cent)])
+    ident = np.eye(report.fixed_dim, dtype=np.int64)
+    bound = 2 ** report.fixed_dim
+    plus, plus_redone, plus_margin = _exact_dets(ident + restriction, bound)
+    minus, minus_redone, minus_margin = _exact_dets(ident - restriction, bound)
+    # 2 |Z(w)| times the even/odd class averages, summed in Python ints
+    fixed = fixed.astype(object)
+    even = int(fixed @ (plus + minus).astype(object))
+    odd = int(fixed @ (plus - minus).astype(object))
     scale = 2 * len(cent)
     for val in (even, odd):
         if val % scale != 0 or val < 0:
@@ -159,13 +200,18 @@ def _class_contribution(group: WeylGroup, rep_index: int, members) -> ClassContr
         component_count=report.component_count(),
         even_invariants=even // scale,
         odd_invariants=odd // scale,
+        det_fallbacks=plus_redone + minus_redone,
+        min_margin=min(plus_margin, minus_margin),
     )
 
 
 def graded_rank_with_classes(group: WeylGroup) -> tuple[GradedRank, tuple[ClassContribution, ...]]:
-    rows = tuple(
-        _class_contribution(group, c.representative, c.members) for c in group.classes
-    )
+    """Graded rank and per-class rows; the rows are computed once per group."""
+    if group.class_rows is None:
+        group.class_rows = tuple(
+            _class_contribution(group, c.representative, c.members) for c in group.classes
+        )
+    rows = group.class_rows
     k0 = sum(r.even_invariants for r in rows)
     k1 = sum(r.odd_invariants for r in rows)
     return GradedRank(k0, k1), rows

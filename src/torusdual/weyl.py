@@ -37,6 +37,7 @@ __all__ = [
 
 WEYL_ORDER_CAP = 2_000_000
 INT8_LIMIT = 127
+PACK_BASE, PACK_PLACES = 512, 4
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -68,6 +69,22 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     if a.size and np.abs(a).max() > INT8_LIMIT:
         raise OverflowError(f"matrix entry outside +-{INT8_LIMIT}; int8 storage would wrap")
     return a.astype(np.int8)
+
+
+def _column_pack(n: int) -> np.ndarray:
+    """n x ceil(n/4) matrix whose column c holds PACK_BASE^0..3 at rows 4c..4c+3.
+
+    z commutes with w exactly when (zw - wz) @ pack = 0: zw and wz are
+    elements, so each entry of zw - wz lies within +-255 < PACK_BASE, and
+    a sum of such digits times distinct powers of PACK_BASE vanishes only
+    when its lowest digit, a multiple of PACK_BASE, is 0, and so on up.
+    Four places per column keep the products far inside int64 (about
+    n * 2^41).
+    """
+    pack = np.zeros((n, -(-n // PACK_PLACES)), dtype=np.int64)
+    for j in range(n):
+        pack[j, j // PACK_PLACES] = PACK_BASE ** (j % PACK_PLACES)
+    return pack
 
 
 def _keys(mats: np.ndarray) -> list[bytes]:
@@ -102,6 +119,9 @@ class WeylGroup:
         self._lookup = lookup
         self._classes: list[ConjugacyClass] | None = None
         self._centralizers: dict[int, tuple[int, ...]] = {}
+        # per-class rows of the K-theory class sum, kept here by
+        # ktheory.graded_rank_with_classes so each group is summed once
+        self.class_rows: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.array)
@@ -123,9 +143,13 @@ class WeylGroup:
         return self._indices((a[0] @ a[1])[None])[0]
 
     def inverse(self, i: int) -> int:
-        a = self.array.astype(np.int64)
-        hits = (a @ a[i] == np.eye(self.rank, dtype=np.int64)).all(axis=(1, 2))
-        return int(np.flatnonzero(hits)[0])
+        """g^-1 = g^(m-1), where m is the order of g = element i."""
+        g = self.array[i].astype(np.int64)
+        ident = np.eye(self.rank, dtype=np.int64)
+        prev, power = ident, g
+        while not (power == ident).all():
+            prev, power = power, power @ g
+        return self._indices(prev[None])[0]
 
     @property
     def classes(self) -> list[ConjugacyClass]:
@@ -133,10 +157,16 @@ class WeylGroup:
             self._classes = _compute_classes(self)
         return self._classes
 
+    @cached_property
+    def _packed(self) -> np.ndarray:
+        """Every element times the column pack, as int64."""
+        return self.array.astype(np.int64) @ _column_pack(self.rank)
+
     def centralizer_indices(self, i: int) -> tuple[int, ...]:
         if i not in self._centralizers:
-            a = self.array.astype(np.int64)
-            commutes = (a @ a[i] == a[i] @ a).all(axis=(1, 2))
+            w = self.array[i].astype(np.int64)
+            z_w = self.array.astype(np.int64) @ (w @ _column_pack(self.rank))
+            commutes = (z_w == w @ self._packed).reshape(len(self), -1).all(axis=1)
             self._centralizers[i] = tuple(np.flatnonzero(commutes).tolist())
         return self._centralizers[i]
 

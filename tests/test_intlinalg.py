@@ -119,35 +119,6 @@ def test_snf_diagonal_matches_sympy():
         assert ours == [abs(t) for t in theirs]
 
 
-def test_kernel_zero_matrix():
-    basis = il.kernel_basis(il.zeros(2, 2))
-    assert sorted(tuple(v) for v in basis) == [(0, 1), (1, 0)]
-
-
-def test_kernel_identity():
-    assert il.kernel_basis(il.identity(3)) == []
-
-
-def test_kernel_coordinate_swap():
-    m = il.intmat([[-1, 1], [1, -1]])  # swap minus identity
-    basis = il.kernel_basis(m)
-    assert len(basis) == 1
-    v = tuple(basis[0])
-    assert v in ((1, 1), (-1, -1))
-
-
-def test_kernel_rank_nullity():
-    rng = random.Random(5)
-    for _ in range(100):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = il.intmat([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
-        basis = il.kernel_basis(m)
-        assert len(basis) == cols - il.rank(m)
-        for v in basis:
-            assert all(x == 0 for x in m @ v)
-
-
 def test_cokernel_identity():
     free, tor = il.cokernel(il.identity(4))
     assert free == 0 and tor.is_trivial

@@ -242,3 +242,17 @@ def test_multiply_inverse_match_int64_products(type_, rank, data):
     inv = group.inverse(idx)
     assert (np.array(group.elements[inv], dtype=np.int64) @ mat == np.eye(rank)).all()
     assert group.multiply(idx, inv) == group.multiply(inv, idx) == group.identity_index
+
+
+def test_column_pack_sees_every_commutator():
+    # an entry of zw - wz lies within +-255, and the centralizer test
+    # believes zw = wz when the packed difference vanishes; a carry
+    # (k, -1) in two neighbouring places is the way such digits could cancel
+    n = 8
+    pack = weyl._column_pack(n)
+    for j in range(n - 1):
+        m = np.zeros((255, n), dtype=np.int64)
+        m[:, j] = np.arange(1, 256)
+        m[:, j + 1] = -1
+        assert (m @ pack != 0).any(axis=1).all()
+    assert (np.eye(n, dtype=np.int64) * 255 @ pack != 0).any(axis=1).all()
