@@ -27,7 +27,7 @@ from .intlinalg import (
     smith_normal_form,
 )
 from .rootdata import RootDatum
-from .weyl import Matrix, as_matrix, mat_mul
+from .weyl import Matrix, as_matrix
 
 __all__ = ["FixedSetReport", "fixed_set", "full_fixed_points", "centralizer_action"]
 
@@ -242,23 +242,22 @@ def centralizer_action(w, z, report: FixedSetReport | None = None):
     """Action of a centralizer element z on the fixed set of w.
 
     Returns (perm, restriction): perm[i] is the index of the component
-    containing z . x_i, and restriction is the exact rational matrix of z
-    on ker(w - 1) tensor Q in the basis `fixed_lattice_basis`.
+    containing z . x_i, found by membership tests, and restriction is the
+    exact matrix of z on ker(w - 1) tensor Q in the basis
+    `fixed_lattice_basis`, solved by :func:`restrict_to_sublattice` through
+    the Smith form of that basis (ints where integral, else Fractions).
 
     Precondition zw = wz is checked and violated input raises ValueError.
     """
     wm, zm = as_matrix(w), as_matrix(z)
-    if mat_mul(zm, wm) != mat_mul(wm, zm):
+    pair = np.array([zm, wm], dtype=object)
+    zw, wz = pair @ pair[::-1]
+    if not np.array_equal(zw, wz):
         raise ValueError("element does not centralize w")
     rep = report if report is not None else fixed_set(wm)
-    zarr = np.array(zm, dtype=object)
+    zarr = pair[0]
     perm = tuple(
         rep.component_of(zarr @ np.array(c, dtype=object)) for c in rep.components
     )
-    if rep.fixed_dim == 0:
-        restriction = np.empty((0, 0), dtype=object)
-        restriction.flags.writeable = False
-    else:
-        basis = np.array(rep.fixed_lattice_basis, dtype=object).T
-        restriction = restrict_to_sublattice(zarr, basis)
-    return perm, restriction
+    basis = np.array(rep.fixed_lattice_basis, dtype=object).reshape(-1, rep.rank).T
+    return perm, restrict_to_sublattice(zarr, basis)

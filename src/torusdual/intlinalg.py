@@ -1,17 +1,18 @@
-"""Exact integer and rational linear algebra over lattices.
+"""Exact integer linear algebra over lattices.
 
 All matrices are carried as 2-D numpy arrays of ``dtype=object`` holding
-Python ints (or :class:`fractions.Fraction` for rational data), so every
-computation in this module is exact.  Smith normal form is the workhorse:
-ranks, cokernel torsion and solution sets of ``M x in lattice`` are all
-read off from it.
+Python ints, so every computation in this module is exact.  There are two
+exact algorithms: the Smith normal form, from which ranks, cokernel
+torsion, solution sets of ``M x in Z^m`` and restrictions to sublattices
+are read off, and fraction-free (Bareiss) elimination for determinants.
+Fractions appear only in coset representatives and in restrictions that
+are not integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "solve_mod_lattice",
     "in_image_lattice",
     "det",
-    "rational_inverse",
     "restrict_to_sublattice",
 ]
 
@@ -51,6 +51,11 @@ def _as_int(x) -> int:
     if i != x:
         raise ValueError(f"expected an integer, got {x!r}")
     return i
+
+
+def _exact(x):
+    """An int or Fraction x as a Python int when integral, else unchanged."""
+    return x if isinstance(x, int) or x.denominator != 1 else x.numerator
 
 
 def intmat(rows) -> np.ndarray:
@@ -282,68 +287,31 @@ def det(mat) -> int:
     return sign * w[n - 1][n - 1]
 
 
-def _to_fraction_rows(mat) -> list[list[Fraction]]:
-    a = np.asarray(mat, dtype=object)
-    return [[Fraction(x) for x in row] for row in a]
-
-
-def rational_inverse(mat) -> np.ndarray:
-    """Exact inverse of a nonsingular matrix, entries as Fractions."""
-    w = _to_fraction_rows(mat)
-    n = len(w)
-    if any(len(row) != n for row in w):
-        raise ValueError("inverse requires a square matrix")
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(w)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pval = aug[k][k]
-        aug[k] = [x / pval for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    inv = np.array([row[n:] for row in aug], dtype=object)
-    return _freeze(inv)
-
-
 def restrict_to_sublattice(mat, basis) -> np.ndarray:
     """Exact matrix R with basis @ R = mat @ basis.
 
-    `basis` has full column rank; raises if mat does not preserve the
-    spanned subspace.  Entries of R are Fractions.
+    Solved through the Smith form U B V = D of the n x d basis B: B R = A B
+    holds exactly when D V^-1 R = U A B, so the rows d and beyond of U A B
+    must vanish and R = V D^-1 (U A B)[:d].  Entries are Python ints where
+    integral and Fractions elsewhere.  Raises ValueError when the basis
+    does not have full column rank or mat does not preserve its span.
     """
     b = np.asarray(basis, dtype=object)
     a = np.asarray(mat, dtype=object)
-    n, d = b.shape
-    if d == 0:
-        return _freeze(np.empty((0, 0), dtype=object))
-    target = a @ b
-    # echelonize b^T over Q; its pivot columns are independent rows of b
-    bt = [[Fraction(b[i, j]) for i in range(n)] for j in range(d)]
-    chosen: list[int] = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, d) if bt[i][col] != 0), None)
-        if piv is None:
-            continue
-        bt[row], bt[piv] = bt[piv], bt[row]
-        for i in range(d):
-            if i != row and bt[i][col] != 0:
-                f = bt[i][col] / bt[row][col]
-                bt[i] = [x - f * y for x, y in zip(bt[i], bt[row])]
-        chosen.append(col)
-        row += 1
-        if row == d:
-            break
-    if len(chosen) < d:
+    d = b.shape[1]
+    snf = smith_normal_form(b)
+    if snf.rank < d:
         raise ValueError("basis does not have full column rank")
-    sub = np.array([[Fraction(b[i, j]) for j in range(d)] for i in chosen], dtype=object)
-    sub_t = np.array([[Fraction(target[i, j]) for j in range(d)] for i in chosen], dtype=object)
-    r = rational_inverse(sub) @ sub_t
-    if not np.array_equal(b @ r, target):
+    image = snf.u @ (a @ b)
+    if any(x != 0 for x in image[d:].flat):
+        raise ValueError("matrix does not preserve the sublattice span")
+    scaled = np.array(
+        [[x // di if x % di == 0 else Fraction(x, di) for x in row]
+         for row, di in zip(image[:d], snf.diagonal)],
+        dtype=object,
+    ).reshape(d, d)
+    r = np.array([_exact(x) for x in (snf.v @ scaled).flat], dtype=object).reshape(d, d)
+    if not np.array_equal(b @ r, a @ b):
         raise ValueError("matrix does not preserve the sublattice span")
     return _freeze(r)
 
@@ -367,39 +335,22 @@ def in_image_lattice(snf: SmithDecomposition, vec) -> bool:
     return True
 
 
-def solve_mod_lattice(mat, target=None, *, modulo_kernel: bool = True) -> list[tuple[Fraction, ...]]:
-    """Rational coset representatives of {x : M x in L}.
+def solve_mod_lattice(mat, *, modulo_kernel: bool = True) -> list[tuple[Fraction, ...]]:
+    """Rational coset representatives of {x : M x in Z^m}, from the Smith
+    form of M.
 
-    L is Z^m when `target` is None, otherwise the lattice spanned by the
-    columns of the square nonsingular integer matrix `target`.  With
-    ``modulo_kernel=True`` the cosets are taken modulo (Q-kernel of M) + Z^n
-    and the list is always finite, one representative per coset, entries
-    reduced to [0, 1).  With ``modulo_kernel=False`` genuine points modulo
-    Z^n are requested and a nonzero Q-kernel raises
+    With ``modulo_kernel=True`` the cosets are taken modulo (Q-kernel of M)
+    + Z^n and the list is always finite, one representative per coset,
+    entries reduced to [0, 1).  With ``modulo_kernel=False`` genuine points
+    modulo Z^n are requested and a nonzero Q-kernel raises
     :class:`InfiniteSolutionSetError`.
     """
-    a = np.asarray(mat, dtype=object)
-    m, _ = a.shape
-    q = 1
-    work = a
-    if target is not None:
-        b = np.asarray(target, dtype=object)
-        if b.shape != (m, m):
-            raise ValueError("target lattice basis must be square of matching size")
-        binv = rational_inverse(b)
-        frac = binv @ a
-        q = lcm(*(Fraction(x).denominator for x in frac.flat), 1)
-        work = np.array([[int(Fraction(x) * q) for x in row] for row in frac], dtype=object)
-
-    return _cosets_from_smith(smith_normal_form(work), q, modulo_kernel=modulo_kernel)
+    return _cosets_from_smith(smith_normal_form(mat), modulo_kernel=modulo_kernel)
 
 
-def _cosets_from_smith(snf: SmithDecomposition, q: int = 1, *,
+def _cosets_from_smith(snf: SmithDecomposition, *,
                        modulo_kernel: bool) -> list[tuple[Fraction, ...]]:
-    """The cosets of solve_mod_lattice from the Smith form of the (scaled) matrix.
-
-    q is the lcm that scaled the matrix to integers (1 for L = Z^m).
-    """
+    """The cosets of solve_mod_lattice from the Smith form of the matrix."""
     diag = snf.diagonal
     r = snf.rank
     n = snf.v.shape[0]
@@ -408,13 +359,8 @@ def _cosets_from_smith(snf: SmithDecomposition, q: int = 1, *,
             "solution set is positive-dimensional transverse to Z^n"
         )
 
-    # y = V^{-1} x must satisfy d_i y_i in q Z; enumerate fractional parts.
-    axes: list[list[Fraction]] = []
-    for i in range(r):
-        di = diag[i]
-        step = Fraction(q, di)
-        order = di // gcd(di, q)
-        axes.append(sorted({(k * step) % 1 for k in range(order)}))
+    # y = V^{-1} x must satisfy d_i y_i in Z; enumerate fractional parts.
+    axes = [[Fraction(k, diag[i]) for k in range(diag[i])] for i in range(r)]
 
     reps: list[tuple[Fraction, ...]] = []
     idx = [0] * len(axes)

@@ -30,9 +30,10 @@ and kept on it.
 
 The commuting-pairs oracle recomputes the same quantity as a sum over all
 pairs (w, z) with wz = zw, weighted 1/|W|, without the class decomposition
-and without the Smith coordinates: it enumerates the components of each
-T^w, counts those z fixes by membership tests, and restricts z to Gamma^w
-by rational elimination, checked integral before its determinants are
+and without the Smith coordinates U and V^-1 of w - 1 that the class sum
+reads: it enumerates the components of each T^w, counts those z fixes by
+membership tests, and restricts z to Gamma^w through the Smith form of
+Gamma^w's basis, checked integral before its Bareiss determinants are
 taken.  The two must agree.
 """
 
@@ -232,8 +233,9 @@ def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
     """Independent oracle: sum over all commuting pairs (w, z), weight 1/|W|.
 
     Recomputes fixed sets per element (not per class) and acts on them by
-    :func:`centralizer_action`, which enumerates the components and tests
-    membership explicitly; must agree with :func:`graded_rank_with_classes`.
+    :func:`centralizer_action`, which enumerates the components, tests
+    membership explicitly and restricts z to Gamma^w through the Smith form
+    of Gamma^w's basis; must agree with :func:`graded_rank_with_classes`.
     """
     # 2 |W| times k0 and k1
     k0 = k1 = 0

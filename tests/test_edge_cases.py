@@ -51,13 +51,6 @@ def test_finite_abelian_group_validation():
     assert str(il.FiniteAbelianGroup()) == "trivial"
 
 
-def test_solve_mod_lattice_bad_target():
-    with pytest.raises(ValueError):
-        il.solve_mod_lattice(il.identity(2), target=il.intmat([[1], [0]]))
-    with pytest.raises(ValueError):
-        il.solve_mod_lattice(il.identity(1), target=il.zeros(1, 1))
-
-
 def test_root_datum_pairing_validation():
     with pytest.raises(ValueError):
         rdm.RootDatum(rank=1, roots=((1,),), coroots=((1,),), simple_indices=(0,))

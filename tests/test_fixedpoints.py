@@ -217,7 +217,9 @@ def smith_reference_fixed_count(report, z):
     snf = report._snf
     d = snf.diagonal
     tors = [i for i in range(snf.rank) if d[i] > 1]
-    u_inv = il.intmat(il.rational_inverse(snf.u))
+    # U' U V' = 1 for the Smith form of the unimodular U, so U^-1 = V' U'
+    inner = il.smith_normal_form(snf.u)
+    u_inv = inner.v @ inner.u
     b = snf.u[tors, :] @ np.array(z, dtype=object) @ u_inv[:, tors]
     d_tors = np.diag(np.array([d[i] for i in tors], dtype=object))
     coker = np.hstack([b - il.identity(len(tors)), d_tors])

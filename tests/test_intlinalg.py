@@ -197,28 +197,14 @@ def test_solve_mod_lattice_counts_coker_torsion():
         done += 1
 
 
-def test_solve_mod_lattice_sublattice_target():
-    # x in 2Z: solutions sit inside Z, single coset on the circle
-    reps = il.solve_mod_lattice(il.identity(1), target=il.intmat([[2]]))
-    assert reps == [(Fraction(0),)]
-    # 2x in 3Z <=> x in (3/2)Z: two points on the circle
-    reps = il.solve_mod_lattice(il.intmat([[2]]), target=il.intmat([[3]]))
-    assert reps == [(Fraction(0),), (Fraction(1, 2),)]
-
-
 def test_solve_mod_lattice_infinite_transverse():
     with pytest.raises(il.InfiniteSolutionSetError):
         il.solve_mod_lattice(il.zeros(2, 2), modulo_kernel=False)
 
 
-def test_rational_inverse_and_det():
-    m = il.intmat([[2, 1], [1, 1]])
-    inv = il.rational_inverse(m)
-    assert np.array_equal(m @ inv, il.identity(2))
-    assert il.det(m) == 1
+def test_det():
+    assert il.det(il.intmat([[2, 1], [1, 1]])) == 1
     assert il.det(il.intmat([[2, 0], [0, 3]])) == 6
-    with pytest.raises(ValueError):
-        il.rational_inverse(il.zeros(2, 2))
 
 
 def test_restrict_to_sublattice():
@@ -229,3 +215,26 @@ def test_restrict_to_sublattice():
     assert r.shape == (1, 1) and r[0, 0] == 1
     with pytest.raises(ValueError):
         il.restrict_to_sublattice(il.intmat([[1, 0], [0, 2]]), il.intmat([[1], [1]]))
+
+
+def test_restrict_to_non_saturated_basis():
+    # the columns (1, 0), (1, 2) span an index-2 sublattice; the swap keeps
+    # its Q-span but not the lattice, so R has halves
+    swap = il.intmat([[0, 1], [1, 0]])
+    r = il.restrict_to_sublattice(swap, il.intmat([[1, 1], [0, 2]]))
+    assert r.tolist() == [[Fraction(-1, 2), Fraction(3, 2)], [Fraction(1, 2), Fraction(1, 2)]]
+
+
+def test_restrict_integral_entries_are_ints():
+    # the 3-cycle on the sum-zero lattice of Z^3
+    cycle = il.intmat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    basis = il.intmat([[1, 0], [-1, 1], [0, -1]])
+    r = il.restrict_to_sublattice(cycle, basis)
+    assert r.tolist() == [[0, -1], [1, -1]]
+    assert all(type(x) is int for x in r.flat)
+    assert np.array_equal(basis @ r, cycle @ basis)
+
+
+def test_restrict_rank_deficient_basis():
+    with pytest.raises(ValueError, match="full column rank"):
+        il.restrict_to_sublattice(il.identity(2), il.intmat([[1, 2], [2, 4]]))
