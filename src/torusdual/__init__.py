@@ -35,7 +35,7 @@ from .rootdata import (
     dualize,
     fundamental_group,
 )
-from .weyl import GroupTooLargeError, WeylGroup, centralizer, conjugacy_classes, generate
+from .weyl import GroupTooLargeError, WeylGroup, centralizer, generate
 from .fixedpoints import FixedSetReport, centralizer_action, fixed_set, full_fixed_points
 from .ktheory import (
     AffineComparisonReport,
@@ -75,7 +75,6 @@ __all__ = [
     "GroupTooLargeError",
     "WeylGroup",
     "centralizer",
-    "conjugacy_classes",
     "generate",
     "FixedSetReport",
     "centralizer_action",

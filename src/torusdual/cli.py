@@ -163,23 +163,25 @@ def _duality_targets(max_rank: int, forms):
     ]
 
 
-def _check_rank_cap(max_rank: int, allow_large: bool) -> int | None:
+def _check_max_rank(max_rank: int, allow_large: bool) -> None:
+    """Raise ValueError (exit 2) unless 1 <= max_rank <= the rank cap."""
     cap = LARGE_RANK_CAP if allow_large else KTHEORY_RANK_CAP
+    if max_rank < 1:
+        raise ValueError(f"--max-rank {max_rank} selects no datum")
     if max_rank > cap:
-        print(
+        raise ValueError(
             f"rank {max_rank} exceeds the cap of {cap}"
-            + ("" if allow_large else " (use --allow-large to lift it to 8)"),
-            file=sys.stderr,
+            + ("" if allow_large else " (use --allow-large to lift it to 8)")
         )
-        return 2
-    return None
 
 
 def cmd_verify_duality(args) -> int:
     forms = [f.strip() for f in args.forms.split(",") if f.strip()]
-    bad = _check_rank_cap(args.max_rank, args.allow_large)
-    if bad is not None:
-        return bad
+    if not forms:
+        raise ValueError("--forms names no form")
+    for form in forms:
+        _parse_form(form, 1)
+    _check_max_rank(args.max_rank, args.allow_large)
     reports = []
     all_equal = True
     for t, r, form in _duality_targets(args.max_rank, forms):
@@ -201,9 +203,7 @@ def cmd_verify_duality(args) -> int:
 
 
 def cmd_affine_compare(args) -> int:
-    bad = _check_rank_cap(args.max_rank, args.allow_large)
-    if bad is not None:
-        return bad
+    _check_max_rank(args.max_rank, args.allow_large)
     adjoint_targets = [
         (t, r)
         for t, r, form in _duality_targets(args.max_rank, ["adjoint"])
@@ -320,6 +320,8 @@ def cmd_oscillator(args) -> int:
 
 
 def cmd_clifford_check(args) -> int:
+    if not 1 <= args.max_dim <= cliff.MAX_DIM:
+        raise ValueError(f"--max-dim must lie in 1..{cliff.MAX_DIM}")
     failures = []
     for n in range(1, args.max_dim + 1):
         p = cliff.clifford_projection(n)
@@ -346,6 +348,8 @@ def cmd_clifford_check(args) -> int:
 
 
 def cmd_poincare_check(args) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     rows = []

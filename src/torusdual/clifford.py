@@ -27,6 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .intlinalg import _exact
+
 __all__ = [
     "QI",
     "CliffordElement",
@@ -39,6 +41,8 @@ __all__ = [
     "symmetric_invariance_check",
     "signed_permutations",
 ]
+
+MAX_DIM = 4  # largest n of the projections (see clifford_projection)
 
 
 @dataclass(frozen=True)
@@ -213,8 +217,8 @@ def generator(n: int, kind: str, j: int) -> CliffordElement:
 
 def _projection(n: int, first: str, second: str) -> CliffordElement:
     """prod_j (1 - i first_j second_j)/2, exactly."""
-    if not 1 <= n <= 4:
-        raise ValueError("projection is supported for 1 <= n <= 4")
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"projection is supported for 1 <= n <= {MAX_DIM}")
     p = one(n)
     half = QI(Fraction(1, 2))
     for j in range(1, n + 1):
@@ -252,12 +256,6 @@ def conjugation_by_u(n: int, a: CliffordElement) -> CliffordElement:
         raise ValueError("dimension mismatch")
     u = intertwiner_u(n)
     return u * a * u.star()
-
-
-def _exact(x):
-    """An exact matrix entry: a Python int when integral, else a Fraction."""
-    q = Fraction(x)
-    return q.numerator if q.denominator == 1 else q
 
 
 def _generator_images(n: int, g) -> list[list[tuple[int, object]]]:

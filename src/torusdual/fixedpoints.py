@@ -21,8 +21,8 @@ import numpy as np
 
 from .intlinalg import (
     SmithDecomposition,
-    _as_int,
     _cosets_from_smith,
+    int_array,
     restrict_to_sublattice,
     smith_normal_form,
 )
@@ -121,11 +121,11 @@ class FixedSetReport:
         snf, r = self._snf, self._snf.rank
         u_tors, d_tors = self._torsion
         return (
-            _as_int64(u_tors),
-            np.array(d_tors, dtype=np.int64).reshape(-1, 1),
-            _as_int64(self._component_images),
-            _as_int64(snf.v_inv[r:]),
-            _as_int64(snf.v[:, r:]),
+            int_array(u_tors),
+            int_array(d_tors).reshape(-1, 1),
+            int_array(self._component_images),
+            int_array(snf.v_inv[r:]),
+            int_array(snf.v[:, r:]),
         )
 
     def action(self, z):
@@ -151,7 +151,7 @@ class FixedSetReport:
         not checked.
         """
         u_tors, d, y, v_inv, v = self._wide
-        zs = _as_int64(z)
+        zs = int_array(z)
         single = zs.ndim == 2
         zs = zs.reshape(-1, self.rank, self.rank)
         n, mz = self.rank, _max_abs(zs)
@@ -169,41 +169,30 @@ class FixedSetReport:
         return fixed, restriction
 
 
-def _as_int64(a) -> np.ndarray:
-    """int64 copy of an exact integer array; raises instead of wrapping."""
-    a = np.asarray(a)
-    if a.dtype.kind == "i":
-        if a.size and a.min() < -INT64_MAX:
-            raise OverflowError("integer entry outside the int64 range")
-        return a.astype(np.int64)
-    flat = [_as_int(x) for x in a.flat]
-    if any(abs(x) > INT64_MAX for x in flat):
-        raise OverflowError("integer entry outside the int64 range")
-    return np.array(flat, dtype=np.int64).reshape(a.shape)
-
-
 def _max_abs(a: np.ndarray) -> int:
     """The largest absolute entry of an int64 array, at least 1."""
     return max(1, int(np.abs(a).max(initial=0)))
 
 
-def _difference_matrix(*mats: Matrix) -> np.ndarray:
-    """The matrices m - 1, stacked one above the other."""
-    return np.array(
-        [[m[i][j] - int(i == j) for j in range(len(m))] for m in mats for i in range(len(m))],
-        dtype=object,
-    )
+def _difference_matrix(*mats) -> np.ndarray:
+    """The square matrices m - 1, stacked one above the other, in int64
+    (int_array bounds entries by +-(2^63 - 1), so this cannot wrap)."""
+    stack = int_array(mats)
+    n = stack.shape[-1]
+    if stack.ndim != 3 or stack.shape[1] != n:
+        raise ValueError("expected square matrices")
+    return (stack - np.eye(n, dtype=np.int64)).reshape(-1, n)
 
 
 def fixed_set(w) -> FixedSetReport:
     """Fixed-set report for a single lattice automorphism w on Z^n."""
-    wm = as_matrix(w)
+    wm = int_array(w)
     n = len(wm)
     m = _difference_matrix(wm)
     snf = smith_normal_form(m)
     comps = _cosets_from_smith(snf, modulo_kernel=True)
     return FixedSetReport(
-        w=wm,
+        w=as_matrix(wm),
         rank=n,
         fixed_dim=n - snf.rank,
         components=tuple(tuple(c) for c in comps),
@@ -249,12 +238,11 @@ def centralizer_action(w, z, report: FixedSetReport | None = None):
 
     Precondition zw = wz is checked and violated input raises ValueError.
     """
-    wm, zm = as_matrix(w), as_matrix(z)
-    pair = np.array([zm, wm], dtype=object)
+    pair = int_array([z, w]).astype(object)
     zw, wz = pair @ pair[::-1]
     if not np.array_equal(zw, wz):
         raise ValueError("element does not centralize w")
-    rep = report if report is not None else fixed_set(wm)
+    rep = report if report is not None else fixed_set(pair[1])
     zarr = pair[0]
     perm = tuple(
         rep.component_of(zarr @ np.array(c, dtype=object)) for c in rep.components

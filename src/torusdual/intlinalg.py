@@ -7,6 +7,9 @@ torsion, solution sets of ``M x in Z^m`` and restrictions to sublattices
 are read off, and fraction-free (Bareiss) elimination for determinants.
 Fractions appear only in coset representatives and in restrictions that
 are not integral.
+
+It also owns every conversion into exact integers (:func:`int_array`,
+``_as_int``, ``_exact``): nothing is truncated or wrapped.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ __all__ = [
     "InfiniteSolutionSetError",
     "FiniteAbelianGroup",
     "SmithDecomposition",
+    "int_array",
     "intmat",
     "identity",
     "zeros",
@@ -38,24 +42,45 @@ class InfiniteSolutionSetError(ValueError):
     solution set is a positive-dimensional family."""
 
 
-def _as_int(x) -> int:
-    """x as a Python int; raises ValueError unless x is an integer value.
-
-    Integral Fractions and numpy integers pass; 1.5 or Fraction(3, 2) are
-    rejected, not truncated.
-    """
+def _exact(x):
+    """x as a Python int when integral, else as a Fraction (1.5 stays 3/2);
+    ValueError unless x is a rational number."""
+    if isinstance(x, (int, np.integer)):
+        return int(x)
     try:
-        i = int(x)
+        q = Fraction(None if isinstance(x, str) else x)  # Fraction parses strings
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"expected an integer, got {x!r}") from exc
-    if i != x:
+        raise ValueError(f"expected a rational number, got {x!r}") from exc
+    return q.numerator if q.denominator == 1 else q
+
+
+def _as_int(x) -> int:
+    """x as a Python int; ValueError unless x is an integer value, so 1.5
+    or Fraction(3, 2) is rejected, not truncated."""
+    if type(x) is int:
+        return x
+    i = _exact(x)
+    if type(i) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
     return i
 
 
-def _exact(x):
-    """An int or Fraction x as a Python int when integral, else unchanged."""
-    return x if isinstance(x, int) or x.denominator != 1 else x.numerator
+def int_array(a, dtype=np.int64) -> np.ndarray:
+    """a (nested sequences or an array of integer values) as an array of
+    the integer dtype.  A non-integral entry raises ValueError and one
+    outside +-iinfo(dtype).max OverflowError; the bound is symmetric, so
+    -128 fails int8 and negation never wraps.  A narrower integer dtype
+    only widens, so it skips the range scan."""
+    arr = np.asarray(a)
+    size = np.dtype(dtype).itemsize
+    if arr.dtype.kind in "iu" and arr.dtype.itemsize < size:
+        return arr.astype(dtype)
+    limit = (1 << (8 * size - 1)) - 1  # iinfo(dtype).max
+    if arr.dtype.kind not in "iu":
+        arr = np.array([_as_int(x) for x in arr.flat], dtype=object).reshape(arr.shape)
+    if arr.size and not -limit <= int(arr.min()) <= int(arr.max()) <= limit:
+        raise OverflowError(f"integer entry outside +-{limit}")
+    return arr.astype(dtype)
 
 
 def intmat(rows) -> np.ndarray:
@@ -90,7 +115,7 @@ class FiniteAbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        fs = tuple(int(f) for f in self.invariant_factors)
+        fs = tuple(_as_int(f) for f in self.invariant_factors)
         object.__setattr__(self, "invariant_factors", fs)
         for f in fs:
             if f < 2:

@@ -29,12 +29,15 @@ non-negative before it is believed.  The rows are computed once per group
 and kept on it.
 
 The commuting-pairs oracle recomputes the same quantity as a sum over all
-pairs (w, z) with wz = zw, weighted 1/|W|, without the class decomposition
-and without the Smith coordinates U and V^-1 of w - 1 that the class sum
-reads: it enumerates the components of each T^w, counts those z fixes by
-membership tests, and restricts z to Gamma^w through the Smith form of
-Gamma^w's basis, checked integral before its Bareiss determinants are
-taken.  The two must agree.
+pairs (w, z) with wz = zw, weighted 1/|W|, without the class
+decomposition.  It shares three things with the class sum: ``fixed_set``
+(the Smith form of w - 1 and the components it enumerates), the torsion
+key U_tors y mod d by which ``component_of`` names a component, and
+``group.centralizer_indices``.  The rest is its own: it sums over every
+commuting pair, finds the component of each z x by an explicit
+membership test, restricts z to Gamma^w through the Smith form of
+Gamma^w's basis (checked integral), and takes Bareiss determinants
+instead of guarded float ones.  The two must agree.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 from .fixedpoints import centralizer_action, fixed_set
 from .intlinalg import det, identity, intmat
 from .rootdata import RootDatum, center as center_of, dualize
-from .weyl import Matrix, WeylGroup, as_matrix, generate
+from .weyl import Matrix, WeylGroup, generate
 
 __all__ = [
     "NonIntegralInvariantError",
@@ -175,8 +178,7 @@ def _exact_dets(mats: np.ndarray, bound: int) -> tuple[np.ndarray, int, float]:
 
 
 def _class_contribution(group: WeylGroup, rep_index: int, members) -> ClassContribution:
-    w = as_matrix(group.array[rep_index])
-    report = fixed_set(w)
+    report = fixed_set(group.array[rep_index])
     cent = group.centralizer_indices(rep_index)
     fixed, restriction = report.action(group.array[list(cent)])
     ident = np.eye(report.fixed_dim, dtype=np.int64)
@@ -194,7 +196,7 @@ def _class_contribution(group: WeylGroup, rep_index: int, members) -> ClassContr
                 f"class average {val}/{scale} is not a non-negative integer"
             )
     return ClassContribution(
-        representative=w,
+        representative=report.w,
         class_size=len(members),
         centralizer_order=len(cent),
         fixed_dim=report.fixed_dim,
@@ -230,20 +232,23 @@ def rational_equivariant_k(rd) -> GradedRank:
 
 
 def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
-    """Independent oracle: sum over all commuting pairs (w, z), weight 1/|W|.
+    """Oracle: sum over all commuting pairs (w, z), weight 1/|W|.
 
-    Recomputes fixed sets per element (not per class) and acts on them by
-    :func:`centralizer_action`, which enumerates the components, tests
-    membership explicitly and restricts z to Gamma^w through the Smith form
-    of Gamma^w's basis; must agree with :func:`graded_rank_with_classes`.
+    Shares ``fixed_set``, the torsion key of ``component_of`` and
+    ``group.centralizer_indices`` with :func:`graded_rank_with_classes`.
+    Otherwise independent: it takes a fixed set per element (not per
+    class) and acts on it by :func:`centralizer_action`, which tests the
+    membership of each z x explicitly and restricts z to Gamma^w through
+    the Smith form of Gamma^w's basis, and it takes Bareiss determinants.
+    Must agree with :func:`graded_rank_with_classes`.
     """
     # 2 |W| times k0 and k1
     k0 = k1 = 0
-    for wi, w in enumerate(group.elements):
+    for wi, w in enumerate(group.array):
         report = fixed_set(w)
         ident = identity(report.fixed_dim)
         for zi in group.centralizer_indices(wi):
-            perm, restriction = centralizer_action(w, group.elements[zi], report)
+            perm, restriction = centralizer_action(w, group.array[zi], report)
             fixed = sum(1 for i, j in enumerate(perm) if i == j)
             restriction = intmat(restriction)  # raises ValueError unless integral
             plus, minus = det(ident + restriction), det(ident - restriction)

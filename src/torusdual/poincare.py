@@ -33,6 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .intlinalg import int_array
+from .weyl import as_matrix
+
 __all__ = [
     "CompactBump",
     "TransformedBump",
@@ -100,11 +103,11 @@ class TransformedBump:
 
 
 def transform_bump(w, f):
-    base = f.base if isinstance(f, TransformedBump) else f
-    mat = np.asarray(w, dtype=int)
+    """w . f for an integer matrix w; w . (v . g) is (w v) . g, exactly."""
+    mat = int_array(w).astype(object)
     if isinstance(f, TransformedBump):
-        mat = mat @ np.array(f.matrix, dtype=int)
-    return TransformedBump(base=base, matrix=tuple(tuple(int(v) for v in row) for row in mat))
+        f, mat = f.base, mat @ int_array(f.matrix).astype(object)
+    return TransformedBump(base=f, matrix=as_matrix(mat))
 
 
 def _window(f, xs: np.ndarray) -> np.ndarray:
@@ -205,7 +208,7 @@ def equivariance_check(w, f1, f2, rng, samples: int = 100) -> float:
     w is an integer matrix preserving Z^n; the dual variable transforms by
     the inverse-transpose action.
     """
-    warr = np.asarray(w, dtype=int)
+    warr = int_array(w)
     n = f1.rank
     if warr.shape != (n, n):
         raise ValueError("matrix size must match the bump rank")

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .intlinalg import FiniteAbelianGroup, cokernel, intmat, smith_normal_form
+from .intlinalg import FiniteAbelianGroup, cokernel, int_array, intmat, smith_normal_form
 
 __all__ = [
     "RootDatum",
@@ -217,11 +217,11 @@ def build_simple(type_: str, rank: int, form: GroupForm = "sc", *, max_rank: int
         ]
         tag = "adjoint"
     else:
-        gens = [[int(x) for x in g] for g in form]
-        if any(len(g) != n for g in gens):
+        gens = int_array(form)
+        if gens.size and (gens.ndim != 2 or gens.shape[1] != n):
             raise ValueError("quotient generators must be integer vectors of length rank")
         # X_* = coroot lattice + <gens> inside the coweight lattice Z^n
-        columns = np.hstack([a, np.array(gens, dtype=object).T]) if gens else a
+        columns = np.hstack([a, gens.reshape(-1, n).T.astype(object)])
         # U C V = D: the basis C V[:, :n] = U^-1 D of the span, in which
         # coroot j (column j of a) has the coordinates D^-1 U a[:, j]
         snf = smith_normal_form(columns)

@@ -7,10 +7,13 @@ generic, so test fixtures like {1} or {+-1} on Z are first-class citizens.
 
 A group is stored as one read-only ``(|W|, n, n)`` int8 array, with a dict
 from each element's int8 bytes to its index.  Products are taken in int64
-and every cast back to int8 is checked, so an entry outside +-127 raises
-:class:`OverflowError` instead of wrapping.  ``elements[i]`` is the same
-matrix as a tuple of tuples of Python ints (exact, hashable, immutable),
-derived from the array on first use; the library itself reads ``array``.
+and enter int8 through :func:`torusdual.intlinalg.int_array`, which owns
+every conversion into exact integers, so a non-integral entry raises
+ValueError and one outside +-127 OverflowError.  The library reads
+``array``; :func:`centralizer` returns an int8 stack.  ``elements[i]`` is
+the tuple of tuples of Python ints of the same matrix, built on first
+use: with :func:`mat_mul` and :func:`mat_identity` it is the tuple
+reference view the tests compare against.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .intlinalg import int_array
 from .rootdata import RootDatum
 
 __all__ = [
@@ -28,7 +32,6 @@ __all__ = [
     "WeylGroup",
     "ConjugacyClass",
     "generate",
-    "conjugacy_classes",
     "centralizer",
     "mat_mul",
     "mat_identity",
@@ -36,7 +39,6 @@ __all__ = [
 ]
 
 WEYL_ORDER_CAP = 2_000_000
-INT8_LIMIT = 127
 PACK_BASE, PACK_PLACES = 512, 4
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -58,17 +60,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def as_matrix(m) -> Matrix:
-    if isinstance(m, tuple):
-        return m
-    arr = np.asarray(m)
-    return tuple(tuple(int(x) for x in row) for row in arr)
-
-
-def _narrow(a: np.ndarray) -> np.ndarray:
-    """int8 copy of an integer array; raises instead of wrapping."""
-    if a.size and np.abs(a).max() > INT8_LIMIT:
-        raise OverflowError(f"matrix entry outside +-{INT8_LIMIT}; int8 storage would wrap")
-    return a.astype(np.int8)
+    """m as a tuple of tuples of Python ints, checked by int_array."""
+    return tuple(map(tuple, int_array(m).tolist()))
 
 
 def _column_pack(n: int) -> np.ndarray:
@@ -132,7 +125,7 @@ class WeylGroup:
 
     def _indices(self, mats: np.ndarray) -> list[int]:
         """Indices of a stack of int64 matrices, which must all be elements."""
-        return [self._lookup[key] for key in _keys(_narrow(mats))]
+        return [self._lookup[key] for key in _keys(int_array(mats, np.int8))]
 
     @property
     def identity_index(self) -> int:
@@ -173,16 +166,16 @@ class WeylGroup:
     @classmethod
     def from_generators(cls, gens, rank: int, cap: int = WEYL_ORDER_CAP) -> "WeylGroup":
         """Breadth-first closure: each frontier times each generator, first-seen order."""
-        mats = [np.array(g, dtype=np.int64) for g in gens]
-        if any(g.shape != (rank, rank) for g in mats):
+        gen_arr = int_array(gens, np.int8)
+        if gen_arr.size and gen_arr.shape[1:] != (rank, rank):
             raise ValueError("generator shape does not match rank")
-        gen_arr = _narrow(np.array(mats, dtype=np.int64).reshape(-1, rank, rank))
+        gen_arr = gen_arr.reshape(-1, rank, rank)
         wide_gens = gen_arr.astype(np.int64)[None]
         frontier = np.eye(rank, dtype=np.int8)[None]
         lookup = {key: i for i, key in enumerate(_keys(frontier))}
         blocks = [frontier]
         while len(frontier):
-            prods = _narrow(frontier.astype(np.int64)[:, None] @ wide_gens)
+            prods = int_array(frontier.astype(np.int64)[:, None] @ wide_gens, np.int8)
             prods = prods.reshape(-1, rank, rank)
             new = []
             for k, key in enumerate(_keys(prods)):
@@ -233,17 +226,12 @@ def _compute_classes(group: WeylGroup) -> list[ConjugacyClass]:
     return classes
 
 
-def simple_reflection_matrices(rd: RootDatum) -> list[Matrix]:
-    """Matrices of the simple reflections acting on X_*: x -> x - <alpha, x> alpha_check."""
-    n = rd.rank
-    mats = []
-    for alpha, alpha_ck in zip(rd.simple_roots, rd.simple_coroots):
-        m = [
-            [int(i == j) - alpha_ck[i] * alpha[j] for j in range(n)]
-            for i in range(n)
-        ]
-        mats.append(tuple(tuple(row) for row in m))
-    return mats
+def simple_reflection_matrices(rd: RootDatum) -> np.ndarray:
+    """The simple reflections acting on X_*, x -> x - <alpha, x> alpha_check,
+    as one (rank, n, n) int64 stack."""
+    alpha = int_array(rd.simple_roots).reshape(-1, rd.rank)
+    alpha_ck = int_array(rd.simple_coroots).reshape(-1, rd.rank)
+    return np.eye(rd.rank, dtype=np.int64) - alpha_ck[:, :, None] * alpha[:, None, :]
 
 
 @lru_cache(maxsize=None)
@@ -259,14 +247,11 @@ def generate(rd: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
     return _generate_cached(rd, cap)
 
 
-def conjugacy_classes(group: WeylGroup) -> list[ConjugacyClass]:
-    return group.classes
-
-
-def centralizer(group: WeylGroup, w) -> list[Matrix]:
-    """Elements commuting with w (which must belong to the group)."""
+def centralizer(group: WeylGroup, w) -> np.ndarray:
+    """The elements commuting with w (which must belong to the group), as
+    an int8 stack in group order."""
     try:
-        i = group._indices(np.array(w, dtype=np.int64)[None])[0]
+        i = group._indices(int_array(w, np.int8)[None])[0]
     except (KeyError, OverflowError):
         raise ValueError("element does not belong to the group") from None
-    return [group.elements[i] for i in group.centralizer_indices(i)]
+    return group.array[list(group.centralizer_indices(i))]

@@ -156,3 +156,21 @@ def test_so_form_flag(capsys):
     assert run(["dual", "--type", "D", "--rank", "4", "--form", "so"]) == 0
     text = capsys.readouterr().out
     assert "Z/2 -> Z/2" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare-check", "--samples", "-5"],
+    ["poincare-check", "--samples", "0"],
+    ["clifford-check", "--max-dim", "0"],
+    ["clifford-check", "--max-dim", "5"],
+    ["verify-duality", "--max-rank", "0"],
+    ["affine-compare", "--max-rank", "0"],
+    ["verify-duality", "--forms", ""],
+    ["verify-duality", "--forms", " , "],
+    ["verify-duality", "--max-rank", "2", "--forms", "sc,bogus"],
+])
+def test_runs_that_check_nothing_exit_2_before_any_work(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")

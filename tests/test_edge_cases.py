@@ -8,6 +8,7 @@ import pytest
 from torusdual import clifford as cl
 from torusdual import intlinalg as il
 from torusdual import oscillator as osc
+from torusdual import poincare as pc
 from torusdual import rootdata as rdm
 from torusdual import weyl
 from torusdual.fixedpoints import fixed_set
@@ -115,3 +116,25 @@ def test_quotient_generators_modulo_coroots():
     a3 = rdm.build_simple("A", 3, [[2, 0, 0]])
     assert rdm.fundamental_group(a3).invariant_factors == (2,)
     assert rdm.center(a3).invariant_factors == (2,)
+
+
+def _equivariance_of_non_integral_matrix():
+    f1, f2 = pc.CompactBump((0.0, 0.0), 1.0), pc.CompactBump((0.1, 0.0), 1.0)
+    return pc.equivariance_check([[1.5, 0], [0, 1]], f1, f2, np.random.default_rng(0))
+
+
+NON_INTEGRAL_INPUTS = {
+    "from_generators": lambda: weyl.WeylGroup.from_generators([((1.5,),)], 1),
+    "centralizer": lambda: weyl.centralizer(
+        weyl.generate(rdm.build_simple("A", 2, "sc")), ((1.2, 0), (0, 1))),
+    "fixed_set_array": lambda: fixed_set(np.array([[1.5, 0], [0, 1]])),
+    "build_simple_quotient": lambda: rdm.build_simple("D", 4, [[1.5, 0, 0, 0]]),
+    "equivariance_check": _equivariance_of_non_integral_matrix,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGRAL_INPUTS))
+def test_non_integral_input_raises(name):
+    # each of these once truncated 1.5 or 1.2 to 1 and returned a result
+    with pytest.raises(ValueError):
+        NON_INTEGRAL_INPUTS[name]()

@@ -238,3 +238,79 @@ def test_restrict_integral_entries_are_ints():
 def test_restrict_rank_deficient_basis():
     with pytest.raises(ValueError, match="full column rank"):
         il.restrict_to_sublattice(il.identity(2), il.intmat([[1, 2], [2, 4]]))
+
+
+def _object_array(entries):
+    arr = np.empty(len(entries), dtype=object)
+    arr[:] = entries
+    return arr
+
+
+INT_ARRAY_WRAPPERS = {
+    "int": int,
+    "np.int8": np.int8,
+    "np.int64": np.int64,
+    "Fraction": lambda k: Fraction(k, 1),
+    "float": float,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_int_array_round_trip(data):
+    dtype = data.draw(st.sampled_from([np.int8, np.int64]))
+    wrap = data.draw(st.sampled_from(sorted(INT_ARRAY_WRAPPERS)))
+    # np.int8 holds +-127 at most and a float every integer up to 2^53
+    bound = min(int(np.iinfo(dtype).max), {"np.int8": 127, "float": 2**53}.get(wrap, 2**63))
+    values = data.draw(st.lists(st.integers(-bound, bound), max_size=6))
+    entries = [INT_ARRAY_WRAPPERS[wrap](k) for k in values]
+    containers = [entries, tuple(entries), _object_array(entries),
+                  np.array(values, dtype=np.int64)]
+    if bound <= 127:
+        containers.append(np.array(values, dtype=np.int8))
+    for a in containers:
+        out = il.int_array(a, dtype)
+        assert out.dtype == dtype
+        assert out.tolist() == values
+        assert all(type(x) is int for x in out.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.integers(-5, 5), min_size=1, max_size=5), data=st.data())
+def test_int_array_rejects_non_integral_entries(values, data):
+    bad = data.draw(st.sampled_from(
+        [Fraction(2 * values[0] + 1, 2), values[0] + 0.5, Fraction(1, 3), float("nan"), "3"]))
+    entries = list(values)
+    entries[data.draw(st.integers(0, len(entries) - 1))] = bad
+    for a in (entries, tuple(entries), _object_array(entries)):
+        with pytest.raises(ValueError):
+            il.int_array(a)
+    if isinstance(bad, float):
+        with pytest.raises(ValueError):
+            il.int_array(np.array(entries, dtype=float))
+
+
+@pytest.mark.parametrize("dtype,value", [
+    (np.int8, 128), (np.int8, -128), (np.int64, 2**63), (np.int64, -(2**63)),
+])
+def test_int_array_overflow_is_symmetric(dtype, value):
+    containers = [[value], (value,), _object_array([value]), [[0, value]]]
+    if -(2**63) <= value < 2**63:
+        containers.append(np.array([value], dtype=np.int64))
+    if value == -128:
+        containers.append(np.array([value], dtype=np.int8))
+    if value == 2**63:
+        containers.append(np.array([value], dtype=np.uint64))
+    for a in containers:
+        with pytest.raises(OverflowError):
+            il.int_array(a, dtype)
+    limit = int(np.iinfo(dtype).max)
+    assert il.int_array([limit, -limit], dtype).tolist() == [limit, -limit]
+
+
+def test_int_array_keeps_shape():
+    a = np.arange(24, dtype=np.int8).reshape(2, 3, 4)
+    out = il.int_array(a)
+    assert out.dtype == np.int64 and out.shape == (2, 3, 4)
+    assert np.array_equal(out, a)
+    assert il.int_array([]).shape == (0,)

@@ -256,3 +256,22 @@ def test_column_pack_sees_every_commutator():
         m[:, j + 1] = -1
         assert (m @ pack != 0).any(axis=1).all()
     assert (np.eye(n, dtype=np.int64) * 255 @ pack != 0).any(axis=1).all()
+
+
+def test_centralizer_is_an_int8_stack():
+    group = weyl.generate(rdm.build_simple("B", 2, "sc"))
+    for c in group.classes:
+        w = group.array[c.representative]
+        cent = weyl.centralizer(group, w)
+        assert cent.dtype == np.int8
+        assert np.array_equal(cent, group.array[list(group.centralizer_indices(c.representative))])
+        assert all(np.array_equal(z @ w, w @ z) for z in cent.astype(np.int64))
+
+
+def test_simple_reflection_matrices_are_an_int64_stack():
+    rd = rdm.build_simple("G", 2, "sc")
+    mats = weyl.simple_reflection_matrices(rd)
+    assert mats.dtype == np.int64 and mats.shape == (2, 2, 2)
+    for s, alpha, alpha_ck in zip(mats, rd.simple_roots, rd.simple_coroots):
+        assert (s @ s == np.eye(2)).all()
+        assert (s @ np.array(alpha_ck) == -np.array(alpha_ck)).all()
