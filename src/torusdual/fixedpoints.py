@@ -2,12 +2,16 @@
 
 Everything here works in coordinates where Gamma = Z^n.  For w a lattice
 automorphism, T^w = {x : (w - 1) x in Z^n} / Z^n is a finite disjoint
-union of parallel subtori of dimension dim ker(w - 1); the components are
-enumerated as rational coset representatives, exactly.  One Smith form
+union of parallel subtori of dimension dim ker(w - 1).  One Smith form
 U (w - 1) V = D per fixed set gives the components, their keys in
-tors coker(w - 1) and the lattice Gamma^w; the action of a centralizer
-element, or of a whole stack of them, is read off it in int64 with no
-further elimination.
+tors coker(w - 1) and the lattice Gamma^w.  The components are held as
+one int64 array X of numerators over the largest invariant factor q, so
+their images, their keys and the action of a whole stack of centralizer
+elements are integer products; they are handed out as exact rational
+points only in ``components``.  :meth:`FixedSetReport.action` reads
+everything off the Smith form of w - 1 with no further elimination;
+:func:`centralizer_action` instead tests the membership of each z x and
+restricts a stack of z through one Smith form of the basis of Gamma^w.
 """
 
 from __future__ import annotations
@@ -15,13 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
 from .intlinalg import (
+    INT64_MAX,
     SmithDecomposition,
-    _cosets_from_smith,
+    _as_fractions,
+    _coset_numerators,
+    _max_abs,
     int_array,
     restrict_to_sublattice,
     smith_normal_form,
@@ -31,8 +38,6 @@ from .weyl import Matrix, as_matrix
 
 __all__ = ["FixedSetReport", "fixed_set", "full_fixed_points", "centralizer_action"]
 
-INT64_MAX = int(np.iinfo(np.int64).max)
-
 
 @dataclass(frozen=True)
 class FixedSetReport:
@@ -41,7 +46,8 @@ class FixedSetReport:
     components are rational points in [0,1)^n, one per connected component
     of the fixed set, sorted; fixed_lattice_basis is a Z-basis of
     Gamma intersected with ker(w - 1), the columns V[:, r:] of the Smith
-    form U (w - 1) V = D of rank r.
+    form U (w - 1) V = D of rank r.  The components are also kept as the
+    columns of the int64 numerators X over the denominator q.
     """
 
     w: Matrix | None
@@ -51,20 +57,22 @@ class FixedSetReport:
     fixed_lattice_basis: tuple[tuple[int, ...], ...]
     _matrix: np.ndarray = field(repr=False, compare=False, hash=False, default=None)
     _snf: SmithDecomposition = field(repr=False, compare=False, hash=False, default=None)
+    _numerators: np.ndarray = field(repr=False, compare=False, hash=False, default=None)
+    _denominator: int = field(repr=False, compare=False, hash=False, default=1)
 
     def component_count(self) -> int:
         return len(self.components)
 
     def contains(self, x) -> bool:
         """Membership of a rational point in the fixed set, exactly."""
-        return self._component_key(x) is not None
+        return self._image(x) is not None
 
     def component_of(self, x) -> int:
         """Index of the component containing x; x must lie in the fixed set."""
-        key = self._component_key(x)
-        if key is None:
+        y = self._image(x)
+        if y is None:
             raise ValueError("point is not in the fixed set")
-        return self._component_index[key]
+        return int(self._component_index[self._codes(int_array(y).reshape(-1, 1))[0]])
 
     def _image(self, x) -> np.ndarray | None:
         """y = M x as integers, or None when x is not fixed.
@@ -82,48 +90,60 @@ class FixedSetReport:
             return None
         return np.array([v // q for v in scaled], dtype=object)
 
-    def _component_key(self, x) -> tuple[int, ...] | None:
-        """The class of x in tors coker M, or None when x is not fixed.
+    def _codes(self, images: np.ndarray) -> np.ndarray:
+        """The component codes of integer images y, one per column.
 
         Two fixed points share a component exactly when their images
         y = M x differ by an element of M Z^n, so with U M V = D the key
-        is ((U y)_i mod d_i) over the d_i > 1.
+        of y is U_tors y mod d over the d_i > 1, read here as one
+        mixed-radix integer in [0, prod d).  images is (m, c) or a
+        (k, m, c) stack; the codes are (c,) or (k, c).
         """
-        y = self._image(x)
-        if y is None:
-            return None
-        u_tors, d_tors = self._torsion
-        return tuple(int(s) % d for s, d in zip(u_tors @ y, d_tors))
+        u_tors, d = self._torsion
+        keys = _product(u_tors, images) % d
+        radix = np.cumprod(d[:, 0]) // d[:, 0]  # prod of the d_j, j < i
+        return radix @ keys
 
     @cached_property
-    def _component_index(self) -> dict[tuple[int, ...], int]:
-        index = {self._component_key(c): i for i, c in enumerate(self.components)}
-        if len(index) != len(self.components):
+    def _component_index(self) -> np.ndarray:
+        """Component index by code: the codes of the components are a
+        permutation of [0, prod d), one per element of tors coker M."""
+        codes = self._codes(self._component_images)
+        index = np.full(prod(self._torsion[1].flat), -1, dtype=np.int64)
+        index[codes] = np.arange(len(codes))
+        if len(codes) != len(index) or (index < 0).any():
             raise AssertionError("component keys must be distinct")
         return index
 
     @cached_property
     def _torsion(self):
-        """Rows of U and invariant factors at the d_i > 1 of the Smith form."""
+        """Rows U_tors of U at the d_i > 1 of the Smith form and those d_i
+        as a column, in int64 (cast checked)."""
         d = self._snf.diagonal
         tors = [i for i in range(self._snf.rank) if d[i] > 1]
-        return self._snf.u[tors, :], tuple(d[i] for i in tors)
+        return (
+            int_array(self._snf.u[tors, :]),
+            int_array([d[i] for i in tors]).reshape(-1, 1),
+        )
 
     @cached_property
     def _component_images(self) -> np.ndarray:
-        """The integer images y_c = M x_c of the components, one per column."""
-        return np.array([self._image(c) for c in self.components], dtype=object).T
+        """The integer images y_c = M x_c of the components, one per column:
+        (M X) / q in int64, which must divide exactly."""
+        q = self._denominator
+        scaled = _product(self._matrix, self._numerators)
+        if (scaled % q).any():
+            raise AssertionError("component images must be integral")
+        return scaled // q
 
     @cached_property
     def _wide(self):
         """What :meth:`action` multiplies, as int64: U_tors, the invariant
         factors d as a column, the component images Y, V^-1[r:] and V[:, r:]."""
         snf, r = self._snf, self._snf.rank
-        u_tors, d_tors = self._torsion
         return (
-            int_array(u_tors),
-            int_array(d_tors).reshape(-1, 1),
-            int_array(self._component_images),
+            *self._torsion,
+            self._component_images,
             int_array(snf.v_inv[r:]),
             int_array(snf.v[:, r:]),
         )
@@ -169,9 +189,13 @@ class FixedSetReport:
         return fixed, restriction
 
 
-def _max_abs(a: np.ndarray) -> int:
-    """The largest absolute entry of an int64 array, at least 1."""
-    return max(1, int(np.abs(a).max(initial=0)))
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for int64 arrays (stacks broadcast), with the largest entry it
+    can reach bounded first: past the int64 range this raises
+    OverflowError instead of wrapping."""
+    if a.shape[-1] * _max_abs(a) * _max_abs(b) > INT64_MAX:
+        raise OverflowError("integer product could pass the int64 range")
+    return a @ b
 
 
 def _difference_matrix(*mats) -> np.ndarray:
@@ -184,22 +208,28 @@ def _difference_matrix(*mats) -> np.ndarray:
     return (stack - np.eye(n, dtype=np.int64)).reshape(-1, n)
 
 
+def _report(w, matrix: np.ndarray, *, modulo_kernel: bool) -> FixedSetReport:
+    """The report of the fixed set of M = matrix, from its one Smith form."""
+    n = matrix.shape[1]
+    snf = smith_normal_form(matrix)
+    x, q = _coset_numerators(snf, modulo_kernel=modulo_kernel)
+    return FixedSetReport(
+        w=w,
+        rank=n,
+        fixed_dim=n - snf.rank,
+        components=tuple(_as_fractions(x, q)),
+        fixed_lattice_basis=tuple(tuple(int(v) for v in col) for col in snf.v.T[snf.rank:]),
+        _matrix=matrix,
+        _snf=snf,
+        _numerators=x,
+        _denominator=q,
+    )
+
+
 def fixed_set(w) -> FixedSetReport:
     """Fixed-set report for a single lattice automorphism w on Z^n."""
     wm = int_array(w)
-    n = len(wm)
-    m = _difference_matrix(wm)
-    snf = smith_normal_form(m)
-    comps = _cosets_from_smith(snf, modulo_kernel=True)
-    return FixedSetReport(
-        w=as_matrix(wm),
-        rank=n,
-        fixed_dim=n - snf.rank,
-        components=tuple(tuple(c) for c in comps),
-        fixed_lattice_basis=tuple(tuple(int(x) for x in col) for col in snf.v.T[snf.rank:]),
-        _matrix=m,
-        _snf=snf,
-    )
+    return _report(as_matrix(wm), _difference_matrix(wm), modulo_kernel=True)
 
 
 def full_fixed_points(rd: RootDatum) -> FixedSetReport:
@@ -212,40 +242,43 @@ def full_fixed_points(rd: RootDatum) -> FixedSetReport:
     """
     from .weyl import simple_reflection_matrices
 
-    n = rd.rank
     stacked = _difference_matrix(*simple_reflection_matrices(rd))
-    snf = smith_normal_form(stacked)
-    points = _cosets_from_smith(snf, modulo_kernel=False)
-    return FixedSetReport(
-        w=None,
-        rank=n,
-        fixed_dim=0,
-        components=tuple(tuple(p) for p in points),
-        fixed_lattice_basis=(),
-        _matrix=stacked,
-        _snf=snf,
-    )
+    return _report(None, stacked, modulo_kernel=False)
 
 
 def centralizer_action(w, z, report: FixedSetReport | None = None):
-    """Action of a centralizer element z on the fixed set of w.
+    """Action of centralizer elements z on the fixed set of w.
+
+    z is one matrix or a (k, n, n) stack.  Every z must commute with w
+    (checked: violated input raises ValueError).  Components are moved as
+    integer numerators: z X over q are the points z x_c, each must pass
+    the membership test M z X = 0 mod q (M = w - 1), and its component is
+    looked up by the torsion key of its image M z X / q.  The restriction
+    of z to ker(w - 1) tensor Q, in the basis `fixed_lattice_basis`, is
+    solved by :func:`restrict_to_sublattice` through one Smith form of that
+    basis for the whole stack (ints where integral, else Fractions).
 
     Returns (perm, restriction): perm[i] is the index of the component
-    containing z . x_i, found by membership tests, and restriction is the
-    exact matrix of z on ker(w - 1) tensor Q in the basis
-    `fixed_lattice_basis`, solved by :func:`restrict_to_sublattice` through
-    the Smith form of that basis (ints where integral, else Fractions).
-
-    Precondition zw = wz is checked and violated input raises ValueError.
+    containing z . x_i.  For one z, perm is a tuple and restriction a
+    (d, d) matrix; for a stack, a (k, c) int64 array and a (k, d, d) one.
+    Integer products are bounded first and raise OverflowError past int64.
     """
-    pair = int_array([z, w]).astype(object)
-    zw, wz = pair @ pair[::-1]
-    if not np.array_equal(zw, wz):
+    wm = int_array(w)
+    zs = int_array(z)
+    single = zs.ndim == 2
+    zs = zs.reshape(-1, *zs.shape[-2:])
+    if zs.shape[1:] != wm.shape:
+        raise ValueError("z and w must be square matrices of one size")
+    if not np.array_equal(_product(zs, wm), _product(wm, zs)):
         raise ValueError("element does not centralize w")
-    rep = report if report is not None else fixed_set(pair[1])
-    zarr = pair[0]
-    perm = tuple(
-        rep.component_of(zarr @ np.array(c, dtype=object)) for c in rep.components
-    )
+    rep = report if report is not None else fixed_set(wm)
+    q = rep._denominator
+    moved = _product(rep._matrix, _product(zs, rep._numerators))
+    if (moved % q).any():
+        raise ValueError("a moved component is not in the fixed set")
+    perm = rep._component_index[rep._codes(moved // q)]
     basis = np.array(rep.fixed_lattice_basis, dtype=object).reshape(-1, rep.rank).T
-    return perm, restrict_to_sublattice(zarr, basis)
+    restriction = restrict_to_sublattice(zs, basis)
+    if single:
+        return tuple(perm[0].tolist()), restriction[0]
+    return perm, restriction

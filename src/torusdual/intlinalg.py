@@ -5,8 +5,9 @@ Python ints, so every computation in this module is exact.  There are two
 exact algorithms: the Smith normal form, from which ranks, cokernel
 torsion, solution sets of ``M x in Z^m`` and restrictions to sublattices
 are read off, and fraction-free (Bareiss) elimination for determinants.
-Fractions appear only in coset representatives and in restrictions that
-are not integral.
+Coset representatives are enumerated as int64 numerators over one common
+denominator; Fractions appear only when they are handed out as rational
+points, and in restrictions that are not integral.
 
 It also owns every conversion into exact integers (:func:`int_array`,
 ``_as_int``, ``_exact``): nothing is truncated or wrapped.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -35,6 +37,9 @@ __all__ = [
     "det",
     "restrict_to_sublattice",
 ]
+
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class InfiniteSolutionSetError(ValueError):
@@ -81,6 +86,11 @@ def int_array(a, dtype=np.int64) -> np.ndarray:
     if arr.size and not -limit <= int(arr.min()) <= int(arr.max()) <= limit:
         raise OverflowError(f"integer entry outside +-{limit}")
     return arr.astype(dtype)
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """The largest absolute entry of an integer array, at least 1."""
+    return max(1, int(np.abs(a).max(initial=0)))
 
 
 def intmat(rows) -> np.ndarray:
@@ -313,13 +323,17 @@ def det(mat) -> int:
 
 
 def restrict_to_sublattice(mat, basis) -> np.ndarray:
-    """Exact matrix R with basis @ R = mat @ basis.
+    """Exact matrix R with basis @ R = mat @ basis, for one matrix or a
+    (k, n, n) stack of them.
 
-    Solved through the Smith form U B V = D of the n x d basis B: B R = A B
-    holds exactly when D V^-1 R = U A B, so the rows d and beyond of U A B
-    must vanish and R = V D^-1 (U A B)[:d].  Entries are Python ints where
-    integral and Fractions elsewhere.  Raises ValueError when the basis
-    does not have full column rank or mat does not preserve its span.
+    Solved through the Smith form U B V = D of the n x d basis B, taken
+    once for the whole stack: B R = A B holds exactly when D V^-1 R = U A B,
+    so the rows d and beyond of U A B must vanish and R = V D^-1 (U A B)[:d].
+    With q the largest d_i, that is R = N / q for the integer matrix
+    N = V (q D^-1) (U A B)[:d].  Entries are Python ints where integral and
+    Fractions elsewhere; the result is (d, d), or (k, d, d) for a stack.
+    Raises ValueError when the basis does not have full column rank or a
+    matrix does not preserve its span.
     """
     b = np.asarray(basis, dtype=object)
     a = np.asarray(mat, dtype=object)
@@ -328,14 +342,15 @@ def restrict_to_sublattice(mat, basis) -> np.ndarray:
     if snf.rank < d:
         raise ValueError("basis does not have full column rank")
     image = snf.u @ (a @ b)
-    if any(x != 0 for x in image[d:].flat):
+    if (image[..., d:, :] != 0).any():
         raise ValueError("matrix does not preserve the sublattice span")
-    scaled = np.array(
-        [[x // di if x % di == 0 else Fraction(x, di) for x in row]
-         for row, di in zip(image[:d], snf.diagonal)],
-        dtype=object,
-    ).reshape(d, d)
-    r = np.array([_exact(x) for x in (snf.v @ scaled).flat], dtype=object).reshape(d, d)
+    diag = snf.diagonal
+    q = max(diag, default=1)
+    scale = np.array([q // di for di in diag], dtype=object).reshape(-1, 1)
+    num = snf.v @ (image[..., :d, :] * scale)
+    r = np.array(
+        [x // q if x % q == 0 else Fraction(x, q) for x in num.flat], dtype=object
+    ).reshape(num.shape)
     if not np.array_equal(b @ r, a @ b):
         raise ValueError("matrix does not preserve the sublattice span")
     return _freeze(r)
@@ -368,39 +383,41 @@ def solve_mod_lattice(mat, *, modulo_kernel: bool = True) -> list[tuple[Fraction
     + Z^n and the list is always finite, one representative per coset,
     entries reduced to [0, 1).  With ``modulo_kernel=False`` genuine points
     modulo Z^n are requested and a nonzero Q-kernel raises
-    :class:`InfiniteSolutionSetError`.
+    :class:`InfiniteSolutionSetError`.  The list is sorted.
     """
-    return _cosets_from_smith(smith_normal_form(mat), modulo_kernel=modulo_kernel)
+    snf = smith_normal_form(mat)
+    return _as_fractions(*_coset_numerators(snf, modulo_kernel=modulo_kernel))
 
 
-def _cosets_from_smith(snf: SmithDecomposition, *,
-                       modulo_kernel: bool) -> list[tuple[Fraction, ...]]:
-    """The cosets of solve_mod_lattice from the Smith form of the matrix."""
-    diag = snf.diagonal
-    r = snf.rank
-    n = snf.v.shape[0]
+def _coset_numerators(snf: SmithDecomposition, *,
+                      modulo_kernel: bool) -> tuple[np.ndarray, int]:
+    """The cosets of solve_mod_lattice as numerators over one denominator.
+
+    Returns (X, q): q is the largest invariant factor d_r of the Smith form
+    U M V = D of rank r (1 when r = 0), and X is an n x k int64 array with
+    entries in [0, q), one column per coset, the columns in lexicographic
+    order.  y = V^-1 x must satisfy d_i y_i in Z, so y_i = k_i (q / d_i) / q
+    for 0 <= k_i < d_i and q x = V[:, :r] (k_i q / d_i) mod q.  V is cast
+    to int64 checked and the largest entry of that product, below
+    r max|V| q, is bounded first: past the int64 range this raises
+    OverflowError instead of wrapping.
+    """
+    r, n = snf.rank, snf.v.shape[0]
     if not modulo_kernel and r < n:
         raise InfiniteSolutionSetError(
             "solution set is positive-dimensional transverse to Z^n"
         )
+    diag = snf.diagonal[:r]
+    q = max(diag, default=1)
+    v = int_array(snf.v[:, :r])
+    if r * _max_abs(v) * q > INT64_MAX:
+        raise OverflowError("coset numerators could pass the int64 range")
+    steps = np.indices(diag, dtype=np.int64).reshape(r, prod(diag))
+    x = v @ (steps * np.array([q // di for di in diag], dtype=np.int64).reshape(-1, 1)) % q
+    return x[:, np.lexsort(x[::-1])], q
 
-    # y = V^{-1} x must satisfy d_i y_i in Z; enumerate fractional parts.
-    axes = [[Fraction(k, diag[i]) for k in range(diag[i])] for i in range(r)]
 
-    reps: list[tuple[Fraction, ...]] = []
-    idx = [0] * len(axes)
-    while True:
-        y = [axes[i][idx[i]] for i in range(len(axes))] + [Fraction(0)] * (n - r)
-        x = snf.v @ np.array(y, dtype=object)
-        reps.append(tuple(Fraction(val) % 1 for val in x))
-        k = len(axes) - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < len(axes[k]):
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            break
-    reps.sort()
-    return reps
+def _as_fractions(x: np.ndarray, q: int) -> list[tuple[Fraction, ...]]:
+    """The columns of the numerators x over q as tuples of Fractions."""
+    frac = {v: Fraction(v, q) for v in np.unique(x).tolist()}
+    return [tuple(frac[v] for v in col) for col in x.T.tolist()]

@@ -31,13 +31,17 @@ and kept on it.
 The commuting-pairs oracle recomputes the same quantity as a sum over all
 pairs (w, z) with wz = zw, weighted 1/|W|, without the class
 decomposition.  It shares three things with the class sum: ``fixed_set``
-(the Smith form of w - 1 and the components it enumerates), the torsion
-key U_tors y mod d by which ``component_of`` names a component, and
-``group.centralizer_indices``.  The rest is its own: it sums over every
-commuting pair, finds the component of each z x by an explicit
-membership test, restricts z to Gamma^w through the Smith form of
-Gamma^w's basis (checked integral), and takes Bareiss determinants
-instead of guarded float ones.  The two must agree.
+(the Smith form of w - 1 and the components it enumerates as integer
+numerators X over the largest invariant factor q), the torsion key
+U_tors y mod d by which a component is named, and
+``group.centralizer_indices``.  The rest is its own, in one
+``centralizer_action`` call per element w on its stacked centralizer: it
+moves the components as z X, tests each for membership
+((w - 1) z X = 0 mod q) and looks its key up, restricts every z to
+Gamma^w through one Smith form of Gamma^w's basis (checked integral), and
+takes Bareiss determinants per pair instead of guarded float ones.  It
+never reads ``FixedSetReport.action``, V^-1 or a float determinant.  The
+two must agree.
 """
 
 from __future__ import annotations
@@ -234,26 +238,29 @@ def rational_equivariant_k(rd) -> GradedRank:
 def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
     """Oracle: sum over all commuting pairs (w, z), weight 1/|W|.
 
-    Shares ``fixed_set``, the torsion key of ``component_of`` and
+    Shares ``fixed_set``, the torsion key of a component and
     ``group.centralizer_indices`` with :func:`graded_rank_with_classes`.
     Otherwise independent: it takes a fixed set per element (not per
-    class) and acts on it by :func:`centralizer_action`, which tests the
-    membership of each z x explicitly and restricts z to Gamma^w through
-    the Smith form of Gamma^w's basis, and it takes Bareiss determinants.
-    Must agree with :func:`graded_rank_with_classes`.
+    class) and acts on it by one :func:`centralizer_action` call on the
+    stacked centralizer, which moves the component numerators, tests the
+    membership of each z x and restricts every z to Gamma^w through one
+    Smith form of Gamma^w's basis; it checks each restriction integral and
+    takes two Bareiss determinants per pair.  Must agree with
+    :func:`graded_rank_with_classes`.
     """
     # 2 |W| times k0 and k1
     k0 = k1 = 0
     for wi, w in enumerate(group.array):
         report = fixed_set(w)
         ident = identity(report.fixed_dim)
-        for zi in group.centralizer_indices(wi):
-            perm, restriction = centralizer_action(w, group.array[zi], report)
-            fixed = sum(1 for i, j in enumerate(perm) if i == j)
+        cent = list(group.centralizer_indices(wi))
+        perms, restrictions = centralizer_action(w, group.array[cent], report)
+        fixed = (perms == np.arange(perms.shape[1])).sum(axis=1).tolist()
+        for count, restriction in zip(fixed, restrictions):
             restriction = intmat(restriction)  # raises ValueError unless integral
             plus, minus = det(ident + restriction), det(ident - restriction)
-            k0 += fixed * (plus + minus)
-            k1 += fixed * (plus - minus)
+            k0 += count * (plus + minus)
+            k1 += count * (plus - minus)
     scale = 2 * len(group)
     if k0 % scale != 0 or k1 % scale != 0:
         raise NonIntegralInvariantError("commuting-pairs sum is not integral")

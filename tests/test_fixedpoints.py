@@ -4,6 +4,9 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from torusdual import fixedpoints as fp
 from torusdual import intlinalg as il
@@ -241,3 +244,46 @@ def test_difference_matrix_stacks():
     a, b = ((0, 1), (1, 0)), ((-1, 0), (0, 1))
     assert fp._difference_matrix(a, b).tolist() == [[-1, 1], [1, -1], [-2, 0], [0, 0]]
     assert fp._difference_matrix(a).tolist() == [[-1, 1], [1, -1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: arrays(np.int64, (n, n), elements=st.integers(-4, 4))))
+def test_component_count_is_coker_torsion(w):
+    # ROADMAP item 3: #components of T^w = |tors coker(w - 1)|
+    rep = fp.fixed_set(w)
+    _, torsion = il.cokernel(il.intmat(fp._difference_matrix(w).tolist()))
+    assert rep.component_count() == torsion.order
+    assert rep._numerators.shape == (len(w), torsion.order)
+    assert len(set(rep.components)) == rep.component_count()
+
+
+@pytest.mark.parametrize("type_,rank", [("G", 2), ("B", 3)], ids=["G2-sc", "B3-sc"])
+def test_stacked_centralizer_action_matches_single_calls(type_, rank):
+    group = weyl.generate(rdm.build_simple(type_, rank, "sc"))
+    for wi, w in enumerate(group.array):
+        rep = fp.fixed_set(w)
+        cent = list(group.centralizer_indices(wi))
+        perms, restrictions = fp.centralizer_action(w, group.array[cent], rep)
+        assert perms.shape == (len(cent), rep.component_count())
+        assert restrictions.shape == (len(cent), rep.fixed_dim, rep.fixed_dim)
+        basis = np.array(rep.fixed_lattice_basis, dtype=object).reshape(-1, rank).T
+        stacked = il.restrict_to_sublattice(group.array[cent], basis)
+        for k, zi in enumerate(cent):
+            perm, restriction = fp.centralizer_action(w, group.elements[zi], rep)
+            assert tuple(perms[k].tolist()) == perm
+            assert restrictions[k].tolist() == restriction.tolist()
+            single = il.restrict_to_sublattice(group.array[zi], basis)
+            assert stacked[k].tolist() == single.tolist() == restriction.tolist()
+
+
+@pytest.mark.parametrize("type_,rank", [("G", 2), ("B", 3)], ids=["G2-sc", "B3-sc"])
+def test_stacked_centralizer_action_rejects_one_non_commuting(type_, rank):
+    group = weyl.generate(rdm.build_simple(type_, rank, "sc"))
+    wi = next(i for i in range(len(group)) if len(group.centralizer_indices(i)) < len(group))
+    cent = set(group.centralizer_indices(wi))
+    outsider = next(i for i in range(len(group)) if i not in cent)
+    stack = group.array[sorted(cent) + [outsider]]
+    fp.centralizer_action(group.array[wi], stack[:-1])
+    with pytest.raises(ValueError, match="centralize"):
+        fp.centralizer_action(group.array[wi], stack)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -197,6 +198,48 @@ def test_solve_mod_lattice_counts_coker_torsion():
         done += 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4),
+              elements=st.integers(-4, 4)))
+def test_solve_mod_lattice_property(entries):
+    m = il.intmat(entries.tolist())
+    snf = il.smith_normal_form(m)
+    reps = il.solve_mod_lattice(m)
+    assert reps == sorted(reps)
+    assert len(set(reps)) == len(reps)
+    assert len(reps) == prod(x for x in snf.diagonal if x != 0)
+    images = []
+    for rep in reps:
+        assert len(rep) == m.shape[1]
+        assert all(0 <= x < 1 for x in rep)
+        image = m @ np.array(rep, dtype=object)
+        assert all(Fraction(v).denominator == 1 for v in image)
+        images.append([int(v) for v in image])
+    # one per coset of ker + Z^n: x - x' lies in it exactly when
+    # M x - M x' lies in M Z^n
+    for i, a in enumerate(images[:40]):
+        for b in images[i + 1:40]:
+            assert not il.in_image_lattice(snf, [s - t for s, t in zip(a, b)])
+
+
+def fake_smith(v):
+    """A hand-built Smith form with invariant factors (2, 2) and the given V;
+    only V and D are read when cosets are enumerated."""
+    v = np.array(v, dtype=object)
+    return il.SmithDecomposition(il.identity(2), il.intmat([[2, 0], [0, 2]]), v, v)
+
+
+@pytest.mark.parametrize("v", [
+    [[1, 2**63], [0, 1]],  # an entry past int64
+    [[1, 2**62], [0, 1]],  # fits, but 2 * 2^62 * 2 numerators would not
+], ids=["entry", "product"])
+def test_coset_numerators_past_int64_raise(v):
+    with pytest.raises(OverflowError):
+        il._coset_numerators(fake_smith(v), modulo_kernel=True)
+    x, q = il._coset_numerators(fake_smith([[1, 2**60], [0, 1]]), modulo_kernel=True)
+    assert q == 2 and x.tolist() == [[0, 0, 1, 1], [0, 1, 0, 1]]
+
+
 def test_solve_mod_lattice_infinite_transverse():
     with pytest.raises(il.InfiniteSolutionSetError):
         il.solve_mod_lattice(il.zeros(2, 2), modulo_kernel=False)
@@ -223,6 +266,24 @@ def test_restrict_to_non_saturated_basis():
     swap = il.intmat([[0, 1], [1, 0]])
     r = il.restrict_to_sublattice(swap, il.intmat([[1, 1], [0, 2]]))
     assert r.tolist() == [[Fraction(-1, 2), Fraction(3, 2)], [Fraction(1, 2), Fraction(1, 2)]]
+
+
+def test_restrict_stack_matches_single_matrices():
+    # the non-saturated basis above: halves survive in a stacked call
+    basis = il.intmat([[1, 1], [0, 2]])
+    mats = [[[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, -1], [-1, 0]], [[2, 1], [1, 2]]]
+    stacked = il.restrict_to_sublattice(np.array(mats, dtype=object), basis)
+    assert stacked.shape == (4, 2, 2)
+    for mat, r in zip(mats, stacked):
+        assert r.tolist() == il.restrict_to_sublattice(il.intmat(mat), basis).tolist()
+    assert stacked[0].tolist() == [[Fraction(-1, 2), Fraction(3, 2)],
+                                   [Fraction(1, 2), Fraction(1, 2)]]
+    # one matrix of the stack that leaves the line span{(1, 1)} fails the call
+    line = il.intmat([[1], [1]])
+    assert il.restrict_to_sublattice(np.array(mats, dtype=object), line).tolist() == [
+        [[1]], [[1]], [[-1]], [[3]]]
+    with pytest.raises(ValueError):
+        il.restrict_to_sublattice(np.array(mats + [[[1, 0], [0, 2]]], dtype=object), line)
 
 
 def test_restrict_integral_entries_are_ints():
