@@ -7,11 +7,12 @@ U (w - 1) V = D per fixed set gives the components, their keys in
 tors coker(w - 1) and the lattice Gamma^w.  The components are held as
 one int64 array X of numerators over the largest invariant factor q, so
 their images, their keys and the action of a whole stack of centralizer
-elements are integer products; they are handed out as exact rational
-points only in ``components``.  :meth:`FixedSetReport.action` reads
-everything off the Smith form of w - 1 with no further elimination;
-:func:`centralizer_action` instead tests the membership of each z x and
-restricts a stack of z through one Smith form of the basis of Gamma^w.
+elements are int64 products, each checked by ``intlinalg.int_matmul``;
+they are handed out as exact rational points only in ``components``.
+:meth:`FixedSetReport.action` reads everything off the Smith form of
+w - 1 with no further elimination; :func:`centralizer_action` instead
+tests the membership of each z x and restricts a stack of z through one
+Smith form of the basis V[:, r:] of Gamma^w.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from math import lcm, prod
 import numpy as np
 
 from .intlinalg import (
-    INT64_MAX,
     SmithDecomposition,
     _as_fractions,
     _coset_numerators,
-    _max_abs,
     int_array,
+    int_matmul,
     restrict_to_sublattice,
     smith_normal_form,
 )
@@ -72,7 +72,7 @@ class FixedSetReport:
         y = self._image(x)
         if y is None:
             raise ValueError("point is not in the fixed set")
-        return int(self._component_index[self._codes(int_array(y).reshape(-1, 1))[0]])
+        return int(self._component_index[self._codes(y.reshape(-1, 1))[0]])
 
     def _image(self, x) -> np.ndarray | None:
         """y = M x as integers, or None when x is not fixed.
@@ -100,7 +100,7 @@ class FixedSetReport:
         (k, m, c) stack; the codes are (c,) or (k, c).
         """
         u_tors, d = self._torsion
-        keys = _product(u_tors, images) % d
+        keys = int_matmul(u_tors, images) % d
         radix = np.cumprod(d[:, 0]) // d[:, 0]  # prod of the d_j, j < i
         return radix @ keys
 
@@ -131,71 +131,51 @@ class FixedSetReport:
         """The integer images y_c = M x_c of the components, one per column:
         (M X) / q in int64, which must divide exactly."""
         q = self._denominator
-        scaled = _product(self._matrix, self._numerators)
+        scaled = int_matmul(self._matrix, self._numerators)
         if (scaled % q).any():
             raise AssertionError("component images must be integral")
         return scaled // q
 
-    @cached_property
-    def _wide(self):
-        """What :meth:`action` multiplies, as int64: U_tors, the invariant
-        factors d as a column, the component images Y, V^-1[r:] and V[:, r:]."""
-        snf, r = self._snf, self._snf.rank
-        return (
-            *self._torsion,
-            self._component_images,
-            int_array(snf.v_inv[r:]),
-            int_array(snf.v[:, r:]),
-        )
-
     def action(self, z):
         """Action of centralizer elements z of w, in int64.
 
-        z is one matrix or a (k, n, n) stack.  With U (w - 1) V = D of rank
-        r, the component of a fixed point x is keyed by U_tors y mod d,
-        where y = (w - 1) x and U_tors, d are the rows of U and the
-        invariant factors at the d_i > 1.  As z commutes with w, z x has the
-        image z y, so the number of components z fixes is the number of
-        component images y_c (the columns of Y) with U_tors (z Y - Y) = 0
-        mod d.  The restriction of z to Gamma^w is the integer matrix
-        V^-1[r:] z V[:, r:] in the basis fixed_lattice_basis.  Both come
-        from one product over the whole stack.
+        z is one n x n matrix or a (k, n, n) stack; any other shape raises
+        ValueError.  With U (w - 1) V = D of rank r, the component of a
+        fixed point x is keyed by U_tors y mod d, where y = (w - 1) x and
+        U_tors, d are the rows of U and the invariant factors at the
+        d_i > 1.  As z commutes with w, z x has the image z y, so the
+        number of components z fixes is the number of component images y_c
+        (the columns of Y) with U_tors (z - 1) Y = 0 mod d.  The restriction
+        of z to Gamma^w is the integer matrix V^-1[r:] z V[:, r:] in the
+        basis fixed_lattice_basis.  Both come from checked products over the
+        whole stack (:func:`int_matmul`), so past the int64 range this
+        raises OverflowError instead of wrapping.
 
         Returns (fixed, restriction): an int and a (d, d) matrix of Python
         ints for one z, a (k,) and a (k, d, d) int64 array for a stack.
-        U_tors, Y, V and V^-1 are cast to int64 checked, and the largest
-        entry either product can reach is bounded first: past the int64
-        range this raises OverflowError instead of wrapping.
 
         Only for a report of fixed_set(w); z must commute with w, which is
         not checked.
         """
-        u_tors, d, y, v_inv, v = self._wide
-        zs = int_array(z)
-        single = zs.ndim == 2
-        zs = zs.reshape(-1, self.rank, self.rank)
-        n, mz = self.rank, _max_abs(zs)
-        reach = max(
-            n * _max_abs(u_tors) * (n * mz + 1) * _max_abs(y),
-            n * n * _max_abs(v_inv) * mz * _max_abs(v),
-        )
-        if reach > INT64_MAX:
-            raise OverflowError("fixed-set action could pass the int64 range")
-        moved = u_tors @ (zs @ y - y)
+        zs, single = _stack(z, self.rank)
+        u_tors, d = self._torsion
+        z_minus_1 = zs - np.eye(self.rank, dtype=np.int64)
+        moved = int_matmul(u_tors, int_matmul(z_minus_1, self._component_images))
         fixed = (moved % d == 0).all(axis=1).sum(axis=1)
-        restriction = v_inv @ zs @ v
+        snf, r = self._snf, self._snf.rank
+        restriction = int_matmul(int_matmul(snf.v_inv[r:], zs), snf.v[:, r:])
         if single:
             return int(fixed[0]), restriction[0].astype(object)
         return fixed, restriction
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for int64 arrays (stacks broadcast), with the largest entry it
-    can reach bounded first: past the int64 range this raises
-    OverflowError instead of wrapping."""
-    if a.shape[-1] * _max_abs(a) * _max_abs(b) > INT64_MAX:
-        raise OverflowError("integer product could pass the int64 range")
-    return a @ b
+def _stack(z, n: int) -> tuple[np.ndarray, bool]:
+    """z, one n x n matrix or a (k, n, n) stack, as a (k, n, n) int64
+    stack and whether it was one matrix; ValueError for any other shape."""
+    zs = int_array(z)
+    if zs.ndim not in (2, 3) or zs.shape[-2:] != (n, n):
+        raise ValueError(f"expected an {n} x {n} matrix or a stack of them")
+    return zs.reshape(-1, n, n), zs.ndim == 2
 
 
 def _difference_matrix(*mats) -> np.ndarray:
@@ -249,36 +229,34 @@ def full_fixed_points(rd: RootDatum) -> FixedSetReport:
 def centralizer_action(w, z, report: FixedSetReport | None = None):
     """Action of centralizer elements z on the fixed set of w.
 
-    z is one matrix or a (k, n, n) stack.  Every z must commute with w
-    (checked: violated input raises ValueError).  Components are moved as
-    integer numerators: z X over q are the points z x_c, each must pass
-    the membership test M z X = 0 mod q (M = w - 1), and its component is
-    looked up by the torsion key of its image M z X / q.  The restriction
-    of z to ker(w - 1) tensor Q, in the basis `fixed_lattice_basis`, is
-    solved by :func:`restrict_to_sublattice` through one Smith form of that
-    basis for the whole stack (ints where integral, else Fractions).
+    z is one n x n matrix or a (k, n, n) stack; any other shape raises
+    ValueError.  Every z must commute with w (checked: violated input
+    raises ValueError).  Components are moved as integer numerators: z X
+    over q are the points z x_c, each must pass the membership test
+    M z X = 0 mod q (M = w - 1), and its component is looked up by the
+    torsion key of its image M z X / q.  The restriction of z to
+    ker(w - 1) tensor Q, in the basis `fixed_lattice_basis`, is solved by
+    :func:`restrict_to_sublattice` on the basis V[:, r:] the report holds,
+    through one Smith form of that basis for the whole stack; that basis
+    is primitive, so the restriction comes out in Python ints.
 
     Returns (perm, restriction): perm[i] is the index of the component
     containing z . x_i.  For one z, perm is a tuple and restriction a
     (d, d) matrix; for a stack, a (k, c) int64 array and a (k, d, d) one.
-    Integer products are bounded first and raise OverflowError past int64.
+    The int64 products are checked (:func:`int_matmul`) and raise
+    OverflowError past the int64 range.
     """
     wm = int_array(w)
-    zs = int_array(z)
-    single = zs.ndim == 2
-    zs = zs.reshape(-1, *zs.shape[-2:])
-    if zs.shape[1:] != wm.shape:
-        raise ValueError("z and w must be square matrices of one size")
-    if not np.array_equal(_product(zs, wm), _product(wm, zs)):
+    zs, single = _stack(z, len(wm))
+    if not np.array_equal(int_matmul(zs, wm), int_matmul(wm, zs)):
         raise ValueError("element does not centralize w")
     rep = report if report is not None else fixed_set(wm)
     q = rep._denominator
-    moved = _product(rep._matrix, _product(zs, rep._numerators))
+    moved = int_matmul(rep._matrix, int_matmul(zs, rep._numerators))
     if (moved % q).any():
         raise ValueError("a moved component is not in the fixed set")
     perm = rep._component_index[rep._codes(moved // q)]
-    basis = np.array(rep.fixed_lattice_basis, dtype=object).reshape(-1, rep.rank).T
-    restriction = restrict_to_sublattice(zs, basis)
+    restriction = restrict_to_sublattice(zs, rep._snf.v[:, rep._snf.rank:])
     if single:
         return tuple(perm[0].tolist()), restriction[0]
     return perm, restriction

@@ -10,13 +10,15 @@ denominator; Fractions appear only when they are handed out as rational
 points, and in restrictions that are not integral.
 
 It also owns every conversion into exact integers (:func:`int_array`,
-``_as_int``, ``_exact``): nothing is truncated or wrapped.
+``_as_int``, ``_exact``) and the one int64 product bound
+(:func:`int_matmul`): nothing is truncated or wrapped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -26,6 +28,7 @@ __all__ = [
     "FiniteAbelianGroup",
     "SmithDecomposition",
     "int_array",
+    "int_matmul",
     "intmat",
     "identity",
     "zeros",
@@ -89,8 +92,22 @@ def int_array(a, dtype=np.int64) -> np.ndarray:
 
 
 def _max_abs(a: np.ndarray) -> int:
-    """The largest absolute entry of an integer array, at least 1."""
-    return max(1, int(np.abs(a).max(initial=0)))
+    """The largest absolute entry of an integer array, at least 1, in
+    Python ints (np.abs would wrap -2^63)."""
+    return max(1, -int(a.min(initial=0)), int(a.max(initial=0)))
+
+
+def int_matmul(a, b) -> np.ndarray:
+    """a @ b in int64 (stacks broadcast), exactly.  An int64 operand is
+    used as it is and any other goes through :func:`int_array`; the
+    largest entry the product or a partial sum can reach, at most
+    k max|a| max|b| for an inner dimension k, is bounded first, and past
+    the int64 range this raises OverflowError instead of wrapping."""
+    a, b = (x if isinstance(x, np.ndarray) and x.dtype == np.int64 else int_array(x)
+            for x in (a, b))
+    if a.shape[-1] * _max_abs(a) * _max_abs(b) > INT64_MAX:
+        raise OverflowError("integer product could pass the int64 range")
+    return a @ b
 
 
 def intmat(rows) -> np.ndarray:
@@ -157,6 +174,7 @@ class SmithDecomposition:
 
     v_inv is the exact inverse of V, kept in step with the column
     operations that build V, so no separate inversion is needed.
+    diagonal and rank are computed on first access and kept.
     """
 
     u: np.ndarray
@@ -164,12 +182,12 @@ class SmithDecomposition:
     v: np.ndarray
     v_inv: np.ndarray
 
-    @property
+    @cached_property
     def diagonal(self) -> tuple[int, ...]:
         m, n = self.d.shape
         return tuple(int(self.d[i, i]) for i in range(min(m, n)))
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
 
@@ -302,7 +320,7 @@ def det(mat) -> int:
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return 1
-    w = [[_as_int(a[i, j]) for j in range(n)] for i in range(n)]
+    w = [[_as_int(x) for x in row] for row in a.tolist()]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -330,10 +348,11 @@ def restrict_to_sublattice(mat, basis) -> np.ndarray:
     once for the whole stack: B R = A B holds exactly when D V^-1 R = U A B,
     so the rows d and beyond of U A B must vanish and R = V D^-1 (U A B)[:d].
     With q the largest d_i, that is R = N / q for the integer matrix
-    N = V (q D^-1) (U A B)[:d].  Entries are Python ints where integral and
-    Fractions elsewhere; the result is (d, d), or (k, d, d) for a stack.
-    Raises ValueError when the basis does not have full column rank or a
-    matrix does not preserve its span.
+    N = V (q D^-1) (U A B)[:d], and B N = q A B is checked in Python ints.
+    Entries are Python ints where q divides N, Fractions elsewhere (never
+    for a primitive basis, where q = 1); the result is (d, d), or
+    (k, d, d) for a stack.  Raises ValueError when the basis does not have
+    full column rank or a matrix does not preserve its span.
     """
     b = np.asarray(basis, dtype=object)
     a = np.asarray(mat, dtype=object)
@@ -341,19 +360,21 @@ def restrict_to_sublattice(mat, basis) -> np.ndarray:
     snf = smith_normal_form(b)
     if snf.rank < d:
         raise ValueError("basis does not have full column rank")
-    image = snf.u @ (a @ b)
+    ab = a @ b
+    image = snf.u @ ab
     if (image[..., d:, :] != 0).any():
         raise ValueError("matrix does not preserve the sublattice span")
     diag = snf.diagonal
     q = max(diag, default=1)
     scale = np.array([q // di for di in diag], dtype=object).reshape(-1, 1)
     num = snf.v @ (image[..., :d, :] * scale)
-    r = np.array(
-        [x // q if x % q == 0 else Fraction(x, q) for x in num.flat], dtype=object
-    ).reshape(num.shape)
-    if not np.array_equal(b @ r, a @ b):
+    if not np.array_equal(b @ num, q * ab):
         raise ValueError("matrix does not preserve the sublattice span")
-    return _freeze(r)
+    if q > 1:
+        num = np.array(
+            [x // q if x % q == 0 else Fraction(x, q) for x in num.flat], dtype=object
+        ).reshape(num.shape)
+    return _freeze(num)
 
 
 def in_image_lattice(snf: SmithDecomposition, vec) -> bool:
@@ -397,9 +418,8 @@ def _coset_numerators(snf: SmithDecomposition, *,
     U M V = D of rank r (1 when r = 0), and X is an n x k int64 array with
     entries in [0, q), one column per coset, the columns in lexicographic
     order.  y = V^-1 x must satisfy d_i y_i in Z, so y_i = k_i (q / d_i) / q
-    for 0 <= k_i < d_i and q x = V[:, :r] (k_i q / d_i) mod q.  V is cast
-    to int64 checked and the largest entry of that product, below
-    r max|V| q, is bounded first: past the int64 range this raises
+    for 0 <= k_i < d_i and q x = V[:, :r] (k_i q / d_i) mod q, one
+    :func:`int_matmul` product: past the int64 range it raises
     OverflowError instead of wrapping.
     """
     r, n = snf.rank, snf.v.shape[0]
@@ -409,11 +429,9 @@ def _coset_numerators(snf: SmithDecomposition, *,
         )
     diag = snf.diagonal[:r]
     q = max(diag, default=1)
-    v = int_array(snf.v[:, :r])
-    if r * _max_abs(v) * q > INT64_MAX:
-        raise OverflowError("coset numerators could pass the int64 range")
     steps = np.indices(diag, dtype=np.int64).reshape(r, prod(diag))
-    x = v @ (steps * np.array([q // di for di in diag], dtype=np.int64).reshape(-1, 1)) % q
+    scale = np.array([q // di for di in diag], dtype=np.int64).reshape(-1, 1)
+    x = int_matmul(snf.v[:, :r], steps * scale) % q
     return x[:, np.lexsort(x[::-1])], q
 
 

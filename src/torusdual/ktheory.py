@@ -30,18 +30,20 @@ and kept on it.
 
 The commuting-pairs oracle recomputes the same quantity as a sum over all
 pairs (w, z) with wz = zw, weighted 1/|W|, without the class
-decomposition.  It shares three things with the class sum: ``fixed_set``
+decomposition.  It shares four things with the class sum: ``fixed_set``
 (the Smith form of w - 1 and the components it enumerates as integer
 numerators X over the largest invariant factor q), the torsion key
-U_tors y mod d by which a component is named, and
-``group.centralizer_indices``.  The rest is its own, in one
+U_tors y mod d by which a component is named,
+``group.centralizer_indices`` and the checked int64 product
+``intlinalg.int_matmul``.  The rest is its own, in one
 ``centralizer_action`` call per element w on its stacked centralizer: it
 moves the components as z X, tests each for membership
-((w - 1) z X = 0 mod q) and looks its key up, restricts every z to
-Gamma^w through one Smith form of Gamma^w's basis (checked integral), and
-takes Bareiss determinants per pair instead of guarded float ones.  It
-never reads ``FixedSetReport.action``, V^-1 or a float determinant.  The
-two must agree.
+((w - 1) z X = 0 mod q) and looks its key up, and restricts every z to
+Gamma^w through one Smith form of the basis V[:, r:] of Gamma^w.  The
+restriction stack is checked integral once, by ``int_array``, and the two
+Bareiss determinants per pair are taken on its Python ints instead of
+guarded float ones.  It never reads ``FixedSetReport.action``, V^-1 or a
+float determinant.  The two must agree.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fixedpoints import centralizer_action, fixed_set
-from .intlinalg import det, identity, intmat
+from .intlinalg import det, int_array
 from .rootdata import RootDatum, center as center_of, dualize
 from .weyl import Matrix, WeylGroup, generate
 
@@ -238,27 +240,28 @@ def rational_equivariant_k(rd) -> GradedRank:
 def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
     """Oracle: sum over all commuting pairs (w, z), weight 1/|W|.
 
-    Shares ``fixed_set``, the torsion key of a component and
-    ``group.centralizer_indices`` with :func:`graded_rank_with_classes`.
-    Otherwise independent: it takes a fixed set per element (not per
-    class) and acts on it by one :func:`centralizer_action` call on the
-    stacked centralizer, which moves the component numerators, tests the
-    membership of each z x and restricts every z to Gamma^w through one
-    Smith form of Gamma^w's basis; it checks each restriction integral and
-    takes two Bareiss determinants per pair.  Must agree with
-    :func:`graded_rank_with_classes`.
+    Shares ``fixed_set``, the torsion key of a component,
+    ``group.centralizer_indices`` and the checked int64 product with
+    :func:`graded_rank_with_classes`.  Otherwise independent: it takes a
+    fixed set per element (not per class) and acts on it by one
+    :func:`centralizer_action` call on the stacked centralizer, which
+    moves the component numerators, tests the membership of each z x and
+    restricts every z to Gamma^w through one Smith form of Gamma^w's
+    basis; it checks the restriction stack integral once (``int_array``)
+    and takes two Bareiss determinants per pair on its Python ints.  Must
+    agree with :func:`graded_rank_with_classes`.
     """
     # 2 |W| times k0 and k1
     k0 = k1 = 0
     for wi, w in enumerate(group.array):
         report = fixed_set(w)
-        ident = identity(report.fixed_dim)
         cent = list(group.centralizer_indices(wi))
         perms, restrictions = centralizer_action(w, group.array[cent], report)
+        int_array(restrictions)  # raises ValueError unless integral
         fixed = (perms == np.arange(perms.shape[1])).sum(axis=1).tolist()
-        for count, restriction in zip(fixed, restrictions):
-            restriction = intmat(restriction)  # raises ValueError unless integral
-            plus, minus = det(ident + restriction), det(ident - restriction)
+        ident = np.eye(report.fixed_dim, dtype=object)
+        for count, plus, minus in zip(fixed, ident + restrictions, ident - restrictions):
+            plus, minus = det(plus), det(minus)
             k0 += count * (plus + minus)
             k1 += count * (plus - minus)
     scale = 2 * len(group)

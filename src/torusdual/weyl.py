@@ -242,9 +242,13 @@ def _generate_cached(rd: RootDatum, cap: int) -> WeylGroup:
 def generate(rd: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
     """Close the simple reflections of `rd` into the full Weyl group on X_*.
 
-    Raises :class:`GroupTooLargeError` if the closure passes `cap` elements.
+    Raises :class:`GroupTooLargeError`, naming the datum, if the closure
+    passes `cap` elements.
     """
-    return _generate_cached(rd, cap)
+    try:
+        return _generate_cached(rd, cap)
+    except GroupTooLargeError as exc:
+        raise GroupTooLargeError(f"{rd}: {exc}") from None
 
 
 def centralizer(group: WeylGroup, w) -> np.ndarray:

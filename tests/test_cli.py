@@ -1,8 +1,9 @@
+import functools
 import json
 
 import pytest
 
-from torusdual import cli
+from torusdual import cli, weyl
 
 
 def run(argv):
@@ -89,6 +90,15 @@ def test_duality_targets_follow_the_type_rank_rule():
 def test_verify_duality_rank_cap(capsys):
     assert run(["verify-duality", "--max-rank", "7"]) == 2
     assert "--allow-large" in capsys.readouterr().err
+
+
+def test_group_cap_is_one_error_line_naming_the_datum(monkeypatch, capsys):
+    # A1, A2 and B2 close within 10 elements; G2 (order 12) does not
+    monkeypatch.setattr("torusdual.ktheory.generate", functools.partial(weyl.generate, cap=10))
+    assert run(["verify-duality", "--max-rank", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: G2[") and "cap of 10" in err[0]
 
 
 def test_affine_compare_small(capsys):

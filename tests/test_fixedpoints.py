@@ -287,3 +287,26 @@ def test_stacked_centralizer_action_rejects_one_non_commuting(type_, rank):
     fp.centralizer_action(group.array[wi], stack[:-1])
     with pytest.raises(ValueError, match="centralize"):
         fp.centralizer_action(group.array[wi], stack)
+
+
+@pytest.mark.parametrize("z", [
+    np.eye(4, dtype=int),  # four 2 x 2 matrices' worth of entries
+    np.eye(3, dtype=int),
+    np.eye(2, dtype=int).reshape(1, 1, 2, 2),
+    np.ones(2, dtype=int),
+], ids=["4x4", "3x3", "4-d", "1-d"])
+def test_action_rejects_a_z_of_the_wrong_shape(z):
+    rep = fp.fixed_set([[-1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="2 x 2"):
+        rep.action(z)
+    with pytest.raises(ValueError, match="2 x 2"):
+        fp.centralizer_action([[-1, 0], [0, 1]], z, rep)
+
+
+def test_action_bounds_z_minus_one_at_the_int64_edge():
+    # z - 1 reaches -2^63 here, which np.abs would wrap back to -2^63
+    rep = fp.fixed_set([[-1]])
+    fixed, restriction = rep.action([[-1]])
+    assert fixed == 2 and restriction.shape == (0, 0)
+    with pytest.raises(OverflowError):
+        rep.action([[-(2**63 - 1)]])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import prod
@@ -375,3 +376,53 @@ def test_int_array_keeps_shape():
     assert out.dtype == np.int64 and out.shape == (2, 3, 4)
     assert np.array_equal(out, a)
     assert il.int_array([]).shape == (0,)
+
+
+INT64_EDGE = 2**63 - 1
+int64_entries = st.one_of(
+    st.integers(-INT64_EDGE, INT64_EDGE),
+    st.sampled_from([-INT64_EDGE, INT64_EDGE, 2**31, -(2**31), 2**31 - 1,
+                     2**62, -(2**62), 2**62 + 1, 0, 1, -1]),
+    st.integers(-4, 4),
+)
+
+
+def test_max_abs_is_exact_at_the_int64_minimum():
+    assert il._max_abs(np.array([-(2**63), 5])) == 2**63
+    assert il._max_abs(np.array([], dtype=np.int64)) == 1
+    assert il._max_abs(np.array([-3, 2])) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(1, 3)).flatmap(
+    lambda s: st.tuples(arrays(np.int64, s[:2], elements=int64_entries),
+                        arrays(np.int64, s[1:], elements=int64_entries))))
+def test_int_matmul_is_exact_or_raises(ab):
+    a, b = ab
+    exact = a.astype(object) @ b.astype(object)
+    leaves = bool(exact.size) and max(abs(int(v)) for v in exact.flat) > INT64_EDGE
+    for ops in ((a, b), (a.astype(object), b), (a.tolist(), b.astype(object))):
+        try:
+            out = il.int_matmul(*ops)
+        except OverflowError:
+            continue
+        assert not leaves
+        assert out.dtype == np.int64 and out.tolist() == exact.tolist()
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), "x"])
+def test_int_matmul_rejects_non_integral_operands(bad):
+    with pytest.raises(ValueError):
+        il.int_matmul([[1, bad]], [[1], [1]])
+    with pytest.raises(ValueError):
+        il.int_matmul(np.eye(2, dtype=np.int64), np.array([[1, 0], [bad, 1]], dtype=object))
+    assert il.int_matmul([[1, 2.0]], [[Fraction(4, 2)], [1]]).tolist() == [[4]]
+
+
+def test_smith_diagonal_and_rank_are_computed_once():
+    snf = il.smith_normal_form([[2, 0], [0, 0]])
+    assert snf.diagonal is snf.diagonal and snf.diagonal == (2, 0)
+    assert snf.rank == 1
+    other = dataclasses.replace(snf, d=il.intmat([[1, 0], [0, 3]]))
+    assert other.diagonal == (1, 3) and other.rank == 2
+    assert snf.diagonal == (2, 0) and snf.rank == 1
