@@ -16,14 +16,19 @@ checked as literal equalities, with no floats anywhere.
 An exact orthogonal matrix g acts diagonally on t x t*.  It sends each
 word through the images of its generators, with Python int coefficients
 where the entries of g are integral and Fraction ones where they are
-not, and scales the expansion by the word's coefficient once; only the
-result is wrapped in ``QI`` and ``CliffordElement``.
+not.  The word's coefficient enters as an integer numerator over the
+common denominator of the element, so each output coefficient is one
+``Fraction`` built at the end; only the result is wrapped in ``QI`` and
+``CliffordElement``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -128,6 +133,15 @@ class CliffordElement:
 
     def as_dict(self) -> dict[Word, QI]:
         return dict(self.coefficients)
+
+    @cached_property
+    def _numerators(self) -> tuple[int, dict[Word, list]]:
+        """(den, {word: [re, im]}): the coefficients as integer numerators
+        over den, the lcm of their denominators (1 for the zero element)."""
+        den = lcm(*(x.denominator for _, c in self.coefficients for x in (c.re, c.im)))
+        return den, {w: [c.re.numerator * (den // c.re.denominator),
+                         c.im.numerator * (den // c.im.denominator)]
+                     for w, c in self.coefficients}
 
     def _check(self, other: "CliffordElement"):
         if self.dimension != other.dimension:
@@ -269,25 +283,22 @@ def _generator_images(n: int, g) -> list[list[tuple[int, object]]]:
     m = len(rows)
     if m != n or any(len(row) != m for row in rows):
         raise ValueError("matrix size must match the Clifford dimension")
-    for i in range(m):
-        for j in range(m):
-            if sum(rows[k][i] * rows[k][j] for k in range(m)) != (1 if i == j else 0):
-                raise ValueError("matrix is not exactly orthogonal")
+    cols = list(zip(*rows))
+    if any(sum(map(mul, cols[i], cols[j])) != int(i == j) for i in range(m) for j in range(i, m)):
+        raise ValueError("matrix is not exactly orthogonal")
     # e_j -> sum_k g[k][j] e_k and eps_j -> sum_k g[k][j] eps_k
     # (orthogonal: g^{-T} = g)
-    return [
-        [(shift + k, rows[k][j]) for k in range(n) if rows[k][j]]
-        for shift in (0, n)
-        for j in range(n)
-    ]
+    return [[(shift + k, v) for k, v in enumerate(col) if v] for shift in (0, n) for col in cols]
 
 
-def orthogonal_action(g, a: CliffordElement) -> CliffordElement:
-    """Apply an exact orthogonal matrix to a Clifford element, diagonally."""
-    n = a.dimension
-    images = _generator_images(n, g)
+def _action_numerators(g, a: CliffordElement) -> tuple[int, dict[Word, list]]:
+    """(den, {word: [re, im]}): g applied to a, over the denominator of
+    a._numerators.  The numerators are ints, or Fractions where g has
+    rational entries; entries that cancel stay as zeros."""
+    images = _generator_images(a.dimension, g)
+    den, nums = a._numerators
     out: dict[Word, list] = {}
-    for w, c in a.coefficients:
+    for w, (re, im) in nums.items():
         terms: dict[Word, object] = {(): 1}
         for gidx in w:
             nxt: dict[Word, object] = {}
@@ -298,9 +309,21 @@ def orthogonal_action(g, a: CliffordElement) -> CliffordElement:
             terms = nxt
         for word, coeff in terms.items():
             acc = out.setdefault(word, [0, 0])
-            acc[0] += c.re * coeff
-            acc[1] += c.im * coeff
-    return CliffordElement.from_dict(n, {w: QI(re, im) for w, (re, im) in out.items()})
+            acc[0] += re * coeff
+            acc[1] += im * coeff
+    return den, out
+
+
+def orthogonal_action(g, a: CliffordElement) -> CliffordElement:
+    """Apply an exact orthogonal matrix to a Clifford element, diagonally.
+
+    The coefficients of a are put over one common denominator, the
+    expansion accumulates their numerators, and each output coefficient
+    is divided once.
+    """
+    den, out = _action_numerators(g, a)
+    return CliffordElement.from_dict(
+        a.dimension, {w: QI(Fraction(re, den), Fraction(im, den)) for w, (re, im) in out.items()})
 
 
 def symmetric_invariance_check(n: int, g, a: CliffordElement) -> bool:
@@ -308,9 +331,11 @@ def symmetric_invariance_check(n: int, g, a: CliffordElement) -> bool:
 
     Intended for elements built as symmetric polynomials in the
     commuting family e_1 eps_1, ..., e_n eps_n, which the theory says are
-    always fixed; a non-orthogonal g is rejected.
+    always fixed; a non-orthogonal g is rejected.  Compares numerators
+    over the common denominator of a, so no Fraction is built.
     """
-    return orthogonal_action(g, a) == a
+    _, out = _action_numerators(g, a)
+    return {w: v for w, v in out.items() if any(v)} == a._numerators[1]
 
 
 def signed_permutations(n: int):

@@ -23,6 +23,12 @@ grading sectors.  In 2D the sectors are nn, mn, nm, mm (node or midpoint
 per axis) and sector (p, q) of Q^2 is B_p (x) I + I (x) B_q with B_n = A^T A,
 B_m = A A^T.  So only the two 1D blocks are solved; sector levels are sums
 and vectors Kronecker products, each verified against the assembled Q.
+
+scipy (``scipy.sparse`` for assembly, ``scipy.linalg`` for the banded
+solves) is imported inside the functions that use it, on first use.  Its
+import costs about a quarter of a second, more than most K-theory commands
+take to run, and this module is the only one that needs it: ``import
+torusdual`` and every command except ``oscillator`` never load scipy.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
 
 __all__ = [
     "OscillatorDiscretization",
@@ -99,6 +103,8 @@ class SpectralReport:
 
 def _axis_operator(n: int, halfwidth: float, scheme: str):
     """Sparse A of d/dy + 2*pi*y: node->midpoint if staggered, n x n if collocated."""
+    import scipy.sparse as sparse
+
     y = np.linspace(-halfwidth, halfwidth, n)
     h = y[1] - y[0]
     if scheme == "collocated":
@@ -132,6 +138,8 @@ def build_q0(dimension: int, grid_points: int, halfwidth: float, *,
     scheme="collocated" assembles the naive same-grid 3-point version,
     kept for stencil inspection only.
     """
+    import scipy.sparse as sparse
+
     _validate(dimension, grid_points, halfwidth, enforce_ranges)
     if scheme not in ("staggered", "collocated"):
         raise ValueError("scheme must be 'staggered' or 'collocated'")
@@ -180,6 +188,8 @@ def expected_levels(dimension: int, count: int) -> np.ndarray:
 
 def _lowest_banded(b, count: int):
     """Lowest `count` eigenpairs of a sparse symmetric banded matrix."""
+    import scipy.linalg
+
     width = int(-b.todia().offsets.min())
     band = np.array([np.pad(b.diagonal(-d), (0, d)) for d in range(width + 1)])
     select = {"select": "i", "select_range": (0, min(count, b.shape[0]) - 1)}

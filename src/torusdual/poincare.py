@@ -19,10 +19,11 @@ support box, shifted by a per-point start; offsets whose translate misses
 the support contribute exact zeros.  ``pairing`` and ``section_transform``
 take one point or an ``(s, n)`` stack of points.
 
-The checks draw their samples from ``rng`` one sample at a time, in the
-same order for every block layout, so a seed fixes the sample points.
-They evaluate the samples in blocks of ``BLOCK`` so that memory stays
-bounded for any sample count.
+The checks take their samples in blocks of at most ``BLOCK``, so that
+memory stays bounded for any sample count.  For each block of k samples
+they draw each field (points, characters, lattice shifts) from ``rng``
+once, as one (k, n) array, in field order; a seed and a sample count
+therefore fix the sample points.
 """
 
 from __future__ import annotations
@@ -151,18 +152,18 @@ def pairing(f1, f2, x, eta):
     ga, gb = _window(f1, xs), _window(f2, xs)
     va = f1(xs[:, None, :] - ga)
     vb = f2(xs[:, None, :] - gb)
-    diffs = gb[:, None, :, :] - ga[:, :, None, :]  # b - a, indexed (s, a, b)
-    phases = np.exp(2j * np.pi * (diffs * etas[:, None, None, :]).sum(axis=-1))
+    # <eta, b - a> as <eta, b> - <eta, a>, indexed (s, a, b)
+    pa, pb = (np.einsum("skn,sn->sk", g, etas) for g in (ga, gb))
+    phases = np.exp(2j * np.pi * (pb[:, None, :] - pa[:, :, None]))
     out = np.einsum("sa,sab,sb->s", np.conj(va), phases, vb)
     return complex(out[0]) if single else out
 
 
 def _sample_blocks(samples: int, draw):
-    """Call draw() once per sample, in order, and yield the draws in
-    blocks of at most BLOCK samples as one stacked array per drawn field."""
+    """Call draw(k) once per block of k <= BLOCK samples, in order, and
+    yield what it returns: one (k, n) array per field, in field order."""
     for start in range(0, samples, BLOCK):
-        rows = [draw() for _ in range(min(BLOCK, samples - start))]
-        yield [np.array(field) for field in zip(*rows)]
+        yield draw(min(BLOCK, samples - start))
 
 
 def _max_abs(worst: float, diff) -> float:
@@ -174,9 +175,9 @@ def quasi_periodicity_check(f, rng, samples: int = 100) -> float:
     random x, chi, and lattice shifts d."""
     n = f.rank
 
-    def draw():
-        return (rng.uniform(-2, 2, size=n), rng.uniform(-3, 3, size=n),
-                rng.integers(-3, 4, size=n))
+    def draw(k):
+        return (rng.uniform(-2, 2, size=(k, n)), rng.uniform(-3, 3, size=(k, n)),
+                rng.integers(-3, 4, size=(k, n)))
 
     worst = 0.0
     for x, chi, d in _sample_blocks(samples, draw):
@@ -190,9 +191,9 @@ def periodicity_check(f1, f2, rng, samples: int = 100) -> float:
     """Max deviation of the pairing under integer shifts of x and of eta."""
     n = f1.rank
 
-    def draw():
-        return (rng.uniform(-2, 2, size=n), rng.uniform(-3, 3, size=n),
-                rng.integers(-3, 4, size=n), rng.integers(-3, 4, size=n))
+    def draw(k):
+        return (rng.uniform(-2, 2, size=(k, n)), rng.uniform(-3, 3, size=(k, n)),
+                rng.integers(-3, 4, size=(k, n)), rng.integers(-3, 4, size=(k, n)))
 
     worst = 0.0
     for x, eta, gx, geta in _sample_blocks(samples, draw):
@@ -217,8 +218,8 @@ def equivariance_check(w, f1, f2, rng, samples: int = 100) -> float:
     wf1 = transform_bump(warr, f1)
     wf2 = transform_bump(warr, f2)
 
-    def draw():
-        return rng.uniform(-2, 2, size=n), rng.uniform(-3, 3, size=n)
+    def draw(k):
+        return rng.uniform(-2, 2, size=(k, n)), rng.uniform(-3, 3, size=(k, n))
 
     worst = 0.0
     for x, eta in _sample_blocks(samples, draw):

@@ -1,5 +1,9 @@
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +188,37 @@ def test_runs_that_check_nothing_exit_2_before_any_work(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+SCIPY_FREE_COMMANDS = [
+    ["verify-duality", "--max-rank", "2"],
+    ["ktheory", "--type", "B", "--rank", "3"],
+    ["fixed-points", "--type", "A", "--rank", "2"],
+    ["table-check"],
+    ["clifford-check", "--max-dim", "2"],
+    ["poincare-check", "--samples", "5"],
+]
+
+IMPORT_BOUNDARY = f"""
+import sys
+import torusdual, torusdual.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+for argv in {SCIPY_FREE_COMMANDS!r}:
+    assert torusdual.cli.main(argv) == 0, argv
+    assert not loaded(), (argv, loaded())
+# grid 200 needs the narrower box to meet the default 1% level tolerance
+assert torusdual.cli.main(["oscillator", "--dim", "1", "--grid", "200", "--halfwidth", "4"]) == 0
+assert "scipy.sparse" in loaded() and "scipy.linalg" in loaded(), loaded()
+"""
+
+
+def test_only_the_oscillator_command_loads_scipy():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -301,3 +301,50 @@ def test_non_orthogonal_action_rejected():
               [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(3, 5)]]):
         with pytest.raises(ValueError):
             cl.orthogonal_action(g, a)
+
+
+def per_term_action(g, a):
+    """The action with one Fraction multiply-add per term: each word's
+    expansion is scaled by its QI coefficient term by term."""
+    n = a.dimension
+    images = cl._generator_images(n, g)
+    out = {}
+    for w, c in a.coefficients:
+        terms = {(): 1}
+        for gidx in w:
+            nxt = {}
+            for word, coeff in terms.items():
+                for k, v in images[gidx]:
+                    sign, prod = cl._mul_words(word, (k,))
+                    nxt[prod] = nxt.get(prod, 0) + sign * coeff * v
+            terms = nxt
+        for word, coeff in terms.items():
+            acc = out.setdefault(word, [Fraction(0), Fraction(0)])
+            acc[0] += c.re * coeff
+            acc[1] += c.im * coeff
+    return cl.CliffordElement.from_dict(n, {w: QI(re, im) for w, (re, im) in out.items()})
+
+
+def test_common_denominator_action_matches_per_term_fractions():
+    # 1/2, i/3 and 5/6 on different words: the common denominator is 6
+    a = cl.CliffordElement.from_dict(2, {
+        (): QI(Fraction(1, 2)),
+        (0, 2): QI(Fraction(0), Fraction(1, 3)),
+        (0, 1, 3): QI(Fraction(5, 6)),
+    })
+    swap_neg = [[0, -1], [1, 0]]
+    for g in (ROT, swap_neg):
+        got = cl.orthogonal_action(g, a)
+        assert got == per_term_action(g, a) == reference_action(g, a)
+        assert all(type(c.re) is Fraction and type(c.im) is Fraction
+                   for _, c in got.coefficients)
+    assert cl.orthogonal_action(ROT, a) != a
+    zero = cl.CliffordElement.from_dict(2, {})
+    p = cl.clifford_projection(2)
+    for g in (ROT, swap_neg):
+        assert cl.orthogonal_action(g, zero) == zero
+        assert cl.orthogonal_action(g, zero).coefficients == ()
+        # the numerator comparison agrees with comparing the elements
+        for elem, fixed in ((a, False), (zero, True), (p, True)):
+            assert cl.symmetric_invariance_check(2, g, elem) is fixed
+            assert (cl.orthogonal_action(g, elem) == elem) is fixed

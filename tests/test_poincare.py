@@ -247,51 +247,85 @@ def test_gram_matrix_matches_per_translate_values():
     assert np.array_equal(pc.gram_matrix(f, x), np.outer(vals, vals))
 
 
-def _old_draws(kind, rng, n, samples):
-    """The per-sample draw sequence of each check, one sample at a time."""
-    for _ in range(samples):
-        rng.uniform(-2, 2, size=n)
-        rng.uniform(-3, 3, size=n)
+def _block_draws(kind, rng, n, samples):
+    """The fields each check draws: per block of k <= BLOCK samples, each
+    field once as a (k, n) array, in field order."""
+    blocks = []
+    for start in range(0, samples, pc.BLOCK):
+        k = min(pc.BLOCK, samples - start)
+        fields = [rng.uniform(-2, 2, size=(k, n)), rng.uniform(-3, 3, size=(k, n))]
         if kind != "equivariance":
-            rng.integers(-3, 4, size=n)
+            fields.append(rng.integers(-3, 4, size=(k, n)))
         if kind == "periodicity":
-            rng.integers(-3, 4, size=n)
+            fields.append(rng.integers(-3, 4, size=(k, n)))
+        blocks.append(fields)
+    return blocks
 
 
 @pytest.mark.parametrize("samples", [0, 1, 7, pc.BLOCK + 1])
-def test_checks_consume_the_per_sample_stream(samples):
+def test_checks_consume_the_per_sample_stream(samples, monkeypatch):
+    """Each check leaves the generator where the per-block reference does,
+    and evaluates each block's drawn points and characters as one stack."""
     f1 = pc.CompactBump(center=(0.1, -0.2), radius=0.9)
     f2 = pc.CompactBump(center=(-0.3, 0.05), radius=1.3)
+    calls = []
+
+    def spy(real):
+        def wrapped(*args):
+            calls.append(args[-2:])
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(pc, "pairing", spy(pc.pairing))
+    monkeypatch.setattr(pc, "section_transform", spy(pc.section_transform))
     runs = {
         "periodicity": lambda rng: pc.periodicity_check(f1, f2, rng, samples),
         "quasi_periodicity": lambda rng: pc.quasi_periodicity_check(f1, rng, samples),
         "equivariance": lambda rng: pc.equivariance_check([[0, 1], [1, 0]], f1, f2, rng, samples),
     }
     for kind, run in runs.items():
+        calls.clear()
         rng, ref = np.random.default_rng(40), np.random.default_rng(40)
         worst = run(rng)
-        _old_draws(kind, ref, 2, samples)
+        blocks = _block_draws(kind, ref, 2, samples)
         assert rng.bit_generator.state == ref.bit_generator.state, kind
+        for x, second, *_ in blocks:
+            assert any(np.array_equal(cx, x) and np.array_equal(cs, second)
+                       for cx, cs in calls), kind
         assert type(worst) is float
         assert worst <= TOL
         if samples == 0:
-            assert worst == 0.0
+            assert worst == 0.0 and not calls
 
 
 def test_block_boundary_check_matches_per_sample_reference():
+    """The returned deviations equal per-point double sums on exactly the
+    per-block draws.  w = 2 is no lattice automorphism, so its equivariance
+    defect is of order one at every point and its maximum pins the points."""
     f1 = pc.CompactBump(center=(0.2,), radius=0.7)
     f2 = pc.CompactBump(center=(-0.1,), radius=1.1)
-    samples = pc.BLOCK + 1
-    rng, ref = np.random.default_rng(50), np.random.default_rng(50)
-    worst = pc.periodicity_check(f1, f2, rng, samples)
-    expected = 0.0
-    for _ in range(samples):
-        x, eta = ref.uniform(-2, 2, size=1), ref.uniform(-3, 3, size=1)
-        gx, geta = ref.integers(-3, 4, size=1), ref.integers(-3, 4, size=1)
-        base = reference_pairing(f1, f2, x, eta)
-        expected = max(
-            expected,
-            abs(reference_pairing(f1, f2, x + gx, eta) - base),
-            abs(reference_pairing(f1, f2, x, eta + geta) - base),
-        )
-    assert abs(worst - expected) <= 1e-12
+    w = [[2]]
+    wf1, wf2 = pc.transform_bump(w, f1), pc.transform_bump(w, f2)
+    for samples in (0, 1, 7, pc.BLOCK + 1):
+        rng, ref = np.random.default_rng(50), np.random.default_rng(50)
+        worst = pc.periodicity_check(f1, f2, rng, samples)
+        expected = 0.0
+        for xs, etas, gxs, getas in _block_draws("periodicity", ref, 1, samples):
+            for x, eta, gx, geta in zip(xs, etas, gxs, getas):
+                base = reference_pairing(f1, f2, x, eta)
+                expected = max(
+                    expected,
+                    abs(reference_pairing(f1, f2, x + gx, eta) - base),
+                    abs(reference_pairing(f1, f2, x, eta + geta) - base),
+                )
+        assert abs(worst - expected) <= 1e-12, samples
+
+        worst = pc.equivariance_check(w, f1, f2, rng, samples)
+        expected = 0.0
+        for xs, etas in _block_draws("equivariance", ref, 1, samples):
+            for x, eta in zip(xs, etas):
+                lhs = reference_pairing(wf1, wf2, x, eta)
+                expected = max(expected, abs(lhs - reference_pairing(f1, f2, x / 2, 2 * eta)))
+        assert rng.bit_generator.state == ref.bit_generator.state, samples
+        assert abs(worst - expected) <= 1e-12, samples
+        assert expected > 1e-2 if samples else worst == 0.0
