@@ -38,14 +38,3 @@ print("   computed/4pi   expected/4pi")
 for lam, expect in zip(rep2.eigenvalues, rep2.expected):
     print(f"   {lam / PI4:12.8f}   {expect / PI4:4.1f}")
 print(f"kernel dimension: {rep2.kernel_dim}, parity: {rep2.kernel_parity}")
-print()
-
-print("== why the grid is staggered ==")
-print("On a single collocated grid the squared operator is a product of a")
-print("matrix and its transpose in both grading sectors, so every singular")
-print("value (including the near-kernel) appears twice and each ladder level")
-print("gains a lattice-doubler partner:")
-naive = spectral_check(build_q0(1, 400, 6.0, scheme="collocated"), count=6)
-print("   collocated lowest 6 / 4pi:",
-      np.array2string(naive.eigenvalues / PI4, precision=4))
-print("   (kernel counted twice, 4pi four times: not the ladder)")

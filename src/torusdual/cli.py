@@ -39,6 +39,12 @@ __all__ = ["main", "ReferenceTableRow", "REFERENCE_TABLE", "run_table_check"]
 KTHEORY_RANK_CAP = 4
 LARGE_RANK_CAP = 8
 
+# per --dim: accepted grid range, default grid, halfwidth and level tolerance.
+# The floors meet the default tolerance at the default halfwidth; the caps
+# bound the cost of a run.
+OSCILLATOR_SETTINGS = {1: ((250, 4000), 1600, 6.0, 0.01), 2: ((50, 200), 60, 4.0, 0.03)}
+OSCILLATOR_HALFWIDTH_RANGE = (4.0, 10.0)
+
 
 @dataclass(frozen=True)
 class ReferenceTableRow:
@@ -282,11 +288,16 @@ def cmd_fixed_points(args) -> int:
 
 
 def cmd_oscillator(args) -> int:
-    grid = args.grid if args.grid is not None else (1600 if args.dim == 1 else 60)
-    halfwidth = args.halfwidth if args.halfwidth is not None else (6.0 if args.dim == 1 else 4.0)
-    disc = osc.build_q0(args.dim, grid, halfwidth)
-    report = osc.spectral_check(disc)
-    tol = args.tol if args.tol is not None else (0.01 if args.dim == 1 else 0.03)
+    (lo, hi), grid, halfwidth, tol = OSCILLATOR_SETTINGS[args.dim]
+    grid = grid if args.grid is None else args.grid
+    halfwidth = halfwidth if args.halfwidth is None else args.halfwidth
+    tol = tol if args.tol is None else args.tol
+    if not lo <= grid <= hi:
+        raise ValueError(f"grid points must lie in [{lo}, {hi}] for dimension {args.dim}")
+    h_lo, h_hi = OSCILLATOR_HALFWIDTH_RANGE
+    if not h_lo <= halfwidth <= h_hi:
+        raise ValueError(f"halfwidth must lie in [{h_lo}, {h_hi}]")
+    report = osc.spectral_check(osc.build_q0(args.dim, grid, halfwidth))
     unit = 4.0 * np.pi
     checks = []
     for lam, expect in zip(report.eigenvalues, report.expected):

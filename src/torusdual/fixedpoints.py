@@ -43,25 +43,38 @@ __all__ = ["FixedSetReport", "fixed_set", "full_fixed_points", "centralizer_acti
 class FixedSetReport:
     """Fixed-point data of one lattice automorphism (or a stacked family).
 
-    components are rational points in [0,1)^n, one per connected component
-    of the fixed set, sorted; fixed_lattice_basis is a Z-basis of
-    Gamma intersected with ker(w - 1), the columns V[:, r:] of the Smith
-    form U (w - 1) V = D of rank r.  The components are also kept as the
-    columns of the int64 numerators X over the denominator q.
+    Holds the matrix M (w - 1, or the stacked s - 1), its Smith form
+    U M V = D of rank r and the components as the columns of the int64
+    numerators X over the denominator q.  The rest is read off these:
+    components are rational points in [0,1)^n, one per connected
+    component of the fixed set, sorted; fixed_lattice_basis is a Z-basis
+    of Gamma intersected with ker(w - 1), the columns V[:, r:].
     """
 
     w: Matrix | None
-    rank: int
-    fixed_dim: int
-    components: tuple[tuple[Fraction, ...], ...]
-    fixed_lattice_basis: tuple[tuple[int, ...], ...]
-    _matrix: np.ndarray = field(repr=False, compare=False, hash=False, default=None)
-    _snf: SmithDecomposition = field(repr=False, compare=False, hash=False, default=None)
-    _numerators: np.ndarray = field(repr=False, compare=False, hash=False, default=None)
-    _denominator: int = field(repr=False, compare=False, hash=False, default=1)
+    _matrix: np.ndarray = field(repr=False, compare=False, hash=False)
+    _snf: SmithDecomposition = field(repr=False, compare=False, hash=False)
+    _numerators: np.ndarray = field(repr=False, compare=False, hash=False)
+    _denominator: int = field(repr=False, compare=False, hash=False)
+
+    @property
+    def rank(self) -> int:
+        return self._matrix.shape[1]
+
+    @property
+    def fixed_dim(self) -> int:
+        return self.rank - self._snf.rank
+
+    @cached_property
+    def components(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(_as_fractions(self._numerators, self._denominator))
+
+    @cached_property
+    def fixed_lattice_basis(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(int(v) for v in col) for col in self._snf.v.T[self._snf.rank:])
 
     def component_count(self) -> int:
-        return len(self.components)
+        return self._numerators.shape[1]
 
     def contains(self, x) -> bool:
         """Membership of a rational point in the fixed set, exactly."""
@@ -190,20 +203,9 @@ def _difference_matrix(*mats) -> np.ndarray:
 
 def _report(w, matrix: np.ndarray, *, modulo_kernel: bool) -> FixedSetReport:
     """The report of the fixed set of M = matrix, from its one Smith form."""
-    n = matrix.shape[1]
     snf = smith_normal_form(matrix)
     x, q = _coset_numerators(snf, modulo_kernel=modulo_kernel)
-    return FixedSetReport(
-        w=w,
-        rank=n,
-        fixed_dim=n - snf.rank,
-        components=tuple(_as_fractions(x, q)),
-        fixed_lattice_basis=tuple(tuple(int(v) for v in col) for col in snf.v.T[snf.rank:]),
-        _matrix=matrix,
-        _snf=snf,
-        _numerators=x,
-        _denominator=q,
-    )
+    return FixedSetReport(w=w, _matrix=matrix, _snf=snf, _numerators=x, _denominator=q)
 
 
 def fixed_set(w) -> FixedSetReport:

@@ -26,7 +26,7 @@ DET_TOLERANCE of an integer inside that bound; any other is recomputed
 exactly by Bareiss elimination and counted as a fallback.  Each class is
 accumulated as 2|Z(w)| times its average, which must divide exactly and be
 non-negative before it is believed.  The rows are computed once per group
-and kept on it.
+and kept for as long as the group lives.
 
 The commuting-pairs oracle recomputes the same quantity as a sum over all
 pairs (w, z) with wz = zw, weighted 1/|W|, without the class
@@ -48,6 +48,7 @@ float determinant.  The two must agree.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,9 @@ __all__ = [
 ]
 
 AFFINE_SELF_DUAL_TYPES = ("A", "D", "E", "F", "G")
+
+# class rows by group, held no longer than the group itself
+_CLASS_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # a float determinant is accepted within this distance of an integer
 DET_TOLERANCE = 1e-6
@@ -216,11 +220,11 @@ def _class_contribution(group: WeylGroup, rep_index: int, members) -> ClassContr
 
 def graded_rank_with_classes(group: WeylGroup) -> tuple[GradedRank, tuple[ClassContribution, ...]]:
     """Graded rank and per-class rows; the rows are computed once per group."""
-    if group.class_rows is None:
-        group.class_rows = tuple(
+    rows = _CLASS_ROWS.get(group)
+    if rows is None:
+        rows = _CLASS_ROWS[group] = tuple(
             _class_contribution(group, c.representative, c.members) for c in group.classes
         )
-    rows = group.class_rows
     k0 = sum(r.even_invariants for r in rows)
     k1 = sum(r.odd_invariants for r in rows)
     return GradedRank(k0, k1), rows

@@ -11,20 +11,19 @@ Discretization uses central differences on a *staggered* uniform grid:
 the even spinor component lives on the n nodes of [-L, L], the odd one on
 the n-1 midpoints, and the derivative couples them with the two-point
 stencil (f_{i+1} - f_i)/h, second-order accurate at the midpoint.  The
-position term averages the products y_i f_i onto midpoints.  A collocated
-3-point stencil is also available for stencil inspection, but it doubles
-the whole spectrum (each singular value of the square lands in both
-grading sectors and every level acquires a lattice-doubler partner), so
-the staggered scheme is the one the spectral claims are checked on.
+position term averages the products y_i f_i onto midpoints.  The grid is
+staggered because a collocated 3-point stencil doubles the whole spectrum
+through lattice doublers.
 
 Q is assembled sparse in both dimensions from the 1D axis operator A.  In
-1D, Q = [[0, A^T], [A, 0]], so Q^2 = diag(A^T A, A A^T): two banded
-grading sectors.  In 2D the sectors are nn, mn, nm, mm (node or midpoint
-per axis) and sector (p, q) of Q^2 is B_p (x) I + I (x) B_q with B_n = A^T A,
-B_m = A A^T.  So only the two 1D blocks are solved; sector levels are sums
-and vectors Kronecker products, each verified against the assembled Q.
+1D, Q = [[0, A^T], [A, 0]], so Q^2 = diag(A^T A, A A^T): two grading
+sectors, tridiagonal because A is bidiagonal.  In 2D the sectors are nn,
+mn, nm, mm (node or midpoint per axis) and sector (p, q) of Q^2 is
+B_p (x) I + I (x) B_q with B_n = A^T A, B_m = A A^T.  So only the two 1D
+blocks are solved; sector levels are sums and vectors Kronecker products,
+each verified against the assembled Q.
 
-scipy (``scipy.sparse`` for assembly, ``scipy.linalg`` for the banded
+scipy (``scipy.sparse`` for assembly, ``scipy.linalg`` for the tridiagonal
 solves) is imported inside the functions that use it, on first use.  Its
 import costs about a quarter of a second, more than most K-theory commands
 take to run, and this module is the only one that needs it: ``import
@@ -52,10 +51,6 @@ __all__ = [
 
 # eigenvalues below half the first excited level 4*pi count as kernel
 KERNEL_THRESHOLD = 2.0 * np.pi
-
-GRID_RANGE_1D = (200, 4000)
-GRID_RANGE_2D = (20, 200)
-HALFWIDTH_RANGE = (4.0, 10.0)
 
 
 @dataclass
@@ -101,52 +96,37 @@ class SpectralReport:
         return "even" if self.kernel_even_fraction >= 0.5 else "odd"
 
 
-def _axis_operator(n: int, halfwidth: float, scheme: str):
-    """Sparse A of d/dy + 2*pi*y: node->midpoint if staggered, n x n if collocated."""
+def _axis_operator(n: int, halfwidth: float):
+    """Sparse A of d/dy + 2*pi*y, node -> midpoint: the nodes y and A (n-1 x n)."""
     import scipy.sparse as sparse
 
     y = np.linspace(-halfwidth, halfwidth, n)
     h = y[1] - y[0]
-    if scheme == "collocated":
-        step = np.full(n - 1, 1.0 / (2 * h))
-        return y, sparse.diags([-step, 2.0 * np.pi * y, step], [-1, 0, 1], format="csr")
     m = n - 1
     deriv = sparse.diags([[-1.0 / h] * m, [1.0 / h] * m], [0, 1], shape=(m, n))
     avg = sparse.diags([[0.5] * m, [0.5] * m], [0, 1], shape=(m, n))
     return y, (deriv + 2.0 * np.pi * avg @ sparse.diags(y)).tocsr()
 
 
-def _validate(dimension, grid_points, halfwidth, enforce_ranges):
+def build_q0(dimension: int, grid_points: int, halfwidth: float) -> OscillatorDiscretization:
+    """Assemble the discretized operator on [-halfwidth, halfwidth]^dimension
+    with grid_points nodes per axis.
+
+    Raises ValueError for what cannot be discretized: a dimension other
+    than 1 or 2, fewer than 3 grid points or a halfwidth that is not
+    positive.  Whether a grid is fine enough for the ladder to within a
+    tolerance is for the caller to judge.
+    """
     if dimension not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
-    if not enforce_ranges:
-        if grid_points < 3:
-            raise ValueError("grid must have at least 3 points")
-        return
-    lo, hi = GRID_RANGE_1D if dimension == 1 else GRID_RANGE_2D
-    if not lo <= grid_points <= hi:
-        raise ValueError(f"grid points must lie in [{lo}, {hi}] for dimension {dimension}")
-    if not HALFWIDTH_RANGE[0] <= halfwidth <= HALFWIDTH_RANGE[1]:
-        raise ValueError(f"halfwidth must lie in {HALFWIDTH_RANGE}")
-
-
-def build_q0(dimension: int, grid_points: int, halfwidth: float, *,
-             enforce_ranges: bool = True, scheme: str = "staggered") -> OscillatorDiscretization:
-    """Assemble the discretized operator.
-
-    scheme="staggered" (default) is what the spectral checks run on;
-    scheme="collocated" assembles the naive same-grid 3-point version,
-    kept for stencil inspection only.
-    """
+    if grid_points < 3:
+        raise ValueError("grid must have at least 3 points")
+    if not halfwidth > 0:
+        raise ValueError("halfwidth must be positive")
     import scipy.sparse as sparse
 
-    _validate(dimension, grid_points, halfwidth, enforce_ranges)
-    if scheme not in ("staggered", "collocated"):
-        raise ValueError("scheme must be 'staggered' or 'collocated'")
-    if dimension == 2 and scheme == "collocated":
-        raise ValueError("the collocated scheme is only assembled in 1D")
     n = grid_points
-    y, a = _axis_operator(n, halfwidth, scheme)
+    y, a = _axis_operator(n, halfwidth)
     m = a.shape[0]
     if dimension == 1:
         blocks = [[None, a.T], [a, None]]
@@ -186,24 +166,18 @@ def expected_levels(dimension: int, count: int) -> np.ndarray:
     return np.array(levels[:count])
 
 
-def _lowest_banded(b, count: int):
-    """Lowest `count` eigenpairs of a sparse symmetric banded matrix."""
-    import scipy.linalg
-
-    width = int(-b.todia().offsets.min())
-    band = np.array([np.pad(b.diagonal(-d), (0, d)) for d in range(width + 1)])
-    select = {"select": "i", "select_range": (0, min(count, b.shape[0]) - 1)}
-    if width == 1:  # eig_banded would also build the n x n reduction matrix
-        return scipy.linalg.eigh_tridiagonal(band[0], band[1, :-1], **select)
-    return scipy.linalg.eig_banded(band, lower=True, **select)
-
-
 def _lowest_eigenpairs(disc: OscillatorDiscretization, count: int):
     """Lowest `count` eigenpairs of Q^2.  A sector holds 0 (B_n = A^T A) or 1
     (B_m = A A^T) per axis, first axis fastest (nn, mn, nm, mm) as assembled;
     its levels are sums of 1D levels and its vectors Kronecker products."""
+    import scipy.linalg
+
     a = disc.axis_operator
-    ladders = [_lowest_banded(b, count) for b in (a.T @ a, a @ a.T)]
+    ladders = [
+        scipy.linalg.eigh_tridiagonal(b.diagonal(), b.diagonal(-1), select="i",
+                                      select_range=(0, min(count, b.shape[0]) - 1))
+        for b in (a.T @ a, a @ a.T)
+    ]
     candidates = []
     offset = 0
     for sector in (s[::-1] for s in itertools.product((0, 1), repeat=disc.dimension)):

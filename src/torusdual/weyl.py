@@ -112,9 +112,6 @@ class WeylGroup:
         self._lookup = lookup
         self._classes: list[ConjugacyClass] | None = None
         self._centralizers: dict[int, tuple[int, ...]] = {}
-        # per-class rows of the K-theory class sum, kept here by
-        # ktheory.graded_rank_with_classes so each group is summed once
-        self.class_rows: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.array)

@@ -182,12 +182,18 @@ def test_so_form_flag(capsys):
     ["verify-duality", "--forms", ""],
     ["verify-duality", "--forms", " , "],
     ["verify-duality", "--max-rank", "2", "--forms", "sc,bogus"],
+    ["oscillator", "--grid", "249"],
+    ["oscillator", "--grid", "4001"],
+    ["oscillator", "--dim", "2", "--grid", "49"],
+    ["oscillator", "--dim", "2", "--grid", "201"],
+    ["oscillator", "--halfwidth", "3.9"],
+    ["oscillator", "--halfwidth", "10.1"],
 ])
 def test_runs_that_check_nothing_exit_2_before_any_work(argv, capsys):
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 SCIPY_FREE_COMMANDS = [
@@ -209,8 +215,9 @@ def loaded():
 for argv in {SCIPY_FREE_COMMANDS!r}:
     assert torusdual.cli.main(argv) == 0, argv
     assert not loaded(), (argv, loaded())
-# grid 200 needs the narrower box to meet the default 1% level tolerance
-assert torusdual.cli.main(["oscillator", "--dim", "1", "--grid", "200", "--halfwidth", "4"]) == 0
+assert torusdual.cli.main(["oscillator", "--grid", "10"]) == 2
+assert not loaded(), loaded()
+assert torusdual.cli.main(["oscillator", "--dim", "1", "--grid", "250"]) == 0
 assert "scipy.sparse" in loaded() and "scipy.linalg" in loaded(), loaded()
 """
 
