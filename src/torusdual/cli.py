@@ -37,7 +37,9 @@ from .weyl import GroupTooLargeError, generate
 __all__ = ["main", "ReferenceTableRow", "REFERENCE_TABLE", "run_table_check"]
 
 KTHEORY_RANK_CAP = 4
-LARGE_RANK_CAP = 8
+# E7 (rank 7, |W| = 2,903,040) and every rank-8 group but A8 exceed
+# weyl.WEYL_ORDER_CAP, so a sweep through rank 7 or 8 could only fail
+LARGE_RANK_CAP = 6
 
 # per --dim: accepted grid range, default grid, halfwidth and level tolerance.
 # The floors meet the default tolerance at the default halfwidth; the caps
@@ -75,12 +77,6 @@ REFERENCE_TABLE = (
 )
 
 
-def _build_form(row_form):
-    if isinstance(row_form, str):
-        return row_form
-    return [list(g) for g in row_form]
-
-
 def run_table_check(rows=None):
     """Check connection indices and dual labels against the embedded table.
 
@@ -91,7 +87,7 @@ def run_table_check(rows=None):
         rows = REFERENCE_TABLE
     results = []
     for row in rows:
-        rd = build_simple(row.type, row.rank, _build_form(row.form))
+        rd = build_simple(row.type, row.rank, row.form)
         f_computed = connection_index(rd)
         dual = dualize(rd)
         dual_label = (dual.label[0], classify_form(dual))
@@ -177,7 +173,7 @@ def _check_max_rank(max_rank: int, allow_large: bool) -> None:
     if max_rank > cap:
         raise ValueError(
             f"rank {max_rank} exceeds the cap of {cap}"
-            + ("" if allow_large else " (use --allow-large to lift it to 8)")
+            + ("" if allow_large else f" (use --allow-large to lift it to {LARGE_RANK_CAP})")
         )
 
 
@@ -287,11 +283,20 @@ def cmd_fixed_points(args) -> int:
     return 0
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError (exit 2) unless tol is finite and non-negative: a
+    negative or nan tolerance fails every check and an infinite one passes
+    every check, so neither tests anything."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"--tol must be finite and non-negative, got {tol}")
+
+
 def cmd_oscillator(args) -> int:
     (lo, hi), grid, halfwidth, tol = OSCILLATOR_SETTINGS[args.dim]
     grid = grid if args.grid is None else args.grid
     halfwidth = halfwidth if args.halfwidth is None else args.halfwidth
     tol = tol if args.tol is None else args.tol
+    _check_tol(tol)
     if not lo <= grid <= hi:
         raise ValueError(f"grid points must lie in [{lo}, {hi}] for dimension {args.dim}")
     h_lo, h_hi = OSCILLATOR_HALFWIDTH_RANGE
@@ -357,6 +362,7 @@ def cmd_clifford_check(args) -> int:
 def cmd_poincare_check(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    _check_tol(args.tol)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     rows = []

@@ -9,10 +9,11 @@ one int64 array X of numerators over the largest invariant factor q, so
 their images, their keys and the action of a whole stack of centralizer
 elements are int64 products, each checked by ``intlinalg.int_matmul``;
 they are handed out as exact rational points only in ``components``.
-:meth:`FixedSetReport.action` reads everything off the Smith form of
-w - 1 with no further elimination; :func:`centralizer_action` instead
-tests the membership of each z x and restricts a stack of z through one
-Smith form of the basis V[:, r:] of Gamma^w.
+Both actions of the centralizer take a (k, n, n) stack of its elements
+and nothing else: :meth:`FixedSetReport.action` reads everything off the
+Smith form of w - 1 with no further elimination; :func:`centralizer_action`
+instead tests the membership of each z x and restricts the stack through
+one Smith form of the basis V[:, r:] of Gamma^w.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .intlinalg import (
     smith_normal_form,
 )
 from .rootdata import RootDatum
-from .weyl import Matrix, as_matrix
+from .weyl import Matrix, as_matrix, simple_reflection_matrices
 
 __all__ = ["FixedSetReport", "fixed_set", "full_fixed_points", "centralizer_action"]
 
@@ -75,33 +76,6 @@ class FixedSetReport:
 
     def component_count(self) -> int:
         return self._numerators.shape[1]
-
-    def contains(self, x) -> bool:
-        """Membership of a rational point in the fixed set, exactly."""
-        return self._image(x) is not None
-
-    def component_of(self, x) -> int:
-        """Index of the component containing x; x must lie in the fixed set."""
-        y = self._image(x)
-        if y is None:
-            raise ValueError("point is not in the fixed set")
-        return int(self._component_index[self._codes(y.reshape(-1, 1))[0]])
-
-    def _image(self, x) -> np.ndarray | None:
-        """y = M x as integers, or None when x is not fixed.
-
-        M is the report's matrix (w - 1, or the stacked s - 1); x is fixed
-        when M x is integral, i.e. when M (q x) is divisible by the common
-        denominator q of x.
-        """
-        fracs = [Fraction(v) for v in x]
-        q = lcm(*(f.denominator for f in fracs))
-        scaled = self._matrix @ np.array(
-            [f.numerator * (q // f.denominator) for f in fracs], dtype=object
-        )
-        if any(v % q for v in scaled):
-            return None
-        return np.array([v // q for v in scaled], dtype=object)
 
     def _codes(self, images: np.ndarray) -> np.ndarray:
         """The component codes of integer images y, one per column.
@@ -150,9 +124,9 @@ class FixedSetReport:
         return scaled // q
 
     def action(self, z):
-        """Action of centralizer elements z of w, in int64.
+        """Action of a (k, n, n) stack z of centralizer elements of w, in int64.
 
-        z is one n x n matrix or a (k, n, n) stack; any other shape raises
+        Any other shape of z, one n x n matrix included, raises
         ValueError.  With U (w - 1) V = D of rank r, the component of a
         fixed point x is keyed by U_tors y mod d, where y = (w - 1) x and
         U_tors, d are the rows of U and the invariant factors at the
@@ -164,31 +138,26 @@ class FixedSetReport:
         whole stack (:func:`int_matmul`), so past the int64 range this
         raises OverflowError instead of wrapping.
 
-        Returns (fixed, restriction): an int and a (d, d) matrix of Python
-        ints for one z, a (k,) and a (k, d, d) int64 array for a stack.
+        Returns (fixed, restriction): a (k,) and a (k, d, d) int64 array.
 
         Only for a report of fixed_set(w); z must commute with w, which is
         not checked.
         """
-        zs, single = _stack(z, self.rank)
+        zs = _stack(z, self.rank)
         u_tors, d = self._torsion
         z_minus_1 = zs - np.eye(self.rank, dtype=np.int64)
         moved = int_matmul(u_tors, int_matmul(z_minus_1, self._component_images))
         fixed = (moved % d == 0).all(axis=1).sum(axis=1)
         snf, r = self._snf, self._snf.rank
-        restriction = int_matmul(int_matmul(snf.v_inv[r:], zs), snf.v[:, r:])
-        if single:
-            return int(fixed[0]), restriction[0].astype(object)
-        return fixed, restriction
+        return fixed, int_matmul(int_matmul(snf.v_inv[r:], zs), snf.v[:, r:])
 
 
-def _stack(z, n: int) -> tuple[np.ndarray, bool]:
-    """z, one n x n matrix or a (k, n, n) stack, as a (k, n, n) int64
-    stack and whether it was one matrix; ValueError for any other shape."""
+def _stack(z, n: int) -> np.ndarray:
+    """z as a checked (k, n, n) int64 stack; ValueError for any other shape."""
     zs = int_array(z)
-    if zs.ndim not in (2, 3) or zs.shape[-2:] != (n, n):
-        raise ValueError(f"expected an {n} x {n} matrix or a stack of them")
-    return zs.reshape(-1, n, n), zs.ndim == 2
+    if zs.ndim != 3 or zs.shape[1:] != (n, n):
+        raise ValueError(f"expected a stack of {n} x {n} matrices")
+    return zs
 
 
 def _difference_matrix(*mats) -> np.ndarray:
@@ -209,7 +178,7 @@ def _report(w, matrix: np.ndarray, *, modulo_kernel: bool) -> FixedSetReport:
 
 
 def fixed_set(w) -> FixedSetReport:
-    """Fixed-set report for a single lattice automorphism w on Z^n."""
+    """Fixed-set report for one lattice automorphism w on Z^n."""
     wm = int_array(w)
     return _report(as_matrix(wm), _difference_matrix(wm), modulo_kernel=True)
 
@@ -222,16 +191,15 @@ def full_fixed_points(rd: RootDatum) -> FixedSetReport:
     set is a finite list of points; a nonzero joint kernel propagates
     :class:`InfiniteSolutionSetError`.
     """
-    from .weyl import simple_reflection_matrices
-
     stacked = _difference_matrix(*simple_reflection_matrices(rd))
     return _report(None, stacked, modulo_kernel=False)
 
 
-def centralizer_action(w, z, report: FixedSetReport | None = None):
-    """Action of centralizer elements z on the fixed set of w.
+def centralizer_action(report: FixedSetReport, z):
+    """Action of a (k, n, n) stack z of centralizer elements on the fixed
+    set of w = report.w, for a report of fixed_set(w).
 
-    z is one n x n matrix or a (k, n, n) stack; any other shape raises
+    Any other shape of z, one n x n matrix included, raises
     ValueError.  Every z must commute with w (checked: violated input
     raises ValueError).  Components are moved as integer numerators: z X
     over q are the points z x_c, each must pass the membership test
@@ -242,23 +210,18 @@ def centralizer_action(w, z, report: FixedSetReport | None = None):
     through one Smith form of that basis for the whole stack; that basis
     is primitive, so the restriction comes out in Python ints.
 
-    Returns (perm, restriction): perm[i] is the index of the component
-    containing z . x_i.  For one z, perm is a tuple and restriction a
-    (d, d) matrix; for a stack, a (k, c) int64 array and a (k, d, d) one.
-    The int64 products are checked (:func:`int_matmul`) and raise
-    OverflowError past the int64 range.
+    Returns (perm, restriction): a (k, c) int64 array, perm[j, i] the
+    index of the component containing z_j . x_i, and a (k, d, d) object
+    array of Python ints.  The int64 products are checked
+    (:func:`int_matmul`) and raise OverflowError past the int64 range.
     """
-    wm = int_array(w)
-    zs, single = _stack(z, len(wm))
+    wm = int_array(report.w)
+    zs = _stack(z, report.rank)
     if not np.array_equal(int_matmul(zs, wm), int_matmul(wm, zs)):
         raise ValueError("element does not centralize w")
-    rep = report if report is not None else fixed_set(wm)
-    q = rep._denominator
-    moved = int_matmul(rep._matrix, int_matmul(zs, rep._numerators))
+    q = report._denominator
+    moved = int_matmul(report._matrix, int_matmul(zs, report._numerators))
     if (moved % q).any():
         raise ValueError("a moved component is not in the fixed set")
-    perm = rep._component_index[rep._codes(moved // q)]
-    restriction = restrict_to_sublattice(zs, rep._snf.v[:, rep._snf.rank:])
-    if single:
-        return tuple(perm[0].tolist()), restriction[0]
-    return perm, restriction
+    perm = report._component_index[report._codes(moved // q)]
+    return perm, restrict_to_sublattice(zs, report._snf.v[:, report._snf.rank:])

@@ -260,7 +260,7 @@ def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
     for wi, w in enumerate(group.array):
         report = fixed_set(w)
         cent = list(group.centralizer_indices(wi))
-        perms, restrictions = centralizer_action(w, group.array[cent], report)
+        perms, restrictions = centralizer_action(report, group.array[cent])
         int_array(restrictions)  # raises ValueError unless integral
         fixed = (perms == np.arange(perms.shape[1])).sum(axis=1).tolist()
         ident = np.eye(report.fixed_dim, dtype=object)

@@ -188,6 +188,14 @@ def test_so_form_flag(capsys):
     ["oscillator", "--dim", "2", "--grid", "201"],
     ["oscillator", "--halfwidth", "3.9"],
     ["oscillator", "--halfwidth", "10.1"],
+    ["oscillator", "--tol", "-1"],
+    ["oscillator", "--tol", "nan"],
+    ["oscillator", "--tol", "inf"],
+    ["poincare-check", "--tol", "-1"],
+    ["poincare-check", "--tol", "nan"],
+    ["poincare-check", "--tol", "inf"],
+    ["verify-duality", "--max-rank", "7", "--allow-large"],
+    ["affine-compare", "--max-rank", "7", "--allow-large"],
 ])
 def test_runs_that_check_nothing_exit_2_before_any_work(argv, capsys):
     assert run(argv) == 2

@@ -1,7 +1,5 @@
 """Constructor validation and odd-shaped inputs across the modules."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -73,16 +71,6 @@ def test_fixed_set_of_shear():
     assert rep.fixed_dim == 1
     assert rep.component_count() == 1
     assert rep.fixed_lattice_basis == ((1, 0),)
-
-
-def test_fixed_set_contains_and_component_of():
-    rep = fixed_set(((-1, 0), (0, -1)))
-    assert rep.contains((Fraction(1, 2), Fraction(0)))
-    assert not rep.contains((Fraction(1, 3), Fraction(0)))
-    idx = rep.component_of((Fraction(1, 2), Fraction(1)))
-    assert rep.components[idx] == (Fraction(1, 2), Fraction(0))
-    with pytest.raises(ValueError):
-        rep.component_of((Fraction(1, 5), Fraction(0)))
 
 
 def test_clifford_dimension_mismatch():

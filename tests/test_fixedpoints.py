@@ -132,17 +132,17 @@ def test_full_fixed_points_su3_vs_dual():
 
 def test_centralizer_action_identity():
     rep = fp.fixed_set(((-1, 0), (0, -1)))
-    perm, restriction = fp.centralizer_action(rep.w, ((1, 0), (0, 1)), rep)
-    assert perm == tuple(range(rep.component_count()))
-    assert restriction.shape == (0, 0)
+    perm, restriction = fp.centralizer_action(rep, [((1, 0), (0, 1))])
+    assert tuple(perm[0].tolist()) == tuple(range(rep.component_count()))
+    assert restriction[0].shape == (0, 0)
 
 
 def test_centralizer_action_su2():
     w = ((-1,),)
     rep = fp.fixed_set(w)
-    perm, restriction = fp.centralizer_action(w, w, rep)
-    assert perm == (0, 1)  # both 0 and 1/2 are fixed by the inversion
-    assert restriction.shape == (0, 0)
+    perm, restriction = fp.centralizer_action(rep, [w])
+    assert tuple(perm[0].tolist()) == (0, 1)  # both 0 and 1/2 are fixed by the inversion
+    assert restriction[0].shape == (0, 0)
 
 
 def test_centralizer_action_precondition():
@@ -159,7 +159,7 @@ def test_centralizer_action_precondition():
         and weyl.mat_mul(g, cycle) != weyl.mat_mul(cycle, g)
     )
     with pytest.raises(ValueError):
-        fp.centralizer_action(cycle, transposition)
+        fp.centralizer_action(fp.fixed_set(cycle), [transposition])
 
 
 def test_centralizer_action_permutes_nontrivially():
@@ -172,8 +172,8 @@ def test_centralizer_action_permutes_nontrivially():
     assert rep.component_count() == 4
     perms = set()
     for z in weyl.centralizer(group, minus):
-        perm, _ = fp.centralizer_action(minus, z, rep)
-        perms.add(perm)
+        perm, _ = fp.centralizer_action(rep, [z])
+        perms.add(tuple(perm[0].tolist()))
     assert any(p != tuple(range(4)) for p in perms)
 
 
@@ -188,9 +188,9 @@ def test_restriction_is_exact_rational():
         basis = np.array(rep.fixed_lattice_basis, dtype=object).T
         for zi in group.centralizer_indices(c.representative):
             z = group.elements[zi]
-            _, restriction = fp.centralizer_action(w, z, rep)
+            _, restriction = fp.centralizer_action(rep, [z])
             assert np.array_equal(
-                basis @ restriction, np.array(z, dtype=object) @ basis
+                basis @ restriction[0], np.array(z, dtype=object) @ basis
             )
 
 
@@ -205,12 +205,12 @@ def test_action_matches_component_enumeration(type_, rank, form):
         rep = fp.fixed_set(w)
         for zi in group.centralizer_indices(wi):
             z = group.elements[zi]
-            fixed, restriction = rep.action(z)
-            perm, expected = fp.centralizer_action(w, z, rep)
+            (fixed,), (restriction,) = rep.action([z])
+            (perm,), (expected,) = fp.centralizer_action(rep, [z])
             assert fixed == sum(1 for i, j in enumerate(perm) if i == j)
             assert restriction.shape == expected.shape
             assert np.array_equal(restriction, expected)
-            assert all(type(x) is int for x in restriction.flat)
+            assert restriction.dtype == np.int64
 
 
 def smith_reference_fixed_count(report, z):
@@ -237,7 +237,7 @@ def test_action_count_matches_smith_reference(type_, rank, form):
         rep = fp.fixed_set(group.array[c.representative])
         for zi in group.centralizer_indices(c.representative):
             z = group.array[zi]
-            assert rep.action(z)[0] == smith_reference_fixed_count(rep, z)
+            assert rep.action([z])[0][0] == smith_reference_fixed_count(rep, z)
 
 
 def test_difference_matrix_stacks():
@@ -264,14 +264,14 @@ def test_stacked_centralizer_action_matches_single_calls(type_, rank):
     for wi, w in enumerate(group.array):
         rep = fp.fixed_set(w)
         cent = list(group.centralizer_indices(wi))
-        perms, restrictions = fp.centralizer_action(w, group.array[cent], rep)
+        perms, restrictions = fp.centralizer_action(rep, group.array[cent])
         assert perms.shape == (len(cent), rep.component_count())
         assert restrictions.shape == (len(cent), rep.fixed_dim, rep.fixed_dim)
         basis = np.array(rep.fixed_lattice_basis, dtype=object).reshape(-1, rank).T
         stacked = il.restrict_to_sublattice(group.array[cent], basis)
         for k, zi in enumerate(cent):
-            perm, restriction = fp.centralizer_action(w, group.elements[zi], rep)
-            assert tuple(perms[k].tolist()) == perm
+            (perm,), (restriction,) = fp.centralizer_action(rep, group.array[[zi]])
+            assert perms[k].tolist() == perm.tolist()
             assert restrictions[k].tolist() == restriction.tolist()
             single = il.restrict_to_sublattice(group.array[zi], basis)
             assert stacked[k].tolist() == single.tolist() == restriction.tolist()
@@ -284,9 +284,10 @@ def test_stacked_centralizer_action_rejects_one_non_commuting(type_, rank):
     cent = set(group.centralizer_indices(wi))
     outsider = next(i for i in range(len(group)) if i not in cent)
     stack = group.array[sorted(cent) + [outsider]]
-    fp.centralizer_action(group.array[wi], stack[:-1])
+    rep = fp.fixed_set(group.array[wi])
+    fp.centralizer_action(rep, stack[:-1])
     with pytest.raises(ValueError, match="centralize"):
-        fp.centralizer_action(group.array[wi], stack)
+        fp.centralizer_action(rep, stack)
 
 
 @pytest.mark.parametrize("z", [
@@ -294,19 +295,20 @@ def test_stacked_centralizer_action_rejects_one_non_commuting(type_, rank):
     np.eye(3, dtype=int),
     np.eye(2, dtype=int).reshape(1, 1, 2, 2),
     np.ones(2, dtype=int),
-], ids=["4x4", "3x3", "4-d", "1-d"])
+    np.eye(2, dtype=int),
+], ids=["4x4", "3x3", "4-d", "1-d", "one-matrix"])
 def test_action_rejects_a_z_of_the_wrong_shape(z):
     rep = fp.fixed_set([[-1, 0], [0, 1]])
     with pytest.raises(ValueError, match="2 x 2"):
         rep.action(z)
     with pytest.raises(ValueError, match="2 x 2"):
-        fp.centralizer_action([[-1, 0], [0, 1]], z, rep)
+        fp.centralizer_action(rep, z)
 
 
 def test_action_bounds_z_minus_one_at_the_int64_edge():
     # z - 1 reaches -2^63 here, which np.abs would wrap back to -2^63
     rep = fp.fixed_set([[-1]])
-    fixed, restriction = rep.action([[-1]])
+    (fixed,), (restriction,) = rep.action([[[-1]]])
     assert fixed == 2 and restriction.shape == (0, 0)
     with pytest.raises(OverflowError):
-        rep.action([[-(2**63 - 1)]])
+        rep.action([[[-(2**63 - 1)]]])

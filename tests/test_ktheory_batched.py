@@ -44,7 +44,8 @@ def reference_row(group, rep):
     d = snf.diagonal
     tors = [i for i in range(r) if d[i] > 1]
     u_tors = snf.u[tors, :]
-    images = np.array([report._image(c) for c in report.components], dtype=object).T
+    images = report._matrix.astype(object) @ np.array(report.components, dtype=object).T
+    assert all(v.denominator == 1 for v in images.flat)
     cent = group.centralizer_indices(rep)
     even = odd = 0
     for zi in cent:
@@ -105,7 +106,7 @@ def test_stacked_action_matches_single_elements():
         fixed, restriction = report.action(group.array[cent])
         assert restriction.dtype == np.int64
         for k, zi in enumerate(cent):
-            one_fixed, one_restriction = report.action(group.elements[zi])
+            (one_fixed,), (one_restriction,) = report.action(group.array[[zi]])
             assert fixed[k] == one_fixed
             assert np.array_equal(restriction[k], one_restriction)
 

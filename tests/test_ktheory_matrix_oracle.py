@@ -93,7 +93,7 @@ def invariant_dims_by_projection(group, rep_index):
         avg[:] = Fraction(0)
         for zi in cent:
             z = group.elements[zi]
-            perm, restriction = fp.centralizer_action(w, z, report)
+            (perm,), (restriction,) = fp.centralizer_action(report, [z])
             blocks = [exterior_power_matrix(restriction, k) for k in ks]
             action = np.zeros((total, total), dtype=object)
             action[:] = Fraction(0)
