@@ -35,7 +35,7 @@ from .rootdata import (
     dualize,
     fundamental_group,
 )
-from .weyl import GroupTooLargeError, WeylGroup, centralizer, generate
+from .weyl import GroupTooLargeError, WeylGroup, generate
 from .fixedpoints import FixedSetReport, centralizer_action, fixed_set, full_fixed_points
 from .ktheory import (
     AffineComparisonReport,
@@ -74,7 +74,6 @@ __all__ = [
     "fundamental_group",
     "GroupTooLargeError",
     "WeylGroup",
-    "centralizer",
     "generate",
     "FixedSetReport",
     "centralizer_action",

@@ -27,7 +27,6 @@ from .rootdata import (
     classify_form,
     connection_index,
     datum_to_json,
-    dual_type,
     dualize,
     fundamental_group,
     is_simple_type,

@@ -26,16 +26,18 @@ from math import prod
 import numpy as np
 
 from .intlinalg import (
+    Matrix,
     SmithDecomposition,
     _as_fractions,
     _coset_numerators,
+    as_matrix,
     int_array,
     int_matmul,
     restrict_to_sublattice,
     smith_normal_form,
 )
 from .rootdata import RootDatum
-from .weyl import Matrix, as_matrix, simple_reflection_matrices
+from .weyl import simple_reflection_matrices
 
 __all__ = ["FixedSetReport", "fixed_set", "full_fixed_points", "centralizer_action"]
 
@@ -140,10 +142,10 @@ class FixedSetReport:
 
         Returns (fixed, restriction): a (k,) and a (k, d, d) int64 array.
 
-        Only for a report of fixed_set(w); z must commute with w, which is
-        not checked.
+        Only for a report of fixed_set(w), else ValueError; z must commute
+        with w, which is not checked.
         """
-        zs = _stack(z, self.rank)
+        zs = _stack(self, z)
         u_tors, d = self._torsion
         z_minus_1 = zs - np.eye(self.rank, dtype=np.int64)
         moved = int_matmul(u_tors, int_matmul(z_minus_1, self._component_images))
@@ -152,8 +154,12 @@ class FixedSetReport:
         return fixed, int_matmul(int_matmul(snf.v_inv[r:], zs), snf.v[:, r:])
 
 
-def _stack(z, n: int) -> np.ndarray:
-    """z as a checked (k, n, n) int64 stack; ValueError for any other shape."""
+def _stack(report: FixedSetReport, z) -> np.ndarray:
+    """z as a checked (k, n, n) int64 stack acting on the report of
+    fixed_set(w); ValueError for a report without w or z of any other shape."""
+    if report.w is None:
+        raise ValueError("the action needs the report of fixed_set(w); this report has no w")
+    n = report.rank
     zs = int_array(z)
     if zs.ndim != 3 or zs.shape[1:] != (n, n):
         raise ValueError(f"expected a stack of {n} x {n} matrices")
@@ -199,24 +205,25 @@ def centralizer_action(report: FixedSetReport, z):
     """Action of a (k, n, n) stack z of centralizer elements on the fixed
     set of w = report.w, for a report of fixed_set(w).
 
-    Any other shape of z, one n x n matrix included, raises
-    ValueError.  Every z must commute with w (checked: violated input
-    raises ValueError).  Components are moved as integer numerators: z X
-    over q are the points z x_c, each must pass the membership test
-    M z X = 0 mod q (M = w - 1), and its component is looked up by the
-    torsion key of its image M z X / q.  The restriction of z to
-    ker(w - 1) tensor Q, in the basis `fixed_lattice_basis`, is solved by
-    :func:`restrict_to_sublattice` on the basis V[:, r:] the report holds,
-    through one Smith form of that basis for the whole stack; that basis
-    is primitive, so the restriction comes out in Python ints.
+    Any other shape of z, one n x n matrix included, raises ValueError,
+    and so does a report without w.  Every z must commute with w
+    (checked: violated input raises ValueError).  Components are moved
+    as integer numerators: z X over q are the points z x_c, each must
+    pass the membership test M z X = 0 mod q (M = w - 1), and its
+    component is looked up by the torsion key of its image M z X / q.
+    The restriction of z to ker(w - 1) tensor Q, in the basis
+    `fixed_lattice_basis`, is solved by :func:`restrict_to_sublattice` on
+    the basis V[:, r:] the report holds, through one Smith form of that
+    basis for the whole stack; that basis is primitive, so the
+    restriction comes out in Python ints.
 
     Returns (perm, restriction): a (k, c) int64 array, perm[j, i] the
     index of the component containing z_j . x_i, and a (k, d, d) object
     array of Python ints.  The int64 products are checked
     (:func:`int_matmul`) and raise OverflowError past the int64 range.
     """
+    zs = _stack(report, z)
     wm = int_array(report.w)
-    zs = _stack(z, report.rank)
     if not np.array_equal(int_matmul(zs, wm), int_matmul(wm, zs)):
         raise ValueError("element does not centralize w")
     q = report._denominator

@@ -10,8 +10,8 @@ denominator; Fractions appear only when they are handed out as rational
 points, and in restrictions that are not integral.
 
 It also owns every conversion into exact integers (:func:`int_array`,
-``_as_int``, ``_exact``) and the one int64 product bound
-(:func:`int_matmul`): nothing is truncated or wrapped.
+:func:`as_matrix`, ``_as_int``, ``_exact``) and the one int64 product
+bound (:func:`int_matmul`): nothing is truncated or wrapped.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ __all__ = [
     "InfiniteSolutionSetError",
     "FiniteAbelianGroup",
     "SmithDecomposition",
+    "Matrix",
     "int_array",
+    "as_matrix",
     "int_matmul",
     "intmat",
     "identity",
@@ -43,6 +45,8 @@ __all__ = [
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+
+Matrix = tuple[tuple[int, ...], ...]
 
 
 class InfiniteSolutionSetError(ValueError):
@@ -89,6 +93,11 @@ def int_array(a, dtype=np.int64) -> np.ndarray:
     if arr.size and not -limit <= int(arr.min()) <= int(arr.max()) <= limit:
         raise OverflowError(f"integer entry outside +-{limit}")
     return arr.astype(dtype)
+
+
+def as_matrix(m) -> Matrix:
+    """m as a tuple of tuples of Python ints, checked by int_array."""
+    return tuple(map(tuple, int_array(m).tolist()))
 
 
 def _max_abs(a: np.ndarray) -> int:

@@ -54,9 +54,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fixedpoints import centralizer_action, fixed_set
-from .intlinalg import det, int_array
+from .intlinalg import Matrix, det, int_array
 from .rootdata import RootDatum, center as center_of, dualize
-from .weyl import Matrix, WeylGroup, generate
+from .weyl import WeylGroup, generate
 
 __all__ = [
     "NonIntegralInvariantError",
@@ -190,7 +190,7 @@ def _exact_dets(mats: np.ndarray, bound: int) -> tuple[np.ndarray, int, float]:
 def _class_contribution(group: WeylGroup, rep_index: int, members) -> ClassContribution:
     report = fixed_set(group.array[rep_index])
     cent = group.centralizer_indices(rep_index)
-    fixed, restriction = report.action(group.array[list(cent)])
+    fixed, restriction = report.action(group.array[cent])
     ident = np.eye(report.fixed_dim, dtype=np.int64)
     bound = 2 ** report.fixed_dim
     plus, plus_redone, plus_margin = _exact_dets(ident + restriction, bound)
@@ -259,7 +259,7 @@ def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
     k0 = k1 = 0
     for wi, w in enumerate(group.array):
         report = fixed_set(w)
-        cent = list(group.centralizer_indices(wi))
+        cent = group.centralizer_indices(wi)
         perms, restrictions = centralizer_action(report, group.array[cent])
         int_array(restrictions)  # raises ValueError unless integral
         fixed = (perms == np.arange(perms.shape[1])).sum(axis=1).tolist()

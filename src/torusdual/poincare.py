@@ -34,8 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .intlinalg import int_array
-from .weyl import as_matrix
+from .intlinalg import Matrix, as_matrix, int_array
 
 __all__ = [
     "CompactBump",
@@ -80,7 +79,7 @@ class TransformedBump:
     """w . f, defined by (w . f)(x) = f(w^{-1} x) for a lattice matrix w."""
 
     base: CompactBump
-    matrix: tuple
+    matrix: Matrix
 
     @property
     def rank(self) -> int:

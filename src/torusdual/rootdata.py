@@ -237,7 +237,7 @@ def build_simple(type_: str, rank: int, form: GroupForm = "sc", *, max_rank: int
             )
             for i in range(n)
         ]
-        tag = "quotient"
+        tag = None  # read off the datum below
 
     pairs = _close_root_system(simples)
     expected = ROOT_COUNTS[type_](rank)
@@ -248,8 +248,12 @@ def build_simple(type_: str, rank: int, form: GroupForm = "sc", *, max_rank: int
     roots = tuple(p[0] for p in pairs)
     coroots = tuple(p[1] for p in pairs)
     simple_indices = tuple(roots.index(s[0]) for s in simples)
-    return RootDatum(rank=n, roots=roots, coroots=coroots, simple_indices=simple_indices,
-                     label=(type_, rank, tag))
+    rd = RootDatum(rank=n, roots=roots, coroots=coroots, simple_indices=simple_indices,
+                   label=(type_, rank, tag or "?"))
+    if tag is None:
+        # a generator list is labelled by its structure, as dualize labels
+        rd = dataclasses.replace(rd, label=(type_, rank, classify_form(rd)))
+    return rd
 
 
 def dualize(rd: RootDatum) -> RootDatum:

@@ -5,15 +5,14 @@ of a root datum into the full Weyl group acting on the cocharacter side.
 The group machinery itself (closure, conjugacy classes, centralizers) is
 generic, so test fixtures like {1} or {+-1} on Z are first-class citizens.
 
-A group is stored as one read-only ``(|W|, n, n)`` int8 array, with a dict
-from each element's int8 bytes to its index.  Products are taken in int64
-and enter int8 through :func:`torusdual.intlinalg.int_array`, which owns
-every conversion into exact integers, so a non-integral entry raises
-ValueError and one outside +-127 OverflowError.  The library reads
-``array``; :func:`centralizer` returns an int8 stack.  ``elements[i]`` is
-the tuple of tuples of Python ints of the same matrix, built on first
-use: with :func:`mat_mul` and :func:`mat_identity` it is the tuple
-reference view the tests compare against.
+A group is its array: one read-only ``(|W|, n, n)`` int8 array, and an
+element is an index into it.  Classes and centralizers are ascending,
+read-only int64 index arrays, so ``group.array[cent]`` is the stacked
+centralizer.  Products are taken in int64 and enter int8 through
+:func:`torusdual.intlinalg.int_array`, which owns every conversion into
+exact integers, so a non-integral entry raises ValueError and one outside
++-127 OverflowError.  A dict from each element's int8 bytes to its index
+looks products up during the closure and the class computation.
 """
 
 from __future__ import annotations
@@ -28,40 +27,18 @@ from .rootdata import RootDatum
 
 __all__ = [
     "GroupTooLargeError",
-    "Matrix",
     "WeylGroup",
     "ConjugacyClass",
     "generate",
-    "centralizer",
-    "mat_mul",
-    "mat_identity",
     "WEYL_ORDER_CAP",
 ]
 
 WEYL_ORDER_CAP = 2_000_000
 PACK_BASE, PACK_PLACES = 512, 4
 
-Matrix = tuple[tuple[int, ...], ...]
-
 
 class GroupTooLargeError(RuntimeError):
     """Closure exceeded the configured group-order cap."""
-
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def as_matrix(m) -> Matrix:
-    """m as a tuple of tuples of Python ints, checked by int_array."""
-    return tuple(map(tuple, int_array(m).tolist()))
 
 
 def _column_pack(n: int) -> np.ndarray:
@@ -87,10 +64,13 @@ def _keys(mats: np.ndarray) -> list[bytes]:
     return flat.view(np.dtype((np.void, width))).ravel().tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugacyClass:
+    """A class as the index of its representative and the ascending,
+    read-only int64 array of its member indices."""
+
     representative: int
-    members: tuple[int, ...]
+    members: np.ndarray
 
 
 class WeylGroup:
@@ -98,8 +78,7 @@ class WeylGroup:
 
     ``array[i]`` is element i as int8, ``generators`` are the indices of
     the generating matrices and ``lookup`` maps the bytes of each element
-    to its index.  ``elements`` is the tuple form of ``array``, built
-    lazily on first access.  Conjugacy classes are sorted by their
+    to its index.  Conjugacy classes are sorted by their
     (lexicographically minimal) representative matrix, which makes every
     downstream report ordering reproducible.
     """
@@ -111,26 +90,14 @@ class WeylGroup:
         self.generators = generators
         self._lookup = lookup
         self._classes: list[ConjugacyClass] | None = None
-        self._centralizers: dict[int, tuple[int, ...]] = {}
+        self._centralizers: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.array)
 
-    @cached_property
-    def elements(self) -> list[Matrix]:
-        return [tuple(map(tuple, m)) for m in self.array.tolist()]
-
     def _indices(self, mats: np.ndarray) -> list[int]:
         """Indices of a stack of int64 matrices, which must all be elements."""
         return [self._lookup[key] for key in _keys(int_array(mats, np.int8))]
-
-    @property
-    def identity_index(self) -> int:
-        return self._indices(np.eye(self.rank, dtype=np.int64)[None])[0]
-
-    def multiply(self, i: int, j: int) -> int:
-        a = self.array[[i, j]].astype(np.int64)
-        return self._indices((a[0] @ a[1])[None])[0]
 
     def inverse(self, i: int) -> int:
         """g^-1 = g^(m-1), where m is the order of g = element i."""
@@ -152,12 +119,16 @@ class WeylGroup:
         """Every element times the column pack, as int64."""
         return self.array.astype(np.int64) @ _column_pack(self.rank)
 
-    def centralizer_indices(self, i: int) -> tuple[int, ...]:
+    def centralizer_indices(self, i: int) -> np.ndarray:
+        """The elements commuting with element i, as an ascending,
+        read-only int64 index array (cached)."""
         if i not in self._centralizers:
             w = self.array[i].astype(np.int64)
             z_w = self.array.astype(np.int64) @ (w @ _column_pack(self.rank))
             commutes = (z_w == w @ self._packed).reshape(len(self), -1).all(axis=1)
-            self._centralizers[i] = tuple(np.flatnonzero(commutes).tolist())
+            cent = np.flatnonzero(commutes)
+            cent.flags.writeable = False
+            self._centralizers[i] = cent
         return self._centralizers[i]
 
     @classmethod
@@ -210,12 +181,14 @@ def _compute_classes(group: WeylGroup) -> list[ConjugacyClass]:
     flat = group.array.reshape(len(group), -1)
     lex_rank = np.empty(len(group), dtype=np.int64)
     lex_rank[np.lexsort(flat.T[::-1])] = np.arange(len(group))
+    # stable, so each class's members come out ascending
     order = np.argsort(label, kind="stable")
+    order.flags.writeable = False
     cuts = np.flatnonzero(np.diff(label[order])) + 1
     classes = [
         ConjugacyClass(
             representative=int(members[np.argmin(lex_rank[members])]),
-            members=tuple(members.tolist()),
+            members=members,
         )
         for members in np.split(order, cuts)
     ]
@@ -246,13 +219,3 @@ def generate(rd: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
         return _generate_cached(rd, cap)
     except GroupTooLargeError as exc:
         raise GroupTooLargeError(f"{rd}: {exc}") from None
-
-
-def centralizer(group: WeylGroup, w) -> np.ndarray:
-    """The elements commuting with w (which must belong to the group), as
-    an int8 stack in group order."""
-    try:
-        i = group._indices(int_array(w, np.int8)[None])[0]
-    except (KeyError, OverflowError):
-        raise ValueError("element does not belong to the group") from None
-    return group.array[list(group.centralizer_indices(i))]

@@ -26,6 +26,12 @@ def test_dual_command(tmp_path, capsys):
     assert payload["dual"]["form"] == "adjoint"
 
 
+def test_dual_labels_a_generator_list_by_its_structure(capsys):
+    # "so" of A2 quotients by all of pi_1(adjoint): PSU3, the adjoint form
+    assert run(["dual", "--type", "A", "--rank", "2", "--form", "so"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "A2[adjoint]  ->  A2[sc]"
+
+
 def test_dual_self_dual_e8(capsys):
     assert run(["dual", "--type", "E", "--rank", "8"]) == 0
     text = capsys.readouterr().out

@@ -113,8 +113,6 @@ def _equivariance_of_non_integral_matrix():
 
 NON_INTEGRAL_INPUTS = {
     "from_generators": lambda: weyl.WeylGroup.from_generators([((1.5,),)], 1),
-    "centralizer": lambda: weyl.centralizer(
-        weyl.generate(rdm.build_simple("A", 2, "sc")), ((1.2, 0), (0, 1))),
     "fixed_set_array": lambda: fixed_set(np.array([[1.5, 0], [0, 1]])),
     "build_simple_quotient": lambda: rdm.build_simple("D", 4, [[1.5, 0, 0, 0]]),
     "equivariance_check": _equivariance_of_non_integral_matrix,
@@ -123,6 +121,6 @@ NON_INTEGRAL_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(NON_INTEGRAL_INPUTS))
 def test_non_integral_input_raises(name):
-    # each of these once truncated 1.5 or 1.2 to 1 and returned a result
+    # each of these once truncated 1.5 to 1 and returned a result
     with pytest.raises(ValueError):
         NON_INTEGRAL_INPUTS[name]()

@@ -12,6 +12,7 @@ from torusdual import fixedpoints as fp
 from torusdual import intlinalg as il
 from torusdual import rootdata as rdm
 from torusdual import weyl
+from tuple_reference import elements, mat_identity, mat_mul
 
 
 def brute_force_component_count(w, torsion_order):
@@ -52,9 +53,8 @@ def test_su3_three_cycle():
     su3 = rdm.build_simple("A", 2, "sc")
     group = weyl.generate(su3)
     cycles = [
-        g for g in group.elements
-        if g != weyl.mat_identity(2)
-        and weyl.mat_mul(weyl.mat_mul(g, g), g) == weyl.mat_identity(2)
+        g for g in elements(group)
+        if g != mat_identity(2) and mat_mul(mat_mul(g, g), g) == mat_identity(2)
     ]
     assert len(cycles) == 2
     for g in cycles:
@@ -67,8 +67,8 @@ def test_reflection_fixed_set_has_line():
     su3 = rdm.build_simple("A", 2, "sc")
     group = weyl.generate(su3)
     refl = [
-        g for g in group.elements
-        if g != weyl.mat_identity(2) and weyl.mat_mul(g, g) == weyl.mat_identity(2)
+        g for g in elements(group)
+        if g != mat_identity(2) and mat_mul(g, g) == mat_identity(2)
     ]
     assert len(refl) == 3
     for g in refl:
@@ -87,8 +87,9 @@ def test_reflection_fixed_set_has_line():
 ])
 def test_component_count_against_brute_force(type_, rank, form):
     group = weyl.generate(rdm.build_simple(type_, rank, form))
+    elems = elements(group)
     for c in group.classes:
-        w = group.elements[c.representative]
+        w = elems[c.representative]
         rep = fp.fixed_set(w)
         if rep.component_count() <= 100:
             assert rep.component_count() == brute_force_component_count(
@@ -100,7 +101,7 @@ def test_component_count_against_brute_force(type_, rank, form):
 def test_conjugation_covariance(type_, rank):
     group = weyl.generate(rdm.build_simple(type_, rank, "sc"))
     assert len(group) <= 48
-    reports = {i: fp.fixed_set(group.elements[i]) for i in range(len(group))}
+    reports = {i: fp.fixed_set(group.array[i]) for i in range(len(group))}
     for c in group.classes:
         dims = {reports[i].fixed_dim for i in c.members}
         counts = {reports[i].component_count() for i in c.members}
@@ -130,6 +131,17 @@ def test_full_fixed_points_su3_vs_dual():
     assert fp.full_fixed_points(rdm.dualize(su3)).component_count() == 1
 
 
+def test_actions_need_a_report_with_w():
+    # full_fixed_points has no single w to centralize
+    full = fp.full_fixed_points(rdm.build_simple("A", 2, "sc"))
+    assert full.w is None
+    stack = np.eye(2, dtype=np.int64)[None]
+    with pytest.raises(ValueError, match=r"fixed_set\(w\)"):
+        full.action(stack)
+    with pytest.raises(ValueError, match=r"fixed_set\(w\)"):
+        fp.centralizer_action(full, stack)
+
+
 def test_centralizer_action_identity():
     rep = fp.fixed_set(((-1, 0), (0, -1)))
     perm, restriction = fp.centralizer_action(rep, [((1, 0), (0, 1))])
@@ -149,14 +161,12 @@ def test_centralizer_action_precondition():
     su3 = rdm.build_simple("A", 2, "sc")
     group = weyl.generate(su3)
     cycle = next(
-        g for g in group.elements
-        if g != weyl.mat_identity(2)
-        and weyl.mat_mul(weyl.mat_mul(g, g), g) == weyl.mat_identity(2)
+        g for g in elements(group)
+        if g != mat_identity(2) and mat_mul(mat_mul(g, g), g) == mat_identity(2)
     )
     transposition = next(
-        g for g in group.elements
-        if weyl.mat_mul(g, g) == weyl.mat_identity(2)
-        and weyl.mat_mul(g, cycle) != weyl.mat_mul(cycle, g)
+        g for g in elements(group)
+        if mat_mul(g, g) == mat_identity(2) and mat_mul(g, cycle) != mat_mul(cycle, g)
     )
     with pytest.raises(ValueError):
         fp.centralizer_action(fp.fixed_set(cycle), [transposition])
@@ -171,7 +181,7 @@ def test_centralizer_action_permutes_nontrivially():
     rep = fp.fixed_set(minus)
     assert rep.component_count() == 4
     perms = set()
-    for z in weyl.centralizer(group, minus):
+    for z in group.array[group.centralizer_indices(elements(group).index(minus))]:
         perm, _ = fp.centralizer_action(rep, [z])
         perms.add(tuple(perm[0].tolist()))
     assert any(p != tuple(range(4)) for p in perms)
@@ -180,14 +190,15 @@ def test_centralizer_action_permutes_nontrivially():
 def test_restriction_is_exact_rational():
     g2 = rdm.build_simple("G", 2, "sc")
     group = weyl.generate(g2)
+    elems = elements(group)
     for c in group.classes:
-        w = group.elements[c.representative]
+        w = elems[c.representative]
         rep = fp.fixed_set(w)
         if rep.fixed_dim == 0:
             continue
         basis = np.array(rep.fixed_lattice_basis, dtype=object).T
         for zi in group.centralizer_indices(c.representative):
-            z = group.elements[zi]
+            z = elems[zi]
             _, restriction = fp.centralizer_action(rep, [z])
             assert np.array_equal(
                 basis @ restriction[0], np.array(z, dtype=object) @ basis
@@ -201,10 +212,11 @@ def test_action_matches_component_enumeration(type_, rank, form):
     # Smith coordinates against the explicit component permutation and the
     # rational restriction, for every commuting pair (w, z)
     group = weyl.generate(rdm.build_simple(type_, rank, form))
-    for wi, w in enumerate(group.elements):
+    elems = elements(group)
+    for wi, w in enumerate(elems):
         rep = fp.fixed_set(w)
         for zi in group.centralizer_indices(wi):
-            z = group.elements[zi]
+            z = elems[zi]
             (fixed,), (restriction,) = rep.action([z])
             (perm,), (expected,) = fp.centralizer_action(rep, [z])
             assert fixed == sum(1 for i, j in enumerate(perm) if i == j)
@@ -263,7 +275,7 @@ def test_stacked_centralizer_action_matches_single_calls(type_, rank):
     group = weyl.generate(rdm.build_simple(type_, rank, "sc"))
     for wi, w in enumerate(group.array):
         rep = fp.fixed_set(w)
-        cent = list(group.centralizer_indices(wi))
+        cent = group.centralizer_indices(wi)
         perms, restrictions = fp.centralizer_action(rep, group.array[cent])
         assert perms.shape == (len(cent), rep.component_count())
         assert restrictions.shape == (len(cent), rep.fixed_dim, rep.fixed_dim)

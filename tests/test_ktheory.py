@@ -5,6 +5,7 @@ from torusdual import ktheory as kt
 from torusdual import rootdata as rdm
 from torusdual import weyl
 from torusdual.fixedpoints import fixed_set
+from tuple_reference import elements
 
 SMALL_DATA = [
     ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2),
@@ -106,9 +107,10 @@ def euler_characteristic_oracle(group):
     characteristic, isolated points contribute one each."""
     total = 0
     n = group.rank
-    for wi, w in enumerate(group.elements):
+    elems = elements(group)
+    for wi, w in enumerate(elems):
         for zi in group.centralizer_indices(wi):
-            z = group.elements[zi]
+            z = elems[zi]
             stacked = il.intmat(
                 [[w[i][j] - int(i == j) for j in range(n)] for i in range(n)]
                 + [[z[i][j] - int(i == j) for j in range(n)] for i in range(n)]

@@ -10,6 +10,7 @@ from torusdual import rootdata as rdm
 from torusdual import weyl
 from torusdual.fixedpoints import fixed_set
 from torusdual.rootdata import is_simple_type
+from tuple_reference import mat_identity
 
 REFERENCE_DATA = [
     ("A", 4, "sc"), ("B", 4, "sc"), ("C", 4, "adjoint"), ("D", 4, [[1, 0, 0, 0]]),
@@ -102,7 +103,7 @@ def test_stacked_action_matches_single_elements():
     group = weyl.generate(rdm.build_simple("B", 3, "adjoint"))
     for c in group.classes:
         report = fixed_set(group.array[c.representative])
-        cent = list(group.centralizer_indices(c.representative))
+        cent = group.centralizer_indices(c.representative)
         fixed, restriction = report.action(group.array[cent])
         assert restriction.dtype == np.int64
         for k, zi in enumerate(cent):
@@ -139,7 +140,7 @@ def test_identity_class_row_is_steinberg(type_, rank, form):
     # representation sit in degree 0 only
     group = weyl.generate(rdm.build_simple(type_, rank, form))
     _, rows = kt.graded_rank_with_classes(group)
-    [row] = [r for r in rows if r.representative == weyl.mat_identity(rank)]
+    [row] = [r for r in rows if r.representative == mat_identity(rank)]
     assert (row.even_invariants, row.odd_invariants) == (1, 0)
 
 

@@ -20,6 +20,7 @@ from torusdual import fixedpoints as fp
 from torusdual import ktheory as kt
 from torusdual import rootdata as rdm
 from torusdual import weyl
+from tuple_reference import elements
 
 
 def exterior_power_matrix(r, k):
@@ -68,7 +69,8 @@ def fraction_rank(mat):
 
 def invariant_dims_by_projection(group, rep_index):
     """(even, odd) invariant dimensions via the averaged action matrix."""
-    w = group.elements[rep_index]
+    elems = elements(group)
+    w = elems[rep_index]
     report = fp.fixed_set(w)
     comps = report.components
     d = report.fixed_dim
@@ -92,7 +94,7 @@ def invariant_dims_by_projection(group, rep_index):
         avg = np.zeros((total, total), dtype=object)
         avg[:] = Fraction(0)
         for zi in cent:
-            z = group.elements[zi]
+            z = elems[zi]
             (perm,), (restriction,) = fp.centralizer_action(report, [z])
             blocks = [exterior_power_matrix(restriction, k) for k in ks]
             action = np.zeros((total, total), dtype=object)

@@ -183,6 +183,21 @@ def test_quotient_form_so_tower():
         assert rdm.connection_index(so) == 4
 
 
+@pytest.mark.parametrize("type_,rank,gens,form", [
+    ("A", 2, [[1, 0]], "adjoint"),  # PSU3
+    ("B", 3, [[1, 0, 0]], "adjoint"),
+    ("C", 3, [[1, 0, 0]], "sc"),
+    ("G", 2, [[1, 0]], "sc"),
+    ("F", 4, [[1, 0, 0, 0]], "sc"),
+    ("A", 2, [], "sc"),
+    ("D", 4, [[1, 0, 0, 0]], "quotient"),
+], ids=["A2-so", "B3-so", "C3-so", "G2-so", "F4-so", "A2-trivial", "D4-so"])
+def test_generator_lists_are_labelled_by_structure(type_, rank, gens, form):
+    rd = rdm.build_simple(type_, rank, gens)
+    assert rd.label == (type_, rank, form)
+    assert rdm.classify_form(rd) == form
+
+
 def test_json_shape():
     rd = rdm.build_simple("A", 1, "sc")
     payload = rdm.datum_to_json(rd)

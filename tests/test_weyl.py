@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from torusdual import intlinalg as il
 from torusdual import rootdata as rdm
 from torusdual import weyl
+from tuple_reference import elements, mat_identity, mat_mul
 
 ORDERS = {
     ("A", 1): 2,
@@ -32,8 +33,10 @@ def test_group_axioms_brute_force(type_, rank):
     group = weyl.generate(rdm.build_simple(type_, rank, "sc"))
     n = len(group)
     assert n <= 100
-    ident = group.identity_index
-    table = [[group.multiply(i, j) for j in range(n)] for i in range(n)]
+    elems = elements(group)
+    index = {m: i for i, m in enumerate(elems)}
+    ident = index[mat_identity(rank)]
+    table = [[index[mat_mul(a, b)] for b in elems] for a in elems]
     for i in range(n):
         assert table[ident][i] == i
         assert table[i][ident] == i
@@ -50,7 +53,7 @@ def test_elements_permute_coroots():
             rd = rdm.build_simple(type_, rank, form)
             group = weyl.generate(rd)
             coroot_set = set(rd.coroots)
-            for g in group.elements:
+            for g in elements(group):
                 imgs = {
                     tuple(sum(g[i][j] * c[j] for j in range(rank)) for i in range(rank))
                     for c in rd.coroots
@@ -78,12 +81,11 @@ def test_conjugacy_classes_b2():
 def test_classes_partition_and_counting():
     for type_, rank in (("A", 3), ("B", 3), ("G", 2)):
         group = weyl.generate(rdm.build_simple(type_, rank, "sc"))
+        elems = elements(group)
         seen = []
         for c in group.classes:
-            seen.extend(c.members)
-            assert c.representative == min(
-                c.members, key=lambda i: group.elements[i]
-            )
+            seen.extend(c.members.tolist())
+            assert c.representative == min(c.members, key=lambda i: elems[i])
             cent = group.centralizer_indices(c.representative)
             assert len(c.members) * len(cent) == len(group)
         assert sorted(seen) == list(range(len(group)))
@@ -91,34 +93,19 @@ def test_classes_partition_and_counting():
 
 def test_centralizer_identity_is_whole_group():
     group = weyl.generate(rdm.build_simple("A", 2, "sc"))
-    ident = group.elements[group.identity_index]
-    assert len(weyl.centralizer(group, ident)) == len(group)
+    ident = elements(group).index(mat_identity(2))
+    cent = group.centralizer_indices(ident)
+    assert cent.tolist() == list(range(len(group)))
 
 
 def test_centralizers_in_s3():
+    # by class size: the identity, the two 3-cycles, the three transpositions
     group = weyl.generate(rdm.build_simple("A", 2, "sc"))
-    by_size = {}
-    for c in group.classes:
-        by_size[len(c.members)] = group.elements[c.representative]
-    three_cycle = by_size[2]  # class of the two 3-cycles
-    transposition = by_size[3]
-    assert len(weyl.centralizer(group, three_cycle)) == 3
-    assert len(weyl.centralizer(group, transposition)) == 2
-    with pytest.raises(ValueError):
-        weyl.centralizer(group, ((2, 0), (0, 2)))
-
-
-def test_centralizer_rejects_non_members():
-    group = weyl.generate(rdm.build_simple("A", 2, "sc"))
-    for bad in (((300, 0), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-        with pytest.raises(ValueError):
-            weyl.centralizer(group, bad)
-
-
-def test_elements_are_built_on_first_use():
-    group = weyl.WeylGroup.from_generators([((-1,),)], rank=1)
-    assert "elements" not in vars(group)
-    assert group.elements == [((1,),), ((-1,),)]
+    orders = {
+        len(c.members): len(group.centralizer_indices(c.representative))
+        for c in group.classes
+    }
+    assert orders == {1: len(group), 2: 3, 3: 2}
 
 
 def test_action_commutes_with_dualize():
@@ -127,8 +114,8 @@ def test_action_commutes_with_dualize():
     for type_, rank in (("A", 2), ("B", 2), ("G", 2), ("B", 3)):
         rd = rdm.build_simple(type_, rank, "sc")
         dual = rdm.dualize(rd)
-        w1 = set(weyl.generate(rd).elements)
-        w2 = {tuple(zip(*m)) for m in weyl.generate(dual).elements}
+        w1 = set(elements(weyl.generate(rd)))
+        w2 = {tuple(zip(*m)) for m in elements(weyl.generate(dual))}
         assert w1 == w2
 
 
@@ -149,28 +136,28 @@ def test_trivial_and_fixture_groups():
 
 def tuple_closure(gens, rank):
     """Reference closure: breadth-first on tuples, one product at a time."""
-    ident = weyl.mat_identity(rank)
-    elements, seen, frontier = [ident], {ident}, [ident]
+    ident = mat_identity(rank)
+    elems, seen, frontier = [ident], {ident}, [ident]
     while frontier:
         nxt = []
         for m in frontier:
             for g in gens:
-                prod = weyl.mat_mul(m, g)
+                prod = mat_mul(m, g)
                 if prod not in seen:
                     seen.add(prod)
-                    elements.append(prod)
+                    elems.append(prod)
                     nxt.append(prod)
         frontier = nxt
-    return elements
+    return elems
 
 
-def tuple_classes(elements, gens):
+def tuple_classes(elems, gens):
     """Reference classes: conjugation orbits, sorted by the smallest matrix."""
-    ident = weyl.mat_identity(len(elements[0]))
-    index = {m: i for i, m in enumerate(elements)}
-    inverses = [next(h for h in elements if weyl.mat_mul(g, h) == ident) for g in gens]
+    ident = mat_identity(len(elems[0]))
+    index = {m: i for i, m in enumerate(elems)}
+    inverses = [next(h for h in elems if mat_mul(g, h) == ident) for g in gens]
     classes, assigned = [], set()
-    for start in range(len(elements)):
+    for start in range(len(elems)):
         if start in assigned:
             continue
         orbit, frontier = {start}, [start]
@@ -178,15 +165,15 @@ def tuple_classes(elements, gens):
             nxt = []
             for i in frontier:
                 for g, ginv in zip(gens, inverses):
-                    c = index[weyl.mat_mul(weyl.mat_mul(g, elements[i]), ginv)]
+                    c = index[mat_mul(mat_mul(g, elems[i]), ginv)]
                     if c not in orbit:
                         orbit.add(c)
                         nxt.append(c)
             frontier = nxt
         assigned |= orbit
-        rep = min(orbit, key=elements.__getitem__)
+        rep = min(orbit, key=elems.__getitem__)
         classes.append((rep, tuple(sorted(orbit))))
-    return sorted(classes, key=lambda c: elements[c[0]])
+    return sorted(classes, key=lambda c: elems[c[0]])
 
 
 def _reference_input(name):
@@ -204,19 +191,18 @@ def _reference_input(name):
 def test_array_group_matches_tuple_reference(name):
     gens, rank = _reference_input(name)
     group = weyl.WeylGroup.from_generators(gens, rank)
-    elements = tuple_closure(gens, rank)
-    assert group.elements == elements
+    elems = tuple_closure(gens, rank)
+    assert [tuple(map(tuple, m)) for m in group.array.tolist()] == elems
     assert group.array.dtype == np.int8
-    assert [weyl.as_matrix(m) for m in group.array] == elements
-    classes = tuple_classes(elements, gens)
-    assert [(c.representative, c.members) for c in group.classes] == classes
+    assert [il.as_matrix(m) for m in group.array] == elems
+    classes = tuple_classes(elems, gens)
+    assert [(c.representative, tuple(c.members.tolist())) for c in group.classes] == classes
+    for c in group.classes:
+        assert c.members.dtype == np.int64 and not c.members.flags.writeable
     for rep, _ in classes:
-        w = elements[rep]
-        brute = tuple(
-            k for k, z in enumerate(elements)
-            if weyl.mat_mul(z, w) == weyl.mat_mul(w, z)
-        )
-        assert group.centralizer_indices(rep) == brute
+        w = elems[rep]
+        brute = tuple(k for k, z in enumerate(elems) if mat_mul(z, w) == mat_mul(w, z))
+        assert tuple(group.centralizer_indices(rep).tolist()) == brute
 
 
 @pytest.mark.parametrize("gen", [((200,),), ((2,),)])
@@ -229,19 +215,21 @@ def test_entries_outside_int8_raise(gen):
 @pytest.mark.parametrize("type_,rank", [("B", 3), ("F", 4)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_multiply_inverse_match_int64_products(type_, rank, data):
+def test_inverse_matches_int64_products(type_, rank, data):
     rd = rdm.build_simple(type_, rank, "sc")
     group = weyl.generate(rd)
     gens = [np.array(s, dtype=np.int64) for s in weyl.simple_reflection_matrices(rd)]
     word = data.draw(st.lists(st.integers(0, rank - 1), max_size=16))
-    idx, mat = group.identity_index, np.eye(rank, dtype=np.int64)
+    ident = np.eye(rank, dtype=np.int64)
+    mat = ident
     for s in word:
-        idx = group.multiply(idx, group.generators[s])
         mat = mat @ gens[s]
-    assert group.elements[idx] == weyl.as_matrix(mat)
+    [idx, ident_idx] = group._indices(np.stack([mat, ident]))
+    assert il.as_matrix(group.array[idx]) == il.as_matrix(mat)
     inv = group.inverse(idx)
-    assert (np.array(group.elements[inv], dtype=np.int64) @ mat == np.eye(rank)).all()
-    assert group.multiply(idx, inv) == group.multiply(inv, idx) == group.identity_index
+    a = group.array[inv].astype(np.int64)
+    assert (a @ mat == ident).all()
+    assert group._indices(np.stack([mat @ a, a @ mat])) == [ident_idx, ident_idx]
 
 
 def test_column_pack_sees_every_commutator():
@@ -261,10 +249,12 @@ def test_column_pack_sees_every_commutator():
 def test_centralizer_is_an_int8_stack():
     group = weyl.generate(rdm.build_simple("B", 2, "sc"))
     for c in group.classes:
-        w = group.array[c.representative]
-        cent = weyl.centralizer(group, w)
+        w = group.array[c.representative].astype(np.int64)
+        indices = group.centralizer_indices(c.representative)
+        assert indices.dtype == np.int64 and not indices.flags.writeable
+        assert (np.diff(indices) > 0).all()
+        cent = group.array[indices]
         assert cent.dtype == np.int8
-        assert np.array_equal(cent, group.array[list(group.centralizer_indices(c.representative))])
         assert all(np.array_equal(z @ w, w @ z) for z in cent.astype(np.int64))
 
 
