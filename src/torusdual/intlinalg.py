@@ -32,7 +32,6 @@ __all__ = [
     "as_matrix",
     "int_matmul",
     "intmat",
-    "identity",
     "zeros",
     "smith_normal_form",
     "rank",
@@ -126,10 +125,6 @@ def intmat(rows) -> np.ndarray:
         raise ValueError("expected a 2-D array of integers")
     out = np.array([[_as_int(x) for x in row] for row in arr], dtype=object)
     return _freeze(out.reshape(arr.shape))
-
-
-def identity(n: int) -> np.ndarray:
-    return intmat(np.eye(n, dtype=int))
 
 
 def zeros(m: int, n: int) -> np.ndarray:

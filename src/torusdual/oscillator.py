@@ -15,19 +15,20 @@ position term averages the products y_i f_i onto midpoints.  The grid is
 staggered because a collocated 3-point stencil doubles the whole spectrum
 through lattice doublers.
 
-Q is assembled sparse in both dimensions from the 1D axis operator A.  In
+Q is never assembled.  The 1D axis operator A (node -> midpoint) is
+bidiagonal and is kept as its two diagonals; Q is applied from them.  In
 1D, Q = [[0, A^T], [A, 0]], so Q^2 = diag(A^T A, A A^T): two grading
 sectors, tridiagonal because A is bidiagonal.  In 2D the sectors are nn,
 mn, nm, mm (node or midpoint per axis) and sector (p, q) of Q^2 is
 B_p (x) I + I (x) B_q with B_n = A^T A, B_m = A A^T.  So only the two 1D
 blocks are solved; sector levels are sums and vectors Kronecker products,
-each verified against the assembled Q.
+each verified against the applied Q.
 
-scipy (``scipy.sparse`` for assembly, ``scipy.linalg`` for the tridiagonal
-solves) is imported inside the functions that use it, on first use.  Its
-import costs about a quarter of a second, more than most K-theory commands
-take to run, and this module is the only one that needs it: ``import
-torusdual`` and every command except ``oscillator`` never load scipy.
+The two tridiagonal ladders are solved by block shift-invert iteration
+on B + 2 pi, each solve by odd-even cyclic reduction (Buzbee, Golub and
+Nielson, SIAM J. Numer. Anal. 7, 1970), and a Sturm count (Parlett, The
+Symmetric Eigenvalue Problem, ch. 3) certifies that no level below the
+reported ones was missed.  Everything runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from math import prod
 import numpy as np
 
 __all__ = [
+    "AxisOperator",
+    "DualityOperator",
     "OscillatorDiscretization",
     "SpectralReport",
     "build_q0",
@@ -51,25 +54,109 @@ __all__ = [
 
 # eigenvalues below half the first excited level 4*pi count as kernel
 KERNEL_THRESHOLD = 2.0 * np.pi
+# B + SHIFT is positive definite, since B = A^T A or A A^T is semidefinite
+SHIFT = 2.0 * np.pi
+# block size beyond the wanted pairs (16 lets the finer grids converge in
+# one or two steps per ladder), and the cap on shift-invert steps
+EXTRA_VECTORS = 16
+MAX_STEPS = 1000
+
+
+@dataclass(frozen=True)
+class AxisOperator:
+    """A = d/dy + 2*pi*y from the n nodes to the n-1 midpoints, as its two
+    diagonals: (A f)_i = alpha_i f_i + beta_i f_{i+1}."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    def apply(self, f: np.ndarray, out: np.ndarray, axis: int, transpose: bool = False,
+              sign: float = 1.0) -> None:
+        """Add sign * A f (or sign * A^T f) along `axis` into out."""
+        f = f.reshape(prod(f.shape[:axis]), f.shape[axis], -1)
+        out = out.reshape(f.shape[0], -1, f.shape[2])
+        alpha, beta = sign * self.alpha[:, None], sign * self.beta[:, None]
+        if transpose:
+            out[:, :-1] += alpha * f
+            out[:, 1:] += beta * f
+        else:
+            out += alpha * f[:, :-1]
+            out += beta * f[:, 1:]
+
+    def squares(self) -> tuple:
+        """(diagonal, off-diagonal) of the tridiagonal A^T A and A A^T."""
+        alpha, beta = self.alpha, self.beta
+        return ((np.pad(alpha**2, (0, 1)) + np.pad(beta**2, (1, 0)), alpha * beta),
+                (alpha**2 + beta**2, beta[:-1] * alpha[1:]))
+
+
+@dataclass(frozen=True)
+class DualityOperator:
+    """Q on the staggered grid, applied from its axis operator.
+
+    Component s (0 <= s < 2**dimension) sits on midpoints along the axes
+    whose bit is set in s and on nodes along the others; components are
+    stacked in order of s, each flattened with the first axis slowest.
+    Along axis k, A takes s to s + 2**k and A^T takes it back, both with
+    the sign (-1)^(number of midpoint axes before k), so that Q is
+    symmetric and anticommutes with the grading (-1)^(midpoint axes).
+    """
+
+    dimension: int
+    axis: AxisOperator
+
+    @property
+    def components(self) -> list:
+        n = len(self.axis.alpha) + 1
+        return [tuple(n - (s >> k & 1) for k in range(self.dimension))
+                for s in range(2**self.dimension)]
+
+    @property
+    def shape(self) -> tuple:
+        size = sum(prod(c) for c in self.components)
+        return size, size
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        cols = x.reshape(len(x), -1)
+        out = np.zeros_like(cols)
+        ends = np.cumsum([prod(c) for c in self.components])[:-1]
+        src, dst = ([part.reshape(c + (-1,)) for part, c in zip(np.split(a, ends), self.components)]
+                    for a in (cols, out))
+        # component t is reached along axis k from t xor 2**k: by A when t
+        # is on midpoints along k, by A^T when it is on nodes
+        for t, k in itertools.product(range(len(src)), range(self.dimension)):
+            self.axis.apply(src[t ^ 1 << k], dst[t], k, transpose=not t >> k & 1,
+                            sign=(-1.0) ** bin(t % (1 << k)).count("1"))
+        return out.reshape(x.shape)
+
+    def square_norm(self) -> float:
+        """Largest absolute row sum of Q^2.  A sector of Q^2 is the Kronecker
+        sum of one block B_n or B_m per axis, so its largest row sum is the
+        sum of theirs; the largest block on every axis is the largest."""
+        return self.dimension * max((np.abs(diag) + np.pad(np.abs(off), (0, 1))
+                                     + np.pad(np.abs(off), (1, 0))).max()
+                                    for diag, off in self.axis.squares())
 
 
 @dataclass
 class OscillatorDiscretization:
-    """Assembled discretization of the duality operator on a box.
+    """Discretization of the duality operator on a box.
 
-    q is the real symmetric sparse (CSR) matrix of the operator;
-    grading is the +-1 vector of the spinor grading in the assembled
-    ordering, which anticommutes with q exactly by block structure.
-    axis_operator is the sparse 1D matrix A that q is assembled from.
+    q is the real symmetric operator (a DualityOperator: q @ x applies it
+    to a vector or to the columns of a block); grading is the +-1 vector
+    of the spinor grading in q's ordering, which anticommutes with q by
+    block structure.  axis_operator is the 1D operator A that the ladders
+    are solved from.
     """
 
     dimension: int
     grid_points: int
     halfwidth: float
-    q: object
+    q: DualityOperator
     grading: np.ndarray
     nodes: np.ndarray
-    axis_operator: object = field(repr=False)
+    axis_operator: AxisOperator = field(repr=False)
     kernel_reference: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -96,21 +183,9 @@ class SpectralReport:
         return "even" if self.kernel_even_fraction >= 0.5 else "odd"
 
 
-def _axis_operator(n: int, halfwidth: float):
-    """Sparse A of d/dy + 2*pi*y, node -> midpoint: the nodes y and A (n-1 x n)."""
-    import scipy.sparse as sparse
-
-    y = np.linspace(-halfwidth, halfwidth, n)
-    h = y[1] - y[0]
-    m = n - 1
-    deriv = sparse.diags([[-1.0 / h] * m, [1.0 / h] * m], [0, 1], shape=(m, n))
-    avg = sparse.diags([[0.5] * m, [0.5] * m], [0, 1], shape=(m, n))
-    return y, (deriv + 2.0 * np.pi * avg @ sparse.diags(y)).tocsr()
-
-
 def build_q0(dimension: int, grid_points: int, halfwidth: float) -> OscillatorDiscretization:
-    """Assemble the discretized operator on [-halfwidth, halfwidth]^dimension
-    with grid_points nodes per axis.
+    """Discretize the operator on [-halfwidth, halfwidth]^dimension with
+    grid_points nodes per axis.
 
     Raises ValueError for what cannot be discretized: a dimension other
     than 1 or 2, fewer than 3 grid points or a halfwidth that is not
@@ -123,27 +198,16 @@ def build_q0(dimension: int, grid_points: int, halfwidth: float) -> OscillatorDi
         raise ValueError("grid must have at least 3 points")
     if not halfwidth > 0:
         raise ValueError("halfwidth must be positive")
-    import scipy.sparse as sparse
-
     n = grid_points
-    y, a = _axis_operator(n, halfwidth)
-    m = a.shape[0]
-    if dimension == 1:
-        blocks = [[None, a.T], [a, None]]
-        grading = np.concatenate([np.ones(n), -np.ones(m)])
-    else:
-        # spinor components: 0 = (node,node), 1 = (mid,node), 2 = (node,mid),
-        # 3 = (mid,mid); axis-1 ops couple 0<->1 and 2<->3, axis-2 ops couple
-        # 0<->2 and 1<->3 with the grading sign of axis 1.
-        a1_nn, a1_nm = sparse.kron(a, sparse.identity(n)), sparse.kron(a, sparse.identity(m))
-        a2_nn, a2_mn = sparse.kron(sparse.identity(n), a), sparse.kron(sparse.identity(m), a)
-        blocks = [[None, a1_nn.T, a2_nn.T, None], [a1_nn, None, None, -a2_mn.T],
-                  [a2_nn, None, None, a1_nm.T], [None, -a2_mn, a1_nm, None]]
-        grading = np.concatenate([np.ones(n * n), -np.ones(m * n), -np.ones(n * m), np.ones(m * m)])
-    q = sparse.bmat(blocks, format="csr")
-    gauss = np.exp(-np.pi * y**2)
+    y = np.linspace(-halfwidth, halfwidth, n)
+    h = y[1] - y[0]
+    # the derivative (f_{i+1} - f_i)/h plus 2*pi times the average of y_i f_i
+    a = AxisOperator(-1.0 / h + np.pi * y[:-1], 1.0 / h + np.pi * y[1:])
+    q = DualityOperator(dimension, a)
+    grading = np.concatenate([np.full(prod(c), (-1.0) ** (dimension * n - sum(c)))
+                              for c in q.components])
     kernel_ref = np.zeros(q.shape[0])
-    kernel_ref[: n**dimension] = gauss if dimension == 1 else np.kron(gauss, gauss)
+    kernel_ref[: n**dimension] = functools.reduce(np.kron, [np.exp(-np.pi * y**2)] * dimension)
     return OscillatorDiscretization(dimension, n, halfwidth, q, grading, y, a, kernel_ref)
 
 
@@ -166,18 +230,136 @@ def expected_levels(dimension: int, count: int) -> np.ndarray:
     return np.array(levels[:count])
 
 
+def _tridiagonal_apply(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = diag[:, None] * x
+    out[:-1] += off[:, None] * x[1:]
+    out[1:] += off[:, None] * x[:-1]
+    return out
+
+
+def _cyclic_reduction(diag: np.ndarray, off: np.ndarray):
+    """Solver of T x = r, T symmetric positive definite tridiagonal, for a
+    block of right-hand sides r by odd-even cyclic reduction.
+
+    T is padded with identity rows to c * 2^j - 1 rows, c < 32; each
+    level eliminates the even-indexed unknowns from the odd-indexed rows,
+    halving the system, down to c - 1 rows or fewer, which are solved
+    densely.  The eliminations are fixed by T and computed once.
+    """
+    n = len(diag)
+    step = 1 << max(0, (n + 1).bit_length() - 5)
+    size = -(-(n + 1) // step) * step - 1
+    a, lo, up = np.ones(size), np.zeros(size), np.zeros(size)
+    a[:n], lo[1:n], up[: n - 1] = diag, off, off  # row i: lo x_{i-1} + a x_i + up x_{i+1}
+    levels = []
+    while len(a) % 2 and len(a) > 1:
+        a_even, lo_even, up_even = a[::2], lo[::2], up[::2]
+        k_lo, k_up, inv = lo[1::2] / a_even[:-1], up[1::2] / a_even[1:], 1.0 / a_even
+        levels.append((k_lo[:, None], k_up[:, None], inv[:, None],
+                       (lo_even * inv)[1:, None], (up_even * inv)[:-1, None]))
+        a, lo, up = (a[1::2] - k_lo * up_even[:-1] - k_up * lo_even[1:],
+                     -k_lo * lo_even[:-1], -k_up * up_even[1:])
+    base = np.linalg.inv(np.diag(a) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1))
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        x = np.zeros((size, r.shape[1]))
+        x[:n] = r
+        rhs = []
+        for k_lo, k_up, *_ in levels:
+            rhs.append(x)
+            x = x[1::2] - k_lo * x[:-1:2] - k_up * x[2::2]
+        x = base @ x
+        for (_, _, inv, lo_inv, up_inv), r in zip(reversed(levels), reversed(rhs)):
+            out = np.empty_like(r)
+            even = out[::2]
+            np.multiply(r[::2], inv, out=even)
+            even[1:] -= lo_inv * x
+            even[:-1] -= up_inv * x
+            out[1::2] = x
+            x = out
+        return x[:n]
+
+    return solve
+
+
+def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+    """Number of eigenvalues of the symmetric tridiagonal (diag, off) below
+    x: the negative pivots of the LDL^T factorization of T - x, by
+    Sylvester's law of inertia."""
+    x = float(x)
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off * off, initial=0.0)))
+    below, pivot = 0, 1.0
+    for a, b2 in zip(diag.tolist(), [0.0] + (off * off).tolist()):
+        pivot = a - x - b2 / pivot
+        if abs(pivot) < pivmin:
+            pivot = -pivmin
+        below += pivot < 0
+    return below
+
+
+def _lowest_tridiagonal(diag: np.ndarray, off: np.ndarray, count: int, start: np.ndarray):
+    """Lowest min(count, N) eigenpairs of the positive semidefinite N x N
+    tridiagonal B = (diag, off), from a start block of N rows.
+
+    Each step solves (B + 2 pi) Y = X and takes the Rayleigh-Ritz pairs of
+    B on span Y through its Gram matrix (B Y = X - 2 pi Y).  It stops when
+    every wanted pair has a residual <= 1e-12 max|B|, and raises
+    ArithmeticError unless B has exactly that many eigenvalues below the
+    midpoint between the last wanted and the next Ritz value.
+    """
+    k = min(count, len(diag))
+    solve = _cyclic_reduction(diag + SHIFT, off)
+    x = np.linalg.qr(start)[0]
+    p = x.shape[1]
+    tol = 1e-12 * np.abs(diag).max()
+    for _ in range(MAX_STEPS):
+        y = solve(x)
+        gram = y.T @ np.hstack([y, x])
+        inv_chol = np.linalg.inv(np.linalg.cholesky(gram[:, :p]))
+        cross = gram[:, p:]
+        theta, w = np.linalg.eigh(inv_chol @ ((cross + cross.T) / 2) @ inv_chol.T)
+        theta -= SHIFT
+        x = y @ (inv_chol.T @ w)
+        bx = _tridiagonal_apply(diag, off, x[:, :k])
+        theta[:k] = np.sum(x[:, :k] * bx, axis=0) / np.sum(x[:, :k] ** 2, axis=0)
+        if np.linalg.norm(bx - x[:, :k] * theta[:k], axis=0).max() <= tol:
+            break
+    else:
+        raise ArithmeticError(f"shift-invert iteration did not converge in {MAX_STEPS} steps")
+    cut = (theta[k - 1] + (theta[k] if k < p else np.inf)) / 2
+    below = _sturm_count(diag, off, cut)
+    if below != k:
+        raise ArithmeticError(f"{below} eigenvalues lie below {cut:.6g}, {k} were found")
+    return theta[:k], x[:, :k]
+
+
+def _hermite_functions(points: np.ndarray, count: int) -> np.ndarray:
+    """exp(-pi y^2) H_j(sqrt(2 pi) y) for j < count, normalised in L^2:
+    the continuum eigenfunctions of A^T A (level 4 pi j) and of A A^T
+    (level 4 pi (j + 1))."""
+    t = np.sqrt(2.0 * np.pi) * points
+    out = np.empty((len(points), count))
+    prev, cur = np.zeros_like(t), np.exp(-t * t / 2)
+    for j in range(count):
+        out[:, j] = cur
+        prev, cur = cur, np.sqrt(2.0 / (j + 1)) * t * cur - np.sqrt(j / (j + 1)) * prev
+    return out
+
+
+def _ladders(disc: OscillatorDiscretization, count: int) -> list:
+    """Lowest min(count, N) eigenpairs of B_n = A^T A and B_m = A A^T, each
+    started from the Hermite functions on its points."""
+    y = disc.nodes
+    return [_lowest_tridiagonal(diag, off, count,
+                                _hermite_functions(points, min(len(diag), count + EXTRA_VECTORS)))
+            for (diag, off), points in zip(disc.axis_operator.squares(), (y, (y[:-1] + y[1:]) / 2))]
+
+
 def _lowest_eigenpairs(disc: OscillatorDiscretization, count: int):
     """Lowest `count` eigenpairs of Q^2.  A sector holds 0 (B_n = A^T A) or 1
-    (B_m = A A^T) per axis, first axis fastest (nn, mn, nm, mm) as assembled;
+    (B_m = A A^T) per axis, first axis fastest (nn, mn, nm, mm) as in q;
     its levels are sums of 1D levels and its vectors Kronecker products."""
-    import scipy.linalg
-
-    a = disc.axis_operator
-    ladders = [
-        scipy.linalg.eigh_tridiagonal(b.diagonal(), b.diagonal(-1), select="i",
-                                      select_range=(0, min(count, b.shape[0]) - 1))
-        for b in (a.T @ a, a @ a.T)
-    ]
+    ladders = _ladders(disc, count)
     candidates = []
     offset = 0
     for sector in (s[::-1] for s in itertools.product((0, 1), repeat=disc.dimension)):
@@ -195,12 +377,11 @@ def _lowest_eigenpairs(disc: OscillatorDiscretization, count: int):
 
 def spectral_check(disc: OscillatorDiscretization, count: int | None = None) -> SpectralReport:
     """Lowest spectrum of the squared operator with kernel diagnostics; every
-    pair must satisfy |Q(Qv) - lambda v| <= 1e-8 |Q^2| on the assembled Q."""
+    pair must satisfy |Q(Qv) - lambda v| <= 1e-8 |Q^2| on disc.q."""
     if count is None:
         count = 10 if disc.dimension == 1 else 6
     vals, vecs = _lowest_eigenpairs(disc, count)
-    qsq = disc.q @ disc.q
-    norm_est = float(np.sqrt(abs(qsq).sum(axis=0).max() * abs(qsq).sum(axis=1).max()))
+    norm_est = disc.q.square_norm()
     residual_max = float(np.linalg.norm(disc.q @ (disc.q @ vecs) - vecs * vals, axis=0).max())
     if residual_max > 1e-8 * norm_est:
         raise ArithmeticError(

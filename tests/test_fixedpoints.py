@@ -237,7 +237,7 @@ def smith_reference_fixed_count(report, z):
     u_inv = inner.v @ inner.u
     b = snf.u[tors, :] @ np.array(z, dtype=object) @ u_inv[:, tors]
     d_tors = np.diag(np.array([d[i] for i in tors], dtype=object))
-    coker = np.hstack([b - il.identity(len(tors)), d_tors])
+    coker = np.hstack([b - il.intmat(np.eye(len(tors), dtype=int)), d_tors])
     return prod(il.smith_normal_form(coker).diagonal)
 
 

@@ -47,6 +47,8 @@ def reference_row(group, rep):
     u_tors = snf.u[tors, :]
     images = report._matrix.astype(object) @ np.array(report.components, dtype=object).T
     assert all(v.denominator == 1 for v in images.flat)
+    # integral: Python ints keep the per-z products below out of Fraction arithmetic
+    images = np.array([[int(v) for v in row] for row in images], dtype=object).reshape(images.shape)
     cent = group.centralizer_indices(rep)
     even = odd = 0
     for zi in cent:

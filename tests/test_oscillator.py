@@ -9,13 +9,56 @@ from torusdual import oscillator as osc
 PI4 = 4.0 * np.pi
 
 
+def axis_matrix(disc):
+    """The sparse (n-1) x n axis operator A from its two diagonals."""
+    a = disc.axis_operator
+    n = len(a.alpha) + 1
+    return sp.diags([a.alpha, a.beta], [0, 1], shape=(n - 1, n), format="csr")
+
+
+def assembled(disc):
+    """Q assembled sparse from A, as the block rule that disc.q applies:
+    [[0, A^T], [A, 0]] in 1D; in 2D the components are (node, node),
+    (mid, node), (node, mid), (mid, mid), first axis slowest, axis-1
+    operators couple 0<->1 and 2<->3, axis-2 operators couple 0<->2 and
+    1<->3 with the grading sign of axis 1."""
+    a = axis_matrix(disc)
+    m, n = a.shape
+    if disc.dimension == 1:
+        return sp.bmat([[None, a.T], [a, None]], format="csr")
+    a1_nn, a1_nm = sp.kron(a, sp.identity(n)), sp.kron(a, sp.identity(m))
+    a2_nn, a2_mn = sp.kron(sp.identity(n), a), sp.kron(sp.identity(m), a)
+    return sp.bmat([[None, a1_nn.T, a2_nn.T, None], [a1_nn, None, None, -a2_mn.T],
+                    [a2_nn, None, None, a1_nm.T], [None, -a2_mn, a1_nm, None]], format="csr")
+
+
+@pytest.mark.parametrize("dimension, grid", [(1, 5), (1, 50), (1, 200), (2, 12), (2, 20), (2, 30)])
+def test_applied_q_matches_assembly(dimension, grid):
+    disc = osc.build_q0(dimension, grid, 4.0)
+    q = assembled(disc)
+    assert disc.q.shape == q.shape and disc.size == q.shape[0]
+    x = np.random.default_rng(grid).normal(size=(disc.size, 3))
+    want = q @ x
+    np.testing.assert_allclose(disc.q @ x, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    np.testing.assert_allclose(disc.q @ x[:, 0], want[:, 0], rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("dimension, grid", [(1, 50), (1, 200), (2, 12), (2, 30)])
+def test_norm_estimate_matches_assembled_square(dimension, grid):
+    disc = osc.build_q0(dimension, grid, 6.0)
+    q = assembled(disc)
+    qsq = abs(q @ q)
+    want = np.sqrt(qsq.sum(axis=0).max() * qsq.sum(axis=1).max())
+    assert disc.q.square_norm() == pytest.approx(want, rel=1e-12)
+
+
 def test_staggered_stencil_entries():
     # derivative block: two-point +-1/h; position block: averaged products
     disc = osc.build_q0(1, 5, 6.0)
     n = 5
     y = disc.nodes
     h = y[1] - y[0]
-    a = disc.q[n:, :n]  # node -> midpoint block
+    a = assembled(disc)[n:, :n]  # node -> midpoint block
     for i in range(n - 1):
         assert a[i, i] == pytest.approx(-1.0 / h + np.pi * y[i])
         assert a[i, i + 1] == pytest.approx(1.0 / h + np.pi * y[i + 1])
@@ -26,7 +69,7 @@ def test_staggered_stencil_entries():
 
 def test_q_symmetric_and_square_psd():
     disc = osc.build_q0(1, 200, 6.0)
-    q = disc.q.toarray()
+    q = assembled(disc).toarray()
     assert np.max(np.abs(q - q.T)) == 0.0
     qsq = q @ q
     assert np.max(np.abs(qsq - qsq.T)) < 1e-10
@@ -36,21 +79,21 @@ def test_q_symmetric_and_square_psd():
 
 def test_grading_commutation():
     disc = osc.build_q0(1, 200, 6.0)
+    q = assembled(disc).toarray()
     g = np.diag(disc.grading)
-    assert np.max(np.abs(g @ disc.q + disc.q @ g)) == 0.0
-    qsq = disc.q @ disc.q
+    assert np.max(np.abs(g @ q + q @ g)) == 0.0
+    qsq = q @ q
     assert np.max(np.abs(g @ qsq - qsq @ g)) == 0.0
 
 
 def test_grading_commutation_2d():
     disc = osc.build_q0(2, 20, 4.0)
-    import scipy.sparse as sp
-
+    q = assembled(disc)
     g = sp.diags(disc.grading)
-    assert abs(g @ disc.q + disc.q @ g).max() == 0.0
-    qsq = disc.q @ disc.q
+    assert abs(g @ q + q @ g).max() == 0.0
+    qsq = q @ q
     assert abs(g @ qsq - qsq @ g).max() == 0.0
-    assert abs(disc.q - disc.q.T).max() == 0.0
+    assert abs(q - q.T).max() == 0.0
 
 
 def test_1d_spectrum_grid_400():
@@ -130,7 +173,7 @@ def test_report_json():
 
 def _sector_blocks(disc):
     """Q^2 sector by sector: A^T A, A A^T in 1D; their Kronecker sums in 2D."""
-    a = disc.axis_operator
+    a = axis_matrix(disc)
     blocks = [a.T @ a, a @ a.T]
     if disc.dimension == 1:
         return blocks
@@ -143,7 +186,8 @@ def _sector_blocks(disc):
                          ids=["1-50-staggered", "2-12-staggered"])
 def test_square_is_block_diagonal_over_sectors(dimension, grid):
     disc = osc.build_q0(dimension, grid, 4.0)
-    qsq = disc.q @ disc.q
+    q = assembled(disc)
+    qsq = q @ q
     diff = qsq - sp.block_diag(_sector_blocks(disc))
     assert abs(diff).max() <= 1e-12 * abs(qsq).max()
 
@@ -151,7 +195,7 @@ def test_square_is_block_diagonal_over_sectors(dimension, grid):
 @pytest.mark.parametrize("grid", [200], ids=["staggered"])
 def test_1d_levels_match_dense_eigh(grid):
     disc = osc.build_q0(1, grid, 6.0)
-    q = disc.q.toarray()
+    q = assembled(disc).toarray()
     oracle = scipy.linalg.eigh(q @ q, eigvals_only=True, subset_by_index=[0, 9])
     got = osc.spectral_check(disc).eigenvalues
     np.testing.assert_allclose(got, oracle, rtol=1e-9, atol=1e-9 * PI4)
@@ -159,7 +203,8 @@ def test_1d_levels_match_dense_eigh(grid):
 
 def test_2d_levels_match_shift_invert():
     disc = osc.build_q0(2, 30, 4.0)
-    qsq = (disc.q @ disc.q).tocsc()
+    q = assembled(disc)
+    qsq = (q @ q).tocsc()
     oracle = spla.eigsh(qsq, k=6, sigma=-1.0, which="LM", v0=np.ones(disc.size),
                         return_eigenvectors=False)
     got = osc.spectral_check(disc).eigenvalues
@@ -168,15 +213,67 @@ def test_2d_levels_match_shift_invert():
 
 @pytest.mark.parametrize("dimension, grid, halfwidth", [(1, 200, 6.0), (2, 30, 4.0)])
 def test_residual_guard_checks_the_assembled_operator(dimension, grid, halfwidth):
-    # the levels come from the axis operator, the guard from q: an edit of
-    # q alone must be caught
+    # the levels come from disc.axis_operator, the guard applies disc.q: an
+    # edit of q alone, one stencil entry at the centre, must be caught
     disc = osc.build_q0(dimension, grid, halfwidth)
-    mid = grid // 2 if dimension == 1 else (grid // 2) * (grid + 1)
-    row, col = grid**dimension + mid, mid  # an entry of the axis-1 block at the centre
-    assert disc.q[row, col] != 0.0
-    disc.q[row, col] += 1.0
+    osc.spectral_check(disc)
+    alpha = disc.q.axis.alpha.copy()
+    alpha[grid // 2] += 1.0
+    disc.q = osc.DualityOperator(dimension, osc.AxisOperator(alpha, disc.q.axis.beta))
+    assert disc.axis_operator.alpha[grid // 2] != alpha[grid // 2]
     with pytest.raises(ArithmeticError):
         osc.spectral_check(disc)
+
+
+# the CLI's grid bounds at halfwidths 4 and 10, and grid 3, where a ladder
+# has fewer levels than are asked for
+LADDER_CASES = [(1, g, w) for g in (250, 4000) for w in (4.0, 10.0)] + \
+    [(2, g, w) for g in (50, 200) for w in (4.0, 10.0)] + [(1, 3, 6.0), (2, 3, 4.0)]
+
+
+@pytest.mark.parametrize("dimension, grid, halfwidth", LADDER_CASES)
+def test_ladders_match_eigh_tridiagonal(dimension, grid, halfwidth):
+    disc = osc.build_q0(dimension, grid, halfwidth)
+    count = 10 if dimension == 1 else 6
+    a = axis_matrix(disc)
+    for (vals, vecs), (diag, off), b in zip(osc._ladders(disc, count), disc.axis_operator.squares(),
+                                            (a.T @ a, a @ a.T)):
+        scale = abs(b).max()
+        assert np.abs(diag - b.diagonal()).max() <= 1e-15 * scale
+        assert np.abs(off - b.diagonal(-1)).max() <= 1e-15 * scale
+        k = min(count, b.shape[0])
+        want, want_vecs = scipy.linalg.eigh_tridiagonal(b.diagonal(), b.diagonal(-1), select="i",
+                                                        select_range=(0, k - 1))
+        assert len(vals) == k
+        assert np.abs(vals - want).max() <= 1e-12 * scale
+        np.testing.assert_allclose(np.abs(np.sum(vecs * want_vecs, axis=0)), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 50, 300])
+def test_sturm_count_matches_eigvalsh(size):
+    rng = np.random.default_rng(size)
+    for _ in range(5):
+        diag, off = rng.normal(size=size), rng.normal(size=size - 1)
+        off[rng.random(size - 1) < 0.1] = 0.0  # some reducible splits
+        vals = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        cuts = np.concatenate([[vals[0] - 1.0, vals[-1] + 1.0, np.inf], (vals[:-1] + vals[1:]) / 2])
+        for x in cuts:
+            assert osc._sturm_count(diag, off, x) == np.sum(vals < x), x
+
+
+def test_sturm_count_survives_a_zero_pivot():
+    # the first pivot of [[1, 1], [1, 2]] - 1 is exactly 0; the eigenvalues
+    # are (3 -+ sqrt 5) / 2, one of them below 1
+    assert osc._sturm_count(np.array([1.0, 2.0]), np.array([1.0]), 1.0) == 1
+
+
+def test_missed_level_raises():
+    # a diagonal B never mixes its unit eigenvectors, so a start block
+    # without e_0 converges to the levels 1, 2, 3 and misses 0: the Sturm
+    # count below 3.5 is 4, not 3
+    start = np.eye(20)[:, 1:9]
+    with pytest.raises(ArithmeticError, match="eigenvalues lie below"):
+        osc._lowest_tridiagonal(np.arange(20.0), np.zeros(19), 3, start)
 
 
 def test_1d_observed_convergence_order():

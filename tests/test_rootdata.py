@@ -24,7 +24,7 @@ def test_su3_datum():
     su3 = rdm.build_simple("A", 2, "sc")
     assert len(su3.roots) == 6
     # simply connected: the simple coroots are a lattice basis
-    assert np.array_equal(su3.coroot_matrix(), il.identity(2))
+    assert np.array_equal(su3.coroot_matrix(), np.eye(2, dtype=int))
     assert rdm.fundamental_group(su3).is_trivial
 
 
