@@ -7,7 +7,7 @@ torsion, solution sets of ``M x in Z^m`` and restrictions to sublattices
 are read off, and fraction-free (Bareiss) elimination for determinants.
 Coset representatives are enumerated as int64 numerators over one common
 denominator; Fractions appear only when they are handed out as rational
-points, and in restrictions that are not integral.
+points.
 
 It also owns every conversion into exact integers (:func:`int_array`,
 :func:`as_matrix`, ``_as_int``, ``_exact``) and the one int64 product
@@ -345,18 +345,17 @@ def det(mat) -> int:
 
 
 def restrict_to_sublattice(mat, basis) -> np.ndarray:
-    """Exact matrix R with basis @ R = mat @ basis, for one matrix or a
-    (k, n, n) stack of them.
+    """Exact integer matrix R with basis @ R = mat @ basis, for one matrix
+    or a (k, n, n) stack of them.
 
     Solved through the Smith form U B V = D of the n x d basis B, taken
-    once for the whole stack: B R = A B holds exactly when D V^-1 R = U A B,
-    so the rows d and beyond of U A B must vanish and R = V D^-1 (U A B)[:d].
-    With q the largest d_i, that is R = N / q for the integer matrix
-    N = V (q D^-1) (U A B)[:d], and B N = q A B is checked in Python ints.
-    Entries are Python ints where q divides N, Fractions elsewhere (never
-    for a primitive basis, where q = 1); the result is (d, d), or
-    (k, d, d) for a stack.  Raises ValueError when the basis does not have
-    full column rank or a matrix does not preserve its span.
+    once for the whole stack.  B must be saturated (every d_i = 1, as for
+    the columns of a unimodular matrix); then B R = A B holds exactly when
+    D V^-1 R = U A B, so the rows d and beyond of U A B must vanish and
+    R = V (U A B)[:d], and B R = A B is checked in Python ints.  The result
+    is (d, d), or (k, d, d) for a stack, of Python ints.  Raises ValueError
+    when the basis does not have full column rank or is not saturated, or
+    a matrix does not preserve its span.
     """
     b = np.asarray(basis, dtype=object)
     a = np.asarray(mat, dtype=object)
@@ -364,20 +363,15 @@ def restrict_to_sublattice(mat, basis) -> np.ndarray:
     snf = smith_normal_form(b)
     if snf.rank < d:
         raise ValueError("basis does not have full column rank")
+    if max(snf.diagonal, default=1) > 1:
+        raise ValueError("basis spans a sublattice that is not saturated")
     ab = a @ b
     image = snf.u @ ab
     if (image[..., d:, :] != 0).any():
         raise ValueError("matrix does not preserve the sublattice span")
-    diag = snf.diagonal
-    q = max(diag, default=1)
-    scale = np.array([q // di for di in diag], dtype=object).reshape(-1, 1)
-    num = snf.v @ (image[..., :d, :] * scale)
-    if not np.array_equal(b @ num, q * ab):
+    num = snf.v @ image[..., :d, :]
+    if not np.array_equal(b @ num, ab):
         raise ValueError("matrix does not preserve the sublattice span")
-    if q > 1:
-        num = np.array(
-            [x // q if x % q == 0 else Fraction(x, q) for x in num.flat], dtype=object
-        ).reshape(num.shape)
     return _freeze(num)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Sequence, Union
 
 import numpy as np
@@ -30,11 +31,11 @@ __all__ = [
     "connection_index",
     "cartan_matrix",
     "classify_form",
-    "dual_type",
     "is_simple_type",
     "datum_to_json",
     "SIMPLE_TYPES",
     "ROOT_COUNTS",
+    "WEYL_ORDERS",
 ]
 
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
@@ -189,6 +190,17 @@ ROOT_COUNTS = {
     "G": lambda n: 12,
 }
 
+# order of the Weyl group per type, so a closure past its cap never starts
+WEYL_ORDERS = {
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "C": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
+    "F": lambda n: 1152,
+    "G": lambda n: 12,
+}
+
 
 def build_simple(type_: str, rank: int, form: GroupForm = "sc", *, max_rank: int = 8) -> RootDatum:
     """Construct the root datum of a simple compact type in a given isogeny form.
@@ -297,10 +309,6 @@ def classify_form(rd: RootDatum) -> str:
     if center(rd).is_trivial:
         return "adjoint"
     return "quotient"
-
-
-def dual_type(type_: str) -> str:
-    return DUAL_TYPE[type_]
 
 
 def datum_to_json(rd: RootDatum) -> dict:

@@ -1,7 +1,9 @@
 """Finite groups of exact integer matrices acting on a lattice Z^n.
 
 The main producer is :func:`generate`, which closes the simple reflections
-of a root datum into the full Weyl group acting on the cocharacter side.
+of a root datum into the full Weyl group acting on the cocharacter side,
+once per transpose pair (a datum and its Langlands dual): the other side
+is the transpose of the closed one and shares its classes and centralizers.
 The group machinery itself (closure, conjugacy classes, centralizers) is
 generic, so test fixtures like {1} or {+-1} on Z are first-class citizens.
 
@@ -18,12 +20,12 @@ looks products up during the closure and the class computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .intlinalg import int_array
-from .rootdata import RootDatum
+from .rootdata import WEYL_ORDERS, RootDatum
 
 __all__ = [
     "GroupTooLargeError",
@@ -108,10 +110,38 @@ class WeylGroup:
             prev, power = power, power @ g
         return self._indices(prev[None])[0]
 
+    @cached_property
+    def _orbits(self) -> list[np.ndarray]:
+        """Orbits of the conjugation permutations of the generators, as
+        ascending, read-only index arrays."""
+        a = self.array.astype(np.int64)
+        # simple reflections are involutions, but stay generic: use inverses
+        perms = [np.array(self._indices(a[g] @ a @ a[self.inverse(g)])) for g in self.generators]
+        # label[i] falls to the smallest index in the orbit of i
+        label = np.arange(len(self))
+        while True:
+            new = label
+            for p in perms:
+                new = np.minimum(new, new[p])
+            new = new[new]
+            if (new == label).all():
+                break
+            label = new
+        # stable, so each class's members come out ascending
+        order = np.argsort(label, kind="stable")
+        order.flags.writeable = False
+        return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
     @property
     def classes(self) -> list[ConjugacyClass]:
+        """The orbits, each represented by its lexicographically minimal
+        matrix and sorted by it."""
         if self._classes is None:
-            self._classes = _compute_classes(self)
+            lex_rank = np.empty(len(self), dtype=np.int64)
+            lex_rank[np.lexsort(self.array.reshape(len(self), -1).T[::-1])] = np.arange(len(self))
+            self._classes = sorted(
+                (ConjugacyClass(int(m[np.argmin(lex_rank[m])]), m) for m in self._orbits),
+                key=lambda c: lex_rank[c.representative])
         return self._classes
 
     @cached_property
@@ -160,40 +190,19 @@ class WeylGroup:
         return cls(np.concatenate(blocks), generators, lookup)
 
 
-def _compute_classes(group: WeylGroup) -> list[ConjugacyClass]:
-    """Orbits of the conjugation permutations of the generators."""
-    a = group.array.astype(np.int64)
-    # simple reflections are involutions, but stay generic: use inverses
-    perms = [
-        np.array(group._indices(a[g] @ a @ a[group.inverse(g)]))
-        for g in group.generators
-    ]
-    # label[i] falls to the smallest index in the orbit of i
-    label = np.arange(len(group))
-    while True:
-        new = label
-        for p in perms:
-            new = np.minimum(new, new[p])
-        new = new[new]
-        if (new == label).all():
-            break
-        label = new
-    flat = group.array.reshape(len(group), -1)
-    lex_rank = np.empty(len(group), dtype=np.int64)
-    lex_rank[np.lexsort(flat.T[::-1])] = np.arange(len(group))
-    # stable, so each class's members come out ascending
-    order = np.argsort(label, kind="stable")
-    order.flags.writeable = False
-    cuts = np.flatnonzero(np.diff(label[order])) + 1
-    classes = [
-        ConjugacyClass(
-            representative=int(members[np.argmin(lex_rank[members])]),
-            members=members,
-        )
-        for members in np.split(order, cuts)
-    ]
-    classes.sort(key=lambda c: lex_rank[c.representative])
-    return classes
+class _Transpose(WeylGroup):
+    """Element i is the partner's element i transposed.  The generators,
+    orbits and centralizers are the partner's index arrays; only the class
+    representatives and their order are taken on these matrices."""
+
+    _orbits = property(lambda self: self._partner._orbits)
+
+    def __init__(self, partner: WeylGroup):
+        super().__init__(partner.array.transpose(0, 2, 1), partner.generators, {})
+        self._partner, self._centralizers = partner, partner._centralizers
+
+    def _indices(self, mats: np.ndarray) -> list[int]:
+        return self._partner._indices(np.swapaxes(mats, -1, -2))
 
 
 def simple_reflection_matrices(rd: RootDatum) -> np.ndarray:
@@ -204,18 +213,31 @@ def simple_reflection_matrices(rd: RootDatum) -> np.ndarray:
     return np.eye(rd.rank, dtype=np.int64) - alpha_ck[:, :, None] * alpha[:, None, :]
 
 
-@lru_cache(maxsize=None)
-def _generate_cached(rd: RootDatum, cap: int) -> WeylGroup:
-    return WeylGroup.from_generators(simple_reflection_matrices(rd), rd.rank, cap)
+# groups by (generator bytes, cap); a stack and its transpose share one closure
+_GROUPS: dict[tuple[bytes, int], WeylGroup] = {}
 
 
 def generate(rd: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
     """Close the simple reflections of `rd` into the full Weyl group on X_*.
 
-    Raises :class:`GroupTooLargeError`, naming the datum, if the closure
-    passes `cap` elements.
+    A stack and its transpose (`rd` and its dual) share one closure, of the
+    side with the smaller bytes; the other side's element i is element i of
+    the closed side, transposed, whichever side is asked for first.  Raises
+    :class:`GroupTooLargeError`, naming the datum, if the Weyl order of the
+    labelled type passes `cap`, before any closure, or if the closure does.
     """
-    try:
-        return _generate_cached(rd, cap)
-    except GroupTooLargeError as exc:
-        raise GroupTooLargeError(f"{rd}: {exc}") from None
+    t, r, _ = rd.label
+    order = WEYL_ORDERS[t](r) if t in WEYL_ORDERS else 0
+    if order > cap:
+        raise GroupTooLargeError(f"{rd}: |W| = {order} exceeds the cap of {cap}")
+    gens = simple_reflection_matrices(rd)
+    flipped = gens.transpose(0, 2, 1)
+    key, other = (gens.tobytes(), cap), (flipped.tobytes(), cap)
+    if key not in _GROUPS:
+        try:
+            group = WeylGroup.from_generators(gens if key <= other else flipped, rd.rank, cap)
+        except GroupTooLargeError as exc:
+            raise GroupTooLargeError(f"{rd}: {exc}") from None
+        _GROUPS[min(key, other)] = group
+        _GROUPS.setdefault(max(key, other), _Transpose(group))
+    return _GROUPS[key]

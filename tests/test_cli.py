@@ -111,6 +111,22 @@ def test_group_cap_is_one_error_line_naming_the_datum(monkeypatch, capsys):
     assert err[0].startswith("error: G2[") and "cap of 10" in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["ktheory", "--type", "E", "--rank", "7"],
+    ["fixed-points", "--type", "E", "--rank", "8"],
+    ["ktheory", "--type", "D", "--rank", "8"],
+])
+def test_group_over_the_cap_is_refused_before_closing(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure started")
+
+    monkeypatch.setattr(weyl.WeylGroup, "from_generators", refuse)
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {argv[2]}{argv[4]}[") and "cap of 2000000" in err[0]
+
+
 def test_affine_compare_small(capsys):
     assert run(["affine-compare", "--max-rank", "2"]) == 0
     text = capsys.readouterr().out

@@ -267,22 +267,28 @@ def test_restrict_to_sublattice():
 
 def test_restrict_to_non_saturated_basis():
     # the columns (1, 0), (1, 2) span an index-2 sublattice; the swap keeps
-    # its Q-span but not the lattice, so R has halves
+    # its Q-span but not the lattice, and a basis that is not saturated is
+    # rejected whatever the matrix
     swap = il.intmat([[0, 1], [1, 0]])
-    r = il.restrict_to_sublattice(swap, il.intmat([[1, 1], [0, 2]]))
-    assert r.tolist() == [[Fraction(-1, 2), Fraction(3, 2)], [Fraction(1, 2), Fraction(1, 2)]]
+    with pytest.raises(ValueError, match="saturated"):
+        il.restrict_to_sublattice(swap, il.intmat([[1, 1], [0, 2]]))
+    with pytest.raises(ValueError, match="saturated"):
+        il.restrict_to_sublattice(int_eye(2), il.intmat([[1, 1], [0, 2]]))
 
 
 def test_restrict_stack_matches_single_matrices():
-    # the non-saturated basis above: halves survive in a stacked call
-    basis = il.intmat([[1, 1], [0, 2]])
     mats = [[[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, -1], [-1, 0]], [[2, 1], [1, 2]]]
+    # the non-saturated basis above fails a stacked call as it fails one matrix
+    with pytest.raises(ValueError, match="saturated"):
+        il.restrict_to_sublattice(np.array(mats, dtype=object), il.intmat([[1, 1], [0, 2]]))
+    # a unimodular basis of Z^2: the restriction is a change of basis
+    basis = il.intmat([[1, 1], [0, 1]])
     stacked = il.restrict_to_sublattice(np.array(mats, dtype=object), basis)
     assert stacked.shape == (4, 2, 2)
     for mat, r in zip(mats, stacked):
         assert r.tolist() == il.restrict_to_sublattice(il.intmat(mat), basis).tolist()
-    assert stacked[0].tolist() == [[Fraction(-1, 2), Fraction(3, 2)],
-                                   [Fraction(1, 2), Fraction(1, 2)]]
+        assert np.array_equal(basis @ r, il.intmat(mat) @ basis)
+    assert stacked[0].tolist() == [[-1, 0], [1, 1]]
     # one matrix of the stack that leaves the line span{(1, 1)} fails the call
     line = il.intmat([[1], [1]])
     assert il.restrict_to_sublattice(np.array(mats, dtype=object), line).tolist() == [

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from torusdual import cli
 from torusdual import intlinalg as il
 from torusdual import ktheory as kt
 from torusdual import rootdata as rdm
@@ -187,6 +189,53 @@ def test_verify_duality_quotient_forms():
     # intermediate form of A3 (pi_1 = Z/2 inside Z/4)
     a3_mid = rdm.build_simple("A", 3, [[2, 0, 0]])
     assert kt.verify_duality(a3_mid).verdict == "equal"
+
+
+QUOTIENT_FORMS = [
+    ("D", 3, [[1, 0, 0]]), ("D", 4, [[1, 0, 0, 0]]), ("D", 4, [[0, 0, 0, 1]]),
+    ("A", 3, [[2, 0, 0]]),
+]
+
+
+def _row(row):
+    return (row.class_size, row.centralizer_order, row.fixed_dim, row.component_count,
+            row.even_invariants, row.odd_invariants)
+
+
+def assert_rows_agree_class_by_class(rd):
+    """w -> w^-T maps the primal classes onto the dual ones, and each
+    primal row equals the row of the dual class holding w^-T, which is
+    found by looking that matrix up in the dual group."""
+    rep = kt.verify_duality(rd)
+    primal, dual = weyl.generate(rd), weyl.generate(rdm.dualize(rd))
+    dual_class = np.empty(len(dual), dtype=np.int64)
+    for k, c in enumerate(dual.classes):
+        dual_class[c.members] = k
+    hit = set()
+    for c, row in zip(primal.classes, rep.primal_classes):
+        w_inv_t = primal.array[primal.inverse(c.representative)].T.astype(np.int64)
+        [j] = dual._indices(w_inv_t[None])
+        assert (dual.array[j] == w_inv_t).all()
+        k = int(dual_class[j])
+        hit.add(k)
+        assert _row(row) == _row(rep.dual_classes[k]), (str(rd), c.representative)
+    assert len(hit) == len(dual.classes) == len(primal.classes)
+    return len(hit)
+
+
+# the rank <= 4 sweep in every named form, then the quotient forms above
+CLASS_BY_CLASS_DATA = [
+    (t, r, cli._parse_form(form, r)) for t, r, form in cli._duality_targets(4, ["sc", "adjoint", "so"])
+] + QUOTIENT_FORMS
+
+
+@pytest.mark.parametrize("type_,rank,form", CLASS_BY_CLASS_DATA)
+def test_duality_holds_class_by_class(type_, rank, form):
+    assert_rows_agree_class_by_class(rdm.build_simple(type_, rank, form))
+
+
+def test_duality_holds_class_by_class_e6():
+    assert assert_rows_agree_class_by_class(rdm.build_simple("E", 6, "sc")) == 25
 
 
 def test_duality_report_json_schema():

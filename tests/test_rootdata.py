@@ -71,7 +71,7 @@ def test_dualize_involution_and_swaps(type_, rank, form):
     assert rdm.connection_index(dual) == rdm.connection_index(rd)
     assert rdm.fundamental_group(dual).order == rdm.center(rd).order
     assert rdm.center(dual).order == rdm.fundamental_group(rd).order
-    assert dual.label[0] == rdm.dual_type(type_)
+    assert dual.label[0] == rdm.DUAL_TYPE[type_]
 
 
 @pytest.mark.parametrize("type_,rank,gens", [

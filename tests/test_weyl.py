@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusdual import intlinalg as il
+from torusdual import ktheory as kt
 from torusdual import rootdata as rdm
 from torusdual import weyl
 from tuple_reference import elements, mat_identity, mat_mul
@@ -110,13 +111,95 @@ def test_centralizers_in_s3():
 
 def test_action_commutes_with_dualize():
     # matrices of W on X*(dual datum) equal the matrices of W on X_*(datum):
-    # as sets, the dual group consists of the transposed matrices
+    # as sets, the dual group, closed from its own reflections, consists of
+    # the transposed matrices
     for type_, rank in (("A", 2), ("B", 2), ("G", 2), ("B", 3)):
         rd = rdm.build_simple(type_, rank, "sc")
         dual = rdm.dualize(rd)
         w1 = set(elements(weyl.generate(rd)))
-        w2 = {tuple(zip(*m)) for m in elements(weyl.generate(dual))}
+        oracle = weyl.WeylGroup.from_generators(weyl.simple_reflection_matrices(dual), rank)
+        w2 = {tuple(zip(*m)) for m in elements(oracle)}
         assert w1 == w2
+
+
+def _matrix_sets(group, indices):
+    return {il.as_matrix(group.array[i]) for i in indices}
+
+
+@pytest.mark.parametrize("type_,rank,form", [
+    ("A", 3, "sc"), ("B", 3, "sc"), ("C", 3, "adjoint"), ("G", 2, "sc"),
+    ("D", 4, [[1, 0, 0, 0]]), ("F", 4, "sc"),
+])
+def test_both_sides_match_their_own_closures(type_, rank, form):
+    # whichever side generate closes, each side's classes, representatives
+    # and centralizers are those of a closure of its own reflections
+    rd = rdm.build_simple(type_, rank, form)
+    for side in (rd, rdm.dualize(rd)):
+        group = weyl.generate(side)
+        oracle = weyl.WeylGroup.from_generators(weyl.simple_reflection_matrices(side), rank)
+        assert _matrix_sets(group, range(len(group))) == _matrix_sets(oracle, range(len(oracle)))
+        assert len(group.classes) == len(oracle.classes)
+        for c, o in zip(group.classes, oracle.classes):
+            assert il.as_matrix(group.array[c.representative]) == \
+                il.as_matrix(oracle.array[o.representative])
+            assert _matrix_sets(group, c.members) == _matrix_sets(oracle, o.members)
+            assert _matrix_sets(group, group.centralizer_indices(c.representative)) == \
+                _matrix_sets(oracle, oracle.centralizer_indices(o.representative))
+        for i in range(0, len(group), 7):
+            assert (group.array[group.inverse(i)].astype(np.int64)
+                    @ group.array[i] == np.eye(rank)).all()
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """An empty group cache, and the ranks of the closures run from it on."""
+    monkeypatch.setattr(weyl, "_GROUPS", {})
+    calls = []
+    close = weyl.WeylGroup.from_generators
+
+    def counted(gens, rank, cap=weyl.WEYL_ORDER_CAP):
+        calls.append(rank)
+        return close(gens, rank, cap)
+
+    monkeypatch.setattr(weyl.WeylGroup, "from_generators", counted)
+    return calls
+
+
+def test_verify_duality_closes_once(closures):
+    assert kt.verify_duality(rdm.build_simple("A", 3, "sc")).verdict == "equal"
+    assert closures == [3]
+
+
+@pytest.mark.parametrize("forms", [("sc", "adjoint"), ("adjoint", "sc")])
+def test_simply_laced_sc_and_adjoint_share_one_closure(closures, forms):
+    groups = [weyl.generate(rdm.build_simple("A", 3, form)) for form in forms]
+    assert closures == [3]
+    assert np.array_equal(groups[0].array, groups[1].array.transpose(0, 2, 1))
+
+
+def test_a_self_transposed_stack_is_one_group(closures):
+    su2 = rdm.build_simple("A", 1, "sc")
+    assert weyl.generate(rdm.dualize(su2)) is weyl.generate(su2)
+    assert closures == [1]
+
+
+@pytest.mark.parametrize("type_,rank,form", [
+    ("A", 3, "sc"), ("B", 3, "sc"), ("G", 2, "sc"), ("D", 4, [[1, 0, 0, 0]]),
+])
+def test_dual_group_does_not_depend_on_the_side_asked_first(monkeypatch, type_, rank, form):
+    rd = rdm.build_simple(type_, rank, form)
+    dual = rdm.dualize(rd)
+    monkeypatch.setattr(weyl, "_GROUPS", {})
+    dual_first = weyl.generate(dual)
+    monkeypatch.setattr(weyl, "_GROUPS", {})
+    primal = weyl.generate(rd)
+    dual_second = weyl.generate(dual)
+    assert np.array_equal(dual_first.array, dual_second.array)
+    assert [(c.representative, c.members.tolist()) for c in dual_first.classes] == \
+        [(c.representative, c.members.tolist()) for c in dual_second.classes]
+    # one side is the other's transpose, sharing its memory
+    assert np.array_equal(primal.array, dual_second.array.transpose(0, 2, 1))
+    assert np.shares_memory(primal.array, dual_second.array)
 
 
 def test_group_too_large():
