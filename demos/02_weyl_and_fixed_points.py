@@ -28,12 +28,12 @@ print()
 
 print("== W-fixed points: SU(3) vs its dual ==")
 full = full_fixed_points(su3)
-print(f"  SU(3) torus: {full.component_count()} fixed points:")
-for p in full.components:
+print(f"  SU(3) torus: {len(full)} fixed points:")
+for p in full:
     print(f"    ({', '.join(str(x) for x in p)})")
 dual_full = full_fixed_points(dualize(su3))
-print(f"  dual torus:  {dual_full.component_count()} fixed point:")
-for p in dual_full.components:
+print(f"  dual torus:  {len(dual_full)} fixed point:")
+for p in dual_full:
     print(f"    ({', '.join(str(x) for x in p)})")
 print()
 
@@ -42,7 +42,7 @@ from torusdual import center
 
 for type_, rank in [("A", 1), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2)]:
     rd = build_simple(type_, rank, "sc")
-    n_fixed = full_fixed_points(rd).component_count()
+    n_fixed = len(full_fixed_points(rd))
     z = center(rd)
     print(f"  {type_}{rank}: {n_fixed} fixed points, center {z} of order {z.order}")
     assert n_fixed == z.order

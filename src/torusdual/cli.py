@@ -271,9 +271,8 @@ def cmd_fixed_points(args) -> int:
             f"  class size {len(c.members):4d}: fixed dim {rep.fixed_dim}, "
             f"{rep.component_count()} components"
         )
-    full = full_fixed_points(rd)
-    pts = [[str(v) for v in p] for p in full.components]
-    print(f"full W-fixed points: {full.component_count()}  {pts}")
+    pts = [[str(v) for v in p] for p in full_fixed_points(rd)]
+    print(f"full W-fixed points: {len(pts)}  {pts}")
     _write_json(args.json, {
         "datum": datum_to_json(rd),
         "classes": rows,

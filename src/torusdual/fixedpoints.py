@@ -35,6 +35,7 @@ from .intlinalg import (
     int_matmul,
     restrict_to_sublattice,
     smith_normal_form,
+    solve_mod_lattice,
 )
 from .rootdata import RootDatum
 from .weyl import simple_reflection_matrices
@@ -44,17 +45,17 @@ __all__ = ["FixedSetReport", "fixed_set", "full_fixed_points", "centralizer_acti
 
 @dataclass(frozen=True)
 class FixedSetReport:
-    """Fixed-point data of one lattice automorphism (or a stacked family).
+    """Fixed-point data of one lattice automorphism w.
 
-    Holds the matrix M (w - 1, or the stacked s - 1), its Smith form
-    U M V = D of rank r and the components as the columns of the int64
-    numerators X over the denominator q.  The rest is read off these:
+    Holds the matrix M = w - 1, its Smith form U M V = D of rank r and
+    the components as the columns of the int64 numerators X over the
+    denominator q.  The rest is read off these:
     components are rational points in [0,1)^n, one per connected
     component of the fixed set, sorted; fixed_lattice_basis is a Z-basis
     of Gamma intersected with ker(w - 1), the columns V[:, r:].
     """
 
-    w: Matrix | None
+    w: Matrix
     _matrix: np.ndarray = field(repr=False, compare=False, hash=False)
     _snf: SmithDecomposition = field(repr=False, compare=False, hash=False)
     _numerators: np.ndarray = field(repr=False, compare=False, hash=False)
@@ -142,8 +143,7 @@ class FixedSetReport:
 
         Returns (fixed, restriction): a (k,) and a (k, d, d) int64 array.
 
-        Only for a report of fixed_set(w), else ValueError; z must commute
-        with w, which is not checked.
+        z must commute with w, which is not checked.
         """
         zs = _stack(self, z)
         u_tors, d = self._torsion
@@ -155,10 +155,8 @@ class FixedSetReport:
 
 
 def _stack(report: FixedSetReport, z) -> np.ndarray:
-    """z as a checked (k, n, n) int64 stack acting on the report of
-    fixed_set(w); ValueError for a report without w or z of any other shape."""
-    if report.w is None:
-        raise ValueError("the action needs the report of fixed_set(w); this report has no w")
+    """z as a checked (k, n, n) int64 stack acting on the fixed set of
+    report.w; ValueError for z of any other shape."""
     n = report.rank
     zs = int_array(z)
     if zs.ndim != 3 or zs.shape[1:] != (n, n):
@@ -176,21 +174,20 @@ def _difference_matrix(*mats) -> np.ndarray:
     return (stack - np.eye(n, dtype=np.int64)).reshape(-1, n)
 
 
-def _report(w, matrix: np.ndarray, *, modulo_kernel: bool) -> FixedSetReport:
-    """The report of the fixed set of M = matrix, from its one Smith form."""
-    snf = smith_normal_form(matrix)
-    x, q = _coset_numerators(snf, modulo_kernel=modulo_kernel)
-    return FixedSetReport(w=w, _matrix=matrix, _snf=snf, _numerators=x, _denominator=q)
-
-
 def fixed_set(w) -> FixedSetReport:
-    """Fixed-set report for one lattice automorphism w on Z^n."""
+    """Fixed-set report for one lattice automorphism w on Z^n, from the one
+    Smith form of w - 1."""
     wm = int_array(w)
-    return _report(as_matrix(wm), _difference_matrix(wm), modulo_kernel=True)
+    matrix = _difference_matrix(wm)
+    snf = smith_normal_form(matrix)
+    x, q = _coset_numerators(snf, modulo_kernel=True)
+    return FixedSetReport(w=as_matrix(wm), _matrix=matrix, _snf=snf, _numerators=x,
+                          _denominator=q)
 
 
-def full_fixed_points(rd: RootDatum) -> FixedSetReport:
-    """Fixed points of the full Weyl-group action on the torus of `rd`.
+def full_fixed_points(rd: RootDatum) -> list[tuple[Fraction, ...]]:
+    """The fixed points of the full Weyl-group action on the torus of `rd`,
+    sorted, as rational points in [0,1)^n.
 
     Solves the stacked system {(s - 1)x in Gamma for all simple s}.  For a
     semisimple datum the simultaneous fixed space is zero, so the fixed
@@ -198,17 +195,16 @@ def full_fixed_points(rd: RootDatum) -> FixedSetReport:
     :class:`InfiniteSolutionSetError`.
     """
     stacked = _difference_matrix(*simple_reflection_matrices(rd))
-    return _report(None, stacked, modulo_kernel=False)
+    return solve_mod_lattice(stacked, modulo_kernel=False)
 
 
 def centralizer_action(report: FixedSetReport, z):
     """Action of a (k, n, n) stack z of centralizer elements on the fixed
     set of w = report.w, for a report of fixed_set(w).
 
-    Any other shape of z, one n x n matrix included, raises ValueError,
-    and so does a report without w.  Every z must commute with w
-    (checked: violated input raises ValueError).  Components are moved
-    as integer numerators: z X over q are the points z x_c, each must
+    Any other shape of z, one n x n matrix included, raises ValueError.
+    Every z must commute with w (checked: violated input raises
+    ValueError).  Components are moved as integer numerators: z X over q are the points z x_c, each must
     pass the membership test M z X = 0 mod q (M = w - 1), and its
     component is looked up by the torsion key of its image M z X / q.
     The restriction of z to ker(w - 1) tensor Q, in the basis

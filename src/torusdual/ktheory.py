@@ -55,7 +55,7 @@ import numpy as np
 
 from .fixedpoints import centralizer_action, fixed_set
 from .intlinalg import Matrix, det, int_array
-from .rootdata import RootDatum, center as center_of, dualize
+from .rootdata import RootDatum, build_simple, center as center_of, dualize
 from .weyl import WeylGroup, generate
 
 __all__ = [
@@ -314,8 +314,6 @@ def affine_comparison(rd: RootDatum) -> AffineComparisonReport:
     dual_affine = rational_equivariant_k(rd)
     own_affine = None
     if t in AFFINE_SELF_DUAL_TYPES:
-        from .rootdata import build_simple
-
         sc = build_simple(t, r, "sc")
         own_affine = rational_equivariant_k(dualize(sc))
     return AffineComparisonReport(

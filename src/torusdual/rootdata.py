@@ -13,14 +13,14 @@ alpha_j_check>`` (root i paired against coroot j).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 from typing import Sequence, Union
 
 import numpy as np
 
-from .intlinalg import FiniteAbelianGroup, cokernel, int_array, intmat, smith_normal_form
+from .intlinalg import FiniteAbelianGroup, cokernel, int_array, int_matmul, intmat, smith_normal_form
 
 __all__ = [
     "RootDatum",
@@ -110,73 +110,84 @@ def cartan_matrix(type_: str, rank: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RootDatum:
-    """The 4-tuple (X*, R, X_*, R_check) in dot-product coordinates.
+    """A based root datum (X*, R, X_*, R_check) in dot-product coordinates,
+    held as its simple system.
 
-    `roots[k]` and `coroots[k]` are a matched pair.  Structural equality
-    and hashing ignore the label; root lists are sorted lexicographically
-    at construction so that dualizing twice is a literal equality.
+    `simple_roots[i]` and `simple_coroots[i]` are a matched pair.
+    `roots` and `coroots` are closed from them on first read, as matched
+    lists sorted by root.  Structural equality and hashing ignore the
+    label, so dualizing twice is a literal equality.
     """
 
     rank: int
-    roots: tuple[tuple[int, ...], ...]
-    coroots: tuple[tuple[int, ...], ...]
-    simple_indices: tuple[int, ...]
+    simple_roots: tuple[tuple[int, ...], ...]
+    simple_coroots: tuple[tuple[int, ...], ...]
     label: tuple[str, int, str] = field(compare=False, default=("?", 0, "?"))
 
     def __post_init__(self):
-        if len(self.roots) != len(self.coroots):
-            raise ValueError("roots and coroots must be matched lists")
-        for alpha, alpha_ck in zip(self.roots, self.coroots):
+        if len(self.simple_roots) != len(self.simple_coroots) or any(
+            len(v) != self.rank for v in (*self.simple_roots, *self.simple_coroots)
+        ):
+            raise ValueError("simple roots and coroots must be matched lists of rank-length vectors")
+        for alpha, alpha_ck in zip(self.simple_roots, self.simple_coroots):
             if sum(a * b for a, b in zip(alpha, alpha_ck)) != 2:
-                raise ValueError("pairing <alpha, alpha_check> must equal 2")
+                raise ValueError("pairing <alpha_i, alpha_i_check> must equal 2")
 
-    @property
-    def simple_roots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.roots[i] for i in self.simple_indices)
+    @cached_property
+    def _closure(self):
+        return _close_roots(self.rank, self.simple_roots, self.simple_coroots)
 
-    @property
-    def simple_coroots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.coroots[i] for i in self.simple_indices)
+    roots = property(lambda self: self._closure[0])
+    coroots = property(lambda self: self._closure[1])
 
     def root_matrix(self) -> np.ndarray:
         """Matrix with the simple roots as columns."""
-        return intmat([[r[i] for r in self.simple_roots] for i in range(self.rank)])
+        return _columns(self.rank, self.simple_roots)
 
     def coroot_matrix(self) -> np.ndarray:
         """Matrix with the simple coroots as columns."""
-        return intmat([[c[i] for c in self.simple_coroots] for i in range(self.rank)])
+        return _columns(self.rank, self.simple_coroots)
 
     def __str__(self) -> str:
         t, r, form = self.label
         return f"{t}{r}[{form}]"
 
 
-def _pair(eta, x) -> int:
-    return sum(int(a) * int(b) for a, b in zip(eta, x))
+def _columns(rank: int, vectors) -> np.ndarray:
+    return intmat([[v[i] for v in vectors] for i in range(rank)])
 
 
-def _reflect_root(alpha, alpha_ck, beta, beta_ck):
-    """Apply s_alpha to the pair (beta, beta_check)."""
-    n1 = _pair(beta, alpha_ck)
-    new_root = tuple(b - n1 * a for b, a in zip(beta, alpha))
-    n2 = _pair(alpha, beta_ck)
-    new_coroot = tuple(b - n2 * a for b, a in zip(beta_ck, alpha_ck))
-    return new_root, new_coroot
+def _close_roots(rank: int, simple_roots, simple_coroots):
+    """The roots and coroots, sorted by root: the orbit of the simple pairs
+    under the simple reflections s_i = 1 - alpha_i_check alpha_i^T.
 
-
-def _close_root_system(simple_pairs):
-    seen = dict(simple_pairs)
-    frontier = list(simple_pairs)
-    while frontier:
-        nxt = []
-        for beta, beta_ck in frontier:
-            for alpha, alpha_ck in simple_pairs:
-                im = _reflect_root(alpha, alpha_ck, beta, beta_ck)
-                if im[0] not in seen:
-                    seen[im[0]] = im[1]
-                    nxt.append(im)
-        frontier = nxt
-    return sorted(seen.items())
+    A pair is one row [beta | beta_check], which s_i maps to
+    [beta s_i | beta_check s_i^T]; each breadth-first level reflects its
+    whole frontier by every s_i in one product and keeps the rows not yet
+    seen.  No root system of rank n has more than 2n^2 + 240 roots, so a
+    datum whose closure passes that (an affine one, say) raises ValueError.
+    """
+    alpha = int_array(simple_roots).reshape(-1, rank)
+    alpha_ck = int_array(simple_coroots).reshape(-1, rank)
+    s = np.eye(rank, dtype=np.int64) - int_matmul(alpha_ck[:, :, None], alpha[:, None, :])
+    blocks = np.zeros((len(s), 2 * rank, 2 * rank), dtype=np.int64)
+    blocks[:, :rank, :rank], blocks[:, rank:, rank:] = s, s.transpose(0, 2, 1)
+    frontier = np.hstack([alpha, alpha_ck])
+    seen = set(map(tuple, frontier.tolist()))
+    limit = 2 * rank * rank + 240
+    while len(frontier):
+        level = int_matmul(frontier, blocks).reshape(-1, 2 * rank)
+        fresh = []
+        for i, row in enumerate(map(tuple, level.tolist())):
+            if row not in seen:
+                seen.add(row)
+                fresh.append(i)
+        if len(seen) > limit:
+            raise ValueError(f"the simple reflections close on more than {limit} roots: "
+                             "not a finite root system")
+        frontier = level[fresh]
+    rows = sorted(seen)
+    return tuple(r[:rank] for r in rows), tuple(r[rank:] for r in rows)
 
 
 # number of roots per type, for construction-time sanity checking
@@ -214,19 +225,15 @@ def build_simple(type_: str, rank: int, form: GroupForm = "sc", *, max_rank: int
         raise ValueError(f"rank {rank} exceeds configured cap {max_rank}")
     a = cartan_matrix(type_, rank)
     n = rank
+    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
     if form == "sc":
-        simples = [
-            (tuple(int(a[i, j]) for j in range(n)), tuple(int(i == j) for j in range(n)))
-            for i in range(n)
-        ]
+        # alpha_i = row i of the Cartan matrix, coroot i = e_i
+        simple = (tuple(tuple(map(int, row)) for row in a), unit)
         tag = "sc"
     elif form == "adjoint":
-        # alpha_i = e_i, coroot i = i-th column of the Cartan matrix
-        simples = [
-            (tuple(int(i == j) for j in range(n)), tuple(int(a[k, i]) for k in range(n)))
-            for i in range(n)
-        ]
+        # alpha_i = e_i, coroot i = column i of the Cartan matrix
+        simple = (unit, tuple(tuple(map(int, col)) for col in a.T))
         tag = "adjoint"
     else:
         gens = int_array(form)
@@ -242,59 +249,45 @@ def build_simple(type_: str, rank: int, form: GroupForm = "sc", *, max_rank: int
         d = snf.diagonal
         if any(x % d[i] for i in range(n) for x in scaled[i]):
             raise ValueError("quotient generators must define a lattice containing the coroots")
-        simples = [
-            (
-                tuple(int(basis[i, k]) for k in range(n)),  # row i of basis = alpha_i
-                tuple(scaled[k, i] // d[k] for k in range(n)),
-            )
-            for i in range(n)
-        ]
-        tag = None  # read off the datum below
-
-    pairs = _close_root_system(simples)
-    expected = ROOT_COUNTS[type_](rank)
-    if len(pairs) != expected:
-        raise AssertionError(
-            f"root closure produced {len(pairs)} roots for {type_}{rank}, expected {expected}"
+        simple = (
+            tuple(tuple(int(x) for x in basis[i]) for i in range(n)),  # alpha_i = row i of basis
+            tuple(tuple(scaled[k, i] // d[k] for k in range(n)) for i in range(n)),
         )
-    roots = tuple(p[0] for p in pairs)
-    coroots = tuple(p[1] for p in pairs)
-    simple_indices = tuple(roots.index(s[0]) for s in simples)
-    rd = RootDatum(rank=n, roots=roots, coroots=coroots, simple_indices=simple_indices,
-                   label=(type_, rank, tag or "?"))
-    if tag is None:
         # a generator list is labelled by its structure, as dualize labels
-        rd = dataclasses.replace(rd, label=(type_, rank, classify_form(rd)))
+        tag = _form_tag(n, *simple)
+
+    rd = RootDatum(n, *simple, label=(type_, rank, tag))
+    expected = ROOT_COUNTS[type_](rank)
+    if len(rd.roots) != expected:
+        raise AssertionError(
+            f"root closure produced {len(rd.roots)} roots for {type_}{rank}, expected {expected}"
+        )
     return rd
 
 
 def dualize(rd: RootDatum) -> RootDatum:
-    """Langlands dual: swap X* with X_* and R with R_check."""
-    pairs = sorted(zip(rd.coroots, rd.roots))
-    roots = tuple(p[0] for p in pairs)
-    coroots = tuple(p[1] for p in pairs)
-    old_simple_roots = [rd.coroots[i] for i in rd.simple_indices]
-    simple_indices = tuple(roots.index(s) for s in old_simple_roots)
+    """Langlands dual: swap X* with X_* and the simple roots with the simple coroots."""
     t, r, _ = rd.label
-    dual = RootDatum(rank=rd.rank, roots=roots, coroots=coroots, simple_indices=simple_indices,
-                     label=(DUAL_TYPE.get(t, t), r, "?"))
-    return dataclasses.replace(dual, label=(DUAL_TYPE.get(t, t), r, classify_form(dual)))
+    label = (DUAL_TYPE.get(t, t), r, _form_tag(rd.rank, rd.simple_coroots, rd.simple_roots))
+    return RootDatum(rd.rank, rd.simple_coroots, rd.simple_roots, label)
+
+
+def _torsion(columns: np.ndarray) -> FiniteAbelianGroup:
+    """Torsion of Z^n modulo the span of the columns, which must have rank n."""
+    free, torsion = cokernel(columns)
+    if free != 0:
+        raise ValueError("datum is not semisimple")
+    return torsion
 
 
 def fundamental_group(rd: RootDatum) -> FiniteAbelianGroup:
     """pi_1 of the compact group: torsion of X_*/(coroot lattice)."""
-    free, torsion = cokernel(rd.coroot_matrix())
-    if free != 0:
-        raise ValueError("datum is not semisimple")
-    return torsion
+    return _torsion(rd.coroot_matrix())
 
 
 def center(rd: RootDatum) -> FiniteAbelianGroup:
     """Center of the compact group: torsion of X*/(root lattice)."""
-    free, torsion = cokernel(rd.root_matrix())
-    if free != 0:
-        raise ValueError("datum is not semisimple")
-    return torsion
+    return _torsion(rd.root_matrix())
 
 
 def connection_index(rd: RootDatum) -> int:
@@ -304,9 +297,13 @@ def connection_index(rd: RootDatum) -> int:
 
 def classify_form(rd: RootDatum) -> str:
     """Structural form tag: sc wins ties for connection index 1 types."""
-    if fundamental_group(rd).is_trivial:
+    return _form_tag(rd.rank, rd.simple_roots, rd.simple_coroots)
+
+
+def _form_tag(rank: int, simple_roots, simple_coroots) -> str:
+    if _torsion(_columns(rank, simple_coroots)).is_trivial:
         return "sc"
-    if center(rd).is_trivial:
+    if _torsion(_columns(rank, simple_roots)).is_trivial:
         return "adjoint"
     return "quotient"
 

@@ -52,12 +52,12 @@ def test_finite_abelian_group_validation():
 
 def test_root_datum_pairing_validation():
     with pytest.raises(ValueError):
-        rdm.RootDatum(rank=1, roots=((1,),), coroots=((1,),), simple_indices=(0,))
+        rdm.RootDatum(rank=1, simple_roots=((1,),), simple_coroots=((1,),))
 
 
 def test_root_datum_mismatched_lists():
     with pytest.raises(ValueError):
-        rdm.RootDatum(rank=1, roots=((2,), (-2,)), coroots=((1,),), simple_indices=(0,))
+        rdm.RootDatum(rank=1, simple_roots=((2,), (-2,)), simple_coroots=((1,),))
 
 
 def test_weyl_generator_shape_validation():

@@ -121,25 +121,14 @@ SC_CENTER_ORDERS = {
 def test_full_fixed_points_count_center(type_, rank):
     rd = rdm.build_simple(type_, rank, "sc")
     full = fp.full_fixed_points(rd)
-    assert full.component_count() == rdm.center(rd).order
-    assert full.component_count() == SC_CENTER_ORDERS[(type_, rank)]
+    assert len(full) == rdm.center(rd).order
+    assert len(full) == SC_CENTER_ORDERS[(type_, rank)]
 
 
 def test_full_fixed_points_su3_vs_dual():
     su3 = rdm.build_simple("A", 2, "sc")
-    assert fp.full_fixed_points(su3).component_count() == 3
-    assert fp.full_fixed_points(rdm.dualize(su3)).component_count() == 1
-
-
-def test_actions_need_a_report_with_w():
-    # full_fixed_points has no single w to centralize
-    full = fp.full_fixed_points(rdm.build_simple("A", 2, "sc"))
-    assert full.w is None
-    stack = np.eye(2, dtype=np.int64)[None]
-    with pytest.raises(ValueError, match=r"fixed_set\(w\)"):
-        full.action(stack)
-    with pytest.raises(ValueError, match=r"fixed_set\(w\)"):
-        fp.centralizer_action(full, stack)
+    assert len(fp.full_fixed_points(su3)) == 3
+    assert len(fp.full_fixed_points(rdm.dualize(su3))) == 1
 
 
 def test_centralizer_action_identity():

@@ -147,8 +147,8 @@ def test_verify_duality_su3():
     from torusdual.fixedpoints import full_fixed_points
 
     su3 = rdm.build_simple("A", 2, "sc")
-    assert full_fixed_points(su3).component_count() == 3
-    assert full_fixed_points(rdm.dualize(su3)).component_count() == 1
+    assert len(full_fixed_points(su3)) == 3
+    assert len(full_fixed_points(rdm.dualize(su3))) == 1
 
 
 def test_verify_duality_b2():

@@ -3,6 +3,7 @@ import pytest
 
 from torusdual import intlinalg as il
 from torusdual import rootdata as rdm
+from tuple_reference import close_root_system
 
 ALL_SMALL = [
     (t, r)
@@ -232,3 +233,41 @@ def test_f4_self_dual_up_to_node_relabel():
     swapped = sorted((rev(r), rev(c)) for r, c in zip(dual.roots, dual.coroots))
     adj = rdm.build_simple("F", 4, "adjoint")
     assert swapped == sorted(zip(adj.roots, adj.coroots))
+
+
+QUOTIENTS = [("A", 5, [[0, 1, 0, 0, 0]]), ("D", 4, [[0, 0, 0, 1]]), ("D", 6, [[0, 0, 0, 0, 0, 1]])]
+
+
+@pytest.mark.parametrize("type_,rank,form", [
+    *((t, r, form) for t, r in ALL_SMALL for form in ("sc", "adjoint", "so")),
+    *QUOTIENTS,
+])
+def test_closure_matches_the_per_root_reference(type_, rank, form):
+    gens = [[1] + [0] * (rank - 1)] if form == "so" else form
+    rd = rdm.build_simple(type_, rank, gens)
+    for datum in (rd, rdm.dualize(rd)):
+        reference = close_root_system(datum.simple_roots, datum.simple_coroots)
+        assert (datum.roots, datum.coroots) == reference
+
+
+def test_closure_of_an_affine_datum_raises():
+    # affine A1: the roots are only +-alpha_1, but every reflection gives
+    # a root a new coroot, so the pairs never close
+    rd = rdm.RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="not a finite root system"):
+        rd.roots
+
+
+@pytest.mark.parametrize("type_,rank,form", [("B", 3, "sc"), ("G", 2, "adjoint"), *QUOTIENTS])
+def test_dualize_and_classify_run_no_closure(type_, rank, form, monkeypatch):
+    rd = rdm.build_simple(type_, rank, form)
+
+    def refuse(*args):
+        raise AssertionError("closure")
+
+    monkeypatch.setattr(rdm, "_close_roots", refuse)
+    dual = rdm.dualize(rd)
+    assert dual.simple_roots == rd.simple_coroots and dual.simple_coroots == rd.simple_roots
+    assert rdm.classify_form(dual) == dual.label[2]
+    with pytest.raises(AssertionError, match="closure"):
+        dual.roots
