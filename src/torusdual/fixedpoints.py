@@ -13,7 +13,9 @@ Both actions of the centralizer take a (k, n, n) stack of its elements
 and nothing else: :meth:`FixedSetReport.action` reads everything off the
 Smith form of w - 1 with no further elimination; :func:`centralizer_action`
 instead tests the membership of each z x and restricts the stack through
-one Smith form of the basis V[:, r:] of Gamma^w.
+one Smith form of the basis V[:, r:] of Gamma^w.  It is the one-element
+case of ``_pair_action``, which acts on the commuting pairs of a whole
+stack of elements that share one invariant-factor diagonal.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .intlinalg import (
     as_matrix,
     int_array,
     int_matmul,
-    restrict_to_sublattice,
     smith_normal_form,
     solve_mod_lattice,
 )
@@ -80,41 +81,9 @@ class FixedSetReport:
     def component_count(self) -> int:
         return self._numerators.shape[1]
 
-    def _codes(self, images: np.ndarray) -> np.ndarray:
-        """The component codes of integer images y, one per column.
-
-        Two fixed points share a component exactly when their images
-        y = M x differ by an element of M Z^n, so with U M V = D the key
-        of y is U_tors y mod d over the d_i > 1, read here as one
-        mixed-radix integer in [0, prod d).  images is (m, c) or a
-        (k, m, c) stack; the codes are (c,) or (k, c).
-        """
-        u_tors, d = self._torsion
-        keys = int_matmul(u_tors, images) % d
-        radix = np.cumprod(d[:, 0]) // d[:, 0]  # prod of the d_j, j < i
-        return radix @ keys
-
-    @cached_property
-    def _component_index(self) -> np.ndarray:
-        """Component index by code: the codes of the components are a
-        permutation of [0, prod d), one per element of tors coker M."""
-        codes = self._codes(self._component_images)
-        index = np.full(prod(self._torsion[1].flat), -1, dtype=np.int64)
-        index[codes] = np.arange(len(codes))
-        if len(codes) != len(index) or (index < 0).any():
-            raise AssertionError("component keys must be distinct")
-        return index
-
     @cached_property
     def _torsion(self):
-        """Rows U_tors of U at the d_i > 1 of the Smith form and those d_i
-        as a column, in int64 (cast checked)."""
-        d = self._snf.diagonal
-        tors = [i for i in range(self._snf.rank) if d[i] > 1]
-        return (
-            int_array(self._snf.u[tors, :]),
-            int_array([d[i] for i in tors]).reshape(-1, 1),
-        )
+        return _torsion_rows(self._snf.u, self._snf.diagonal)
 
     @cached_property
     def _component_images(self) -> np.ndarray:
@@ -200,31 +169,98 @@ def full_fixed_points(rd: RootDatum) -> list[tuple[Fraction, ...]]:
 
 def centralizer_action(report: FixedSetReport, z):
     """Action of a (k, n, n) stack z of centralizer elements on the fixed
-    set of w = report.w, for a report of fixed_set(w).
+    set of w = report.w, for a report of fixed_set(w): the one-element
+    case of :func:`_pair_action`, which the commuting-pairs oracle runs on
+    whole groups.
 
-    Any other shape of z, one n x n matrix included, raises ValueError.
-    Every z must commute with w (checked: violated input raises
-    ValueError).  Components are moved as integer numerators: z X over q are the points z x_c, each must
-    pass the membership test M z X = 0 mod q (M = w - 1), and its
-    component is looked up by the torsion key of its image M z X / q.
-    The restriction of z to ker(w - 1) tensor Q, in the basis
-    `fixed_lattice_basis`, is solved by :func:`restrict_to_sublattice` on
-    the basis V[:, r:] the report holds, through one Smith form of that
-    basis for the whole stack; that basis is primitive, so the
-    restriction comes out in Python ints.
-
-    Returns (perm, restriction): a (k, c) int64 array, perm[j, i] the
-    index of the component containing z_j . x_i, and a (k, d, d) object
-    array of Python ints.  The int64 products are checked
-    (:func:`int_matmul`) and raise OverflowError past the int64 range.
+    Any other shape of z, one n x n matrix included, raises ValueError,
+    and so does a z that does not commute with w.  Returns (perm,
+    restriction): a (k, c) int64 array, perm[j, i] the index of the
+    component containing z_j . x_i, and a (k, d, d) object array of
+    Python ints, the restriction of each z to Gamma^w in the basis
+    `fixed_lattice_basis`.
     """
-    zs = _stack(report, z)
-    wm = int_array(report.w)
-    if not np.array_equal(int_matmul(zs, wm), int_matmul(wm, zs)):
+    zs, snf = _stack(report, z), report._snf
+    perm, restriction = _pair_action(
+        int_array(report.w)[None], int_array(snf.u)[None], int_array(snf.v)[None],
+        snf.diagonal, report._numerators[None], np.zeros(len(zs), dtype=np.int64), zs)
+    return perm, restriction.astype(object)
+
+
+def _torsion_rows(u, diag):
+    """Rows U_tors of U (or of each U of a stack) at the invariant factors
+    d_i > 1, and those d_i as a column, in int64 (cast checked)."""
+    tors = [i for i, x in enumerate(diag) if x > 1]
+    return int_array(u[..., tors, :]), int_array([int(diag[i]) for i in tors]).reshape(-1, 1)
+
+
+def _pair_action(w, u, v, diag, x, owner, z):
+    """Action of the commuting pairs (w[owner[p]], z[p]) on fixed sets.
+
+    w is a (b, n, n) int64 stack whose matrices w - 1 share one
+    invariant-factor diagonal diag, with Smith forms U (w - 1) V = D
+    stacked in u and v, and x the (b, n, c) coset numerators of their
+    fixed sets over q = the largest invariant factor.  Every pair is
+    checked: z must commute with its w (else ValueError); the components
+    of each w must have integral images y = (w - 1) x / q and distinct
+    keys U_tors y mod d (else AssertionError); each moved point z x must
+    pass the membership test (w - 1) z x = 0 mod q (else ValueError) and
+    is looked up by its key.  The restriction of z to Gamma^w in the
+    basis V[:, r:] is solved by one stacked Smith form of the b bases
+    (:func:`_restrict`).  V^-1 is never read; every product is checked
+    by :func:`int_matmul`.
+
+    Returns (perm, restriction): perm (P, c) int64, perm[p, i] the
+    component of z x_i, and restriction (P, d, d) int64, d = n - rank.
+    """
+    wo = w[owner]
+    if not np.array_equal(int_matmul(z, wo), int_matmul(wo, z)):
         raise ValueError("element does not centralize w")
-    q = report._denominator
-    moved = int_matmul(report._matrix, int_matmul(zs, report._numerators))
+    m = w - np.eye(w.shape[-1], dtype=np.int64)
+    r = int(np.count_nonzero(diag))
+    q = int(max(diag[:r], default=1))
+    u_tors, d = _torsion_rows(u, diag)
+    radix = np.cumprod(d[:, 0]) // d[:, 0]  # prod of the d_j, j < i
+
+    def codes(rows, images):
+        # the key U_tors y mod d of each image, as a mixed-radix integer
+        return radix @ (int_matmul(rows, images) % d)
+
+    images = int_matmul(m, x)
+    if (images % q).any():
+        raise AssertionError("component images must be integral")
+    own = codes(u_tors, images // q)
+    index = np.full((len(w), prod(d.flat)), -1, dtype=np.int64)
+    index[np.arange(len(w))[:, None], own] = np.arange(own.shape[1])
+    if own.shape[1] != index.shape[1] or (index < 0).any():
+        raise AssertionError("component keys must be distinct")
+    moved = int_matmul(m[owner], int_matmul(z, x[owner]))
     if (moved % q).any():
         raise ValueError("a moved component is not in the fixed set")
-    perm = report._component_index[report._codes(moved // q)]
-    return perm, restrict_to_sublattice(zs, report._snf.v[:, report._snf.rank:])
+    perm = index[owner[:, None], codes(u_tors[owner], moved // q)]
+    return perm, _restrict(v[:, :, r:], owner, z)
+
+
+def _restrict(basis, owner, z):
+    """R with B R = z B for each z and its basis B = basis[owner[p]], in int64.
+
+    One Smith form U B V = D of the whole (b, n, d) stack of bases: each
+    B must have full column rank and be saturated (every d_i = 1); then
+    B R = z B holds exactly when the rows d and beyond of U z B vanish
+    and R = V (U z B)[:d], and B R = z B is checked.  ValueError when a
+    basis fails or a z does not preserve its span.
+    """
+    snf, d = smith_normal_form(basis), basis.shape[2]
+    if (snf.rank < d).any():
+        raise ValueError("basis does not have full column rank")
+    if (snf.diagonal > 1).any():
+        raise ValueError("basis spans a sublattice that is not saturated")
+    bo = basis[owner]
+    zb = int_matmul(z, bo)
+    image = int_matmul(snf.u[owner], zb)
+    if image[:, d:].any():
+        raise ValueError("matrix does not preserve the sublattice span")
+    num = int_matmul(snf.v[owner], image[:, :d])
+    if not np.array_equal(int_matmul(bo, num), zb):
+        raise ValueError("matrix does not preserve the sublattice span")
+    return num

@@ -1,10 +1,13 @@
 """Exact integer linear algebra over lattices.
 
-All matrices are carried as 2-D numpy arrays of ``dtype=object`` holding
+One matrix is carried as a 2-D numpy array of ``dtype=object`` holding
 Python ints, so every computation in this module is exact.  There are two
 exact algorithms: the Smith normal form, from which ranks, cokernel
 torsion, solution sets of ``M x in Z^m`` and restrictions to sublattices
 are read off, and fraction-free (Bareiss) elimination for determinants.
+Both also take a (k, m, n) stack, reduced in lockstep in int64 with
+every step bounded first, so past the int64 range they raise
+OverflowError instead of wrapping.
 Coset representatives are enumerated as int64 numerators over one common
 denominator; Fractions appear only when they are handed out as rational
 points.
@@ -178,7 +181,9 @@ class SmithDecomposition:
 
     v_inv is the exact inverse of V, kept in step with the column
     operations that build V, so no separate inversion is needed.
-    diagonal and rank are computed on first access and kept.
+    diagonal and rank are computed on first access and kept.  For a
+    (k, m, n) stack every field is a stack of int64 arrays, diagonal is a
+    (k, min(m, n)) array and rank a (k,) array.
     """
 
     u: np.ndarray
@@ -187,27 +192,36 @@ class SmithDecomposition:
     v_inv: np.ndarray
 
     @cached_property
-    def diagonal(self) -> tuple[int, ...]:
-        m, n = self.d.shape
-        return tuple(int(self.d[i, i]) for i in range(min(m, n)))
+    def diagonal(self):
+        diag = np.diagonal(self.d, axis1=-2, axis2=-1)
+        return diag if self.d.ndim == 3 else tuple(int(x) for x in diag)
 
     @cached_property
-    def rank(self) -> int:
+    def rank(self):
+        if self.d.ndim == 3:
+            return np.count_nonzero(self.diagonal, axis=1)
         return sum(1 for x in self.diagonal if x != 0)
 
 
 def smith_normal_form(mat) -> SmithDecomposition:
     """Smith normal form with transform matrices.
 
-    Uses smallest-nonzero-absolute-value pivoting, which keeps intermediate
-    entries small at the ranks this library works at.  Total function: any
-    rectangular integer matrix is accepted.
+    Uses smallest-nonzero-absolute-value pivoting, first in row-major
+    order, which keeps intermediate entries small at the ranks this
+    library works at.  Total function: any rectangular integer matrix is
+    accepted.  One matrix is reduced in Python ints by a list-based loop;
+    a (k, m, n) stack is reduced by :func:`_smith_stack`, all k matrices
+    in lockstep in int64, each slice by the same steps as one matrix.
+    The choice is made by input ndim: for one small matrix the loop is
+    several times faster, for a whole group the lockstep is.
     """
-    a = np.asarray(mat, dtype=object)
+    a = mat if isinstance(mat, np.ndarray) else np.asarray(mat, dtype=object)
+    if a.ndim == 3:
+        return _smith_stack(int_array(a))
     if a.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
+        raise ValueError("expected a 2-D matrix or a stack of them")
     m, n = a.shape
-    work = [[_as_int(a[i, j]) for j in range(n)] for i in range(m)]
+    work = [[_as_int(x) for x in row] for row in a.tolist()]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     v_inv = [row[:] for row in v]
@@ -302,6 +316,70 @@ def smith_normal_form(mat) -> SmithDecomposition:
     )
 
 
+def _add_product(dst: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """dst += a @ b in int64 in place, bounded first: past the int64 range
+    this raises OverflowError instead of wrapping."""
+    if _max_abs(dst) + a.shape[-1] * _max_abs(a) * _max_abs(b) > INT64_MAX:
+        raise OverflowError("integer elimination could pass the int64 range")
+    dst += a @ b
+
+
+def _smith_stack(a: np.ndarray) -> SmithDecomposition:
+    """The Smith forms of a (k, m, n) int64 stack, all k in lockstep.
+
+    Each slice takes the steps of the one-matrix loop of
+    :func:`smith_normal_form` in the same order, so its U, D, V, V^-1
+    are the same.  Each pass of the loop at pivot t is taken by the
+    slices still reducing there, gathered into one stack.  D and U share
+    their rows and D and V their columns in one array [[D, U], [V, 0]],
+    so a row step updates D and U and a column step D and V at once.
+    Every step is bounded by :func:`_add_product`.
+    """
+    k, m, n = a.shape
+    big = np.zeros((k, m + n, n + m), dtype=np.int64)
+    big[:, :m, :n], big[:, :m, n:], big[:, m:, :n] = a, np.eye(m), np.eye(n)
+    v_inv = np.zeros((k, n, n), dtype=np.int64) + np.eye(n, dtype=np.int64)
+    for t in range(min(m, n)):
+        live = np.flatnonzero(big[:, t:m, t:n].any(axis=(1, 2)))
+        repivot = np.ones(len(live), dtype=bool)  # the slices that need a pivot
+        while len(live):
+            g, vi = big[live], v_inv[live]
+            w = g[:, :m, :n]
+            # move the smallest nonzero |x| of the block, first in
+            # row-major order, to (t, t)
+            block = w[repivot, t:, t:]
+            key = np.where(block == 0, np.iinfo(np.uint64).max, np.abs(block).astype(np.uint64))
+            i, j = np.divmod(key.reshape(len(block), (m - t) * (n - t)).argmin(axis=1), n - t)
+            sel = np.flatnonzero(repivot)
+            g[sel, t], g[sel, i + t] = g[sel, i + t], g[sel, t]
+            g[sel, :, t], g[sel, :, j + t] = g[sel, :, j + t], g[sel, :, t]
+            vi[sel, t], vi[sel, j + t] = vi[sel, j + t], vi[sel, t]
+            g[w[:, t, t] < 0, t] *= -1
+            p = w[:, t, t, None]
+            _add_product(g[:, t + 1:m], -(w[:, t + 1:, t, None] // p[:, :, None]), g[:, t:t + 1])
+            cols = -(w[:, t, None, t + 1:] // p[:, :, None])
+            _add_product(g[:, :, t + 1:n], g[:, :, t:t + 1], cols)
+            # column t + 1 + j gained q_j column t, so row t of V^-1 loses q_j row t + 1 + j
+            _add_product(vi[:, t:t + 1], -cols, vi[:, t + 1:])
+            repivot = w[:, t + 1:, t].any(axis=1) | w[:, t, t + 1:].any(axis=1)
+            # cross clear: add the first row with a block entry p does not divide (p = 1 divides all)
+            keep = repivot.copy()
+            c = np.flatnonzero(~repivot & (p[:, 0] > 1))
+            bad = (w[c, t + 1:, t + 1:] % p[c, :, None] != 0).any(axis=2)
+            c, bad = c[bad.any(axis=1)], bad[bad.any(axis=1)]
+            if len(c):
+                if 2 * _max_abs(g) > INT64_MAX:
+                    raise OverflowError("integer elimination could pass the int64 range")
+                g[c, t] += g[c, bad.argmax(axis=1) + t + 1]
+                keep[c] = True
+            big[live], v_inv[live] = g, vi
+            live, repivot = live[keep], repivot[keep]
+    return SmithDecomposition(
+        *(_freeze(np.ascontiguousarray(x))
+          for x in (big[:, :m, n:], big[:, :m, :n], big[:, m:, :n], v_inv))
+    )
+
+
 def rank(mat) -> int:
     return smith_normal_form(mat).rank
 
@@ -316,9 +394,15 @@ def cokernel(mat) -> tuple[int, FiniteAbelianGroup]:
     return free_rank, FiniteAbelianGroup(torsion)
 
 
-def det(mat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = np.asarray(mat, dtype=object)
+def det(mat):
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    One matrix is reduced in Python ints.  A (k, d, d) stack goes to
+    :func:`_det_stack` and gives a (k,) int64 array.
+    """
+    a = mat if isinstance(mat, np.ndarray) else np.asarray(mat, dtype=object)
+    if a.ndim == 3:
+        return _det_stack(int_array(a))
     m, n = a.shape
     if m != n:
         raise ValueError("determinant requires a square matrix")
@@ -342,6 +426,36 @@ def det(mat) -> int:
             w[i][k] = 0
         prev = w[k][k]
     return sign * w[n - 1][n - 1]
+
+
+def _det_stack(a: np.ndarray) -> np.ndarray:
+    """Determinants of a (k, d, d) int64 stack by Bareiss in lockstep.
+
+    Every entry Bareiss forms is a minor, so it is at most the Hadamard
+    bound H = prod_i max(1, |row_i|), and every product it takes at most
+    H^2.  2 H^2 <= 2^62 is checked before the first step (in floating
+    point; the factor 2 covers its rounding), else OverflowError.  A slice
+    with no pivot in its column has determinant 0; its remaining block is
+    set to the identity so that it rides along without dividing by zero.
+    """
+    k, n, _ = a.shape
+    rows = np.maximum((a.astype(np.float64) ** 2).sum(axis=2), 1.0)
+    if 2.0 * np.prod(rows, axis=1).max(initial=1.0) > 2.0 ** 62:
+        raise OverflowError("determinant could pass the int64 range")
+    w, s = a.copy(), np.arange(k)
+    sign, prev, alive = np.ones(k, dtype=np.int64), np.ones(k, dtype=np.int64), np.ones(k, dtype=bool)
+    for j in range(n - 1):
+        nonzero = w[:, j:, j] != 0
+        alive &= nonzero.any(axis=1)
+        w[~alive, j:, j:], prev[~alive] = np.eye(n - j, dtype=np.int64), 1
+        i = nonzero.argmax(axis=1) + j  # first pivot row at or below j
+        w[s, j], w[s, i] = w[s, i], w[s, j]
+        sign[i != j] *= -1
+        pivot = w[:, j, j].copy()
+        w[:, j + 1:, j + 1:] = (w[:, j + 1:, j + 1:] * pivot[:, None, None]
+                                - w[:, j + 1:, j:j + 1] * w[:, j:j + 1, j + 1:]) // prev[:, None, None]
+        prev = pivot
+    return np.where(alive, sign * w[:, -1, -1], 0) if n else np.ones(k, dtype=np.int64)
 
 
 def restrict_to_sublattice(mat, basis) -> np.ndarray:
@@ -425,12 +539,19 @@ def _coset_numerators(snf: SmithDecomposition, *,
         raise InfiniteSolutionSetError(
             "solution set is positive-dimensional transverse to Z^n"
         )
-    diag = snf.diagonal[:r]
-    q = max(diag, default=1)
-    steps = np.indices(diag, dtype=np.int64).reshape(r, prod(diag))
-    scale = np.array([q // di for di in diag], dtype=np.int64).reshape(-1, 1)
-    x = int_matmul(snf.v[:, :r], steps * scale) % q
+    steps, q = _coset_steps(snf.diagonal[:r])
+    x = int_matmul(snf.v[:, :r], steps) % q
     return x[:, np.lexsort(x[::-1])], q
+
+
+def _coset_steps(diag) -> tuple[np.ndarray, int]:
+    """(S, q) for nonzero invariant factors d_1 | ... | d_r: q = d_r (1
+    when r = 0) and S the r x prod(d) int64 columns k_i q / d_i over all
+    0 <= k_i < d_i, so that the coset numerators are V[:, :r] S mod q."""
+    diag = tuple(int(x) for x in diag)
+    q = max(diag, default=1)
+    steps = np.indices(diag, dtype=np.int64).reshape(len(diag), prod(diag))
+    return steps * np.array([q // di for di in diag], dtype=np.int64).reshape(-1, 1), q
 
 
 def _as_fractions(x: np.ndarray, q: int) -> list[tuple[Fraction, ...]]:

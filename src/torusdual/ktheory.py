@@ -30,20 +30,21 @@ and kept for as long as the group lives.
 
 The commuting-pairs oracle recomputes the same quantity as a sum over all
 pairs (w, z) with wz = zw, weighted 1/|W|, without the class
-decomposition.  It shares four things with the class sum: ``fixed_set``
-(the Smith form of w - 1 and the components it enumerates as integer
-numerators X over the largest invariant factor q), the torsion key
-U_tors y mod d by which a component is named,
+decomposition, in one pass per group.  It shares with the class sum the
+Smith form, the coset numerators X over the largest invariant factor q,
+the torsion key U_tors y mod d by which a component is named,
 ``group.centralizer_indices`` and the checked int64 product
-``intlinalg.int_matmul``.  The rest is its own, in one
-``centralizer_action`` call per element w on its stacked centralizer: it
-moves the components as z X, tests each for membership
-((w - 1) z X = 0 mod q) and looks its key up, and restricts every z to
-Gamma^w through one Smith form of the basis V[:, r:] of Gamma^w.  The
-restriction stack is checked integral once, by ``int_array``, and the two
-Bareiss determinants per pair are taken on its Python ints instead of
-guarded float ones.  It never reads ``FixedSetReport.action``, V^-1 or a
-float determinant.  The two must agree.
+``intlinalg.int_matmul``.  The rest is its own: one stacked Smith form of
+every w - 1, the elements bucketed by their invariant-factor diagonal (a
+bucket shares q, the coset steps, the torsion rows and dim Gamma^w), and
+per bucket one flat stack of its commuting pairs, acted on by
+``fixedpoints._pair_action``: it moves the components as z X, tests each
+for membership ((w - 1) z X = 0 mod q), looks its key up, and restricts
+every z to Gamma^w through one stacked Smith form of the bases V[:, r:].
+det(1 +- R) is one lockstep Bareiss per sign over the stack, bounded by
+Hadamard's inequality before it starts.  It never reads
+``FixedSetReport.action``, V^-1 or a float determinant.  The two must
+agree.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoints import centralizer_action, fixed_set
-from .intlinalg import Matrix, det, int_array
+from .fixedpoints import _pair_action, fixed_set
+from .intlinalg import Matrix, _coset_steps, det, int_matmul, smith_normal_form
 from .rootdata import RootDatum, build_simple, center as center_of, dualize
 from .weyl import WeylGroup, generate
 
@@ -242,36 +243,45 @@ def rational_equivariant_k(rd) -> GradedRank:
 
 
 def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
-    """Oracle: sum over all commuting pairs (w, z), weight 1/|W|.
+    """Oracle: sum over all commuting pairs (w, z), weight 1/|W|, in one
+    pass over the group.
 
-    Shares ``fixed_set``, the torsion key of a component,
-    ``group.centralizer_indices`` and the checked int64 product with
-    :func:`graded_rank_with_classes`.  Otherwise independent: it takes a
-    fixed set per element (not per class) and acts on it by one
-    :func:`centralizer_action` call on the stacked centralizer, which
-    moves the component numerators, tests the membership of each z x and
-    restricts every z to Gamma^w through one Smith form of Gamma^w's
-    basis; it checks the restriction stack integral once (``int_array``)
-    and takes two Bareiss determinants per pair on its Python ints.  Must
-    agree with :func:`graded_rank_with_classes`.
+    Shares the Smith form, the coset numerators, the torsion key of a
+    component, ``group.centralizer_indices`` and the checked int64
+    product with :func:`graded_rank_with_classes`.  Otherwise
+    independent: it takes the Smith forms of every w - 1 in one stacked
+    call and buckets the elements by their invariant-factor diagonal, so
+    that within a bucket the coset steps, the torsion rows and
+    dim Gamma^w agree.  Each bucket's commuting pairs are flattened into
+    one stack and acted on by :func:`fixedpoints._pair_action` (moved
+    numerators with their membership test, restriction to Gamma^w
+    through one stacked Smith form of the bases), and det(1 +- R) is one
+    stacked Bareiss per sign.  Must agree with
+    :func:`graded_rank_with_classes`.
     """
-    # 2 |W| times k0 and k1
-    k0 = k1 = 0
-    for wi, w in enumerate(group.array):
-        report = fixed_set(w)
-        cent = group.centralizer_indices(wi)
-        perms, restrictions = centralizer_action(report, group.array[cent])
-        int_array(restrictions)  # raises ValueError unless integral
-        fixed = (perms == np.arange(perms.shape[1])).sum(axis=1).tolist()
-        ident = np.eye(report.fixed_dim, dtype=object)
-        for count, plus, minus in zip(fixed, ident + restrictions, ident - restrictions):
-            plus, minus = det(plus), det(minus)
-            k0 += count * (plus + minus)
-            k1 += count * (plus - minus)
+    ws = group.array.astype(np.int64)
+    snf = smith_normal_form(ws - np.eye(group.rank, dtype=np.int64))
+    diagonals, bucket = np.unique(snf.diagonal, axis=0, return_inverse=True)
+    even = odd = 0  # 2 |W| times k0 and k1
+    for b, diag in enumerate(diagonals):
+        members = np.flatnonzero(bucket.ravel() == b)
+        cents = [group.centralizer_indices(i) for i in members.tolist()]
+        owner = np.repeat(np.arange(len(members)), [len(c) for c in cents])
+        r = int(np.count_nonzero(diag))
+        steps, q = _coset_steps(diag[:r])
+        v = snf.v[members]
+        perm, restriction = _pair_action(ws[members], snf.u[members], v, diag,
+                                         int_matmul(v[:, :, :r], steps) % q, owner,
+                                         ws[np.concatenate(cents)])
+        fixed = (perm == np.arange(perm.shape[1])).sum(axis=1)
+        ident = np.eye(group.rank - r, dtype=np.int64)
+        plus, minus = det(ident + restriction), det(ident - restriction)
+        e, o = int_matmul(fixed, np.stack([plus + minus, plus - minus], axis=1)).tolist()
+        even, odd = even + e, odd + o
     scale = 2 * len(group)
-    if k0 % scale != 0 or k1 % scale != 0:
+    if even % scale != 0 or odd % scale != 0:
         raise NonIntegralInvariantError("commuting-pairs sum is not integral")
-    return GradedRank(k0 // scale, k1 // scale)
+    return GradedRank(even // scale, odd // scale)
 
 
 def verify_duality(rd: RootDatum) -> DualityReport:

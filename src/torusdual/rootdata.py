@@ -20,7 +20,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .intlinalg import FiniteAbelianGroup, cokernel, int_array, int_matmul, intmat, smith_normal_form
+from .intlinalg import (
+    FiniteAbelianGroup, as_matrix, cokernel, int_array, int_matmul, intmat, smith_normal_form,
+)
 
 __all__ = [
     "RootDatum",
@@ -125,6 +127,9 @@ class RootDatum:
     label: tuple[str, int, str] = field(compare=False, default=("?", 0, "?"))
 
     def __post_init__(self):
+        # tuples of Python ints, so that data built from lists or arrays hash and compare alike
+        for name in ("simple_roots", "simple_coroots"):
+            object.__setattr__(self, name, as_matrix(getattr(self, name)))
         if len(self.simple_roots) != len(self.simple_coroots) or any(
             len(v) != self.rank for v in (*self.simple_roots, *self.simple_coroots)
         ):

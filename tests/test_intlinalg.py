@@ -436,3 +436,83 @@ def test_smith_diagonal_and_rank_are_computed_once():
     other = dataclasses.replace(snf, d=il.intmat([[1, 0], [0, 3]]))
     assert other.diagonal == (1, 3) and other.rank == 2
     assert snf.diagonal == (2, 0) and snf.rank == 1
+
+
+SNF_FIELDS = ("u", "d", "v", "v_inv")
+
+
+def assert_stacked_snf_matches(stack):
+    got = il.smith_normal_form(stack)
+    assert got.rank.shape == (len(stack),)
+    for i, m in enumerate(stack):
+        want = il.smith_normal_form(m)
+        for name in SNF_FIELDS:
+            assert getattr(got, name)[i].dtype == np.int64
+            assert getattr(got, name)[i].tolist() == getattr(want, name).tolist(), name
+        assert got.rank[i] == want.rank
+        assert tuple(got.diagonal[i].tolist()) == want.diagonal
+
+
+@pytest.mark.parametrize("type_,rank,form", [
+    ("B", 3, "sc"), ("A", 4, "sc"), ("B", 4, "sc"), ("F", 4, "sc"), ("D", 4, [[1, 0, 0, 0]]),
+], ids=["B3-sc", "A4-sc", "B4-sc", "F4-sc", "D4-so"])
+def test_stacked_smith_form_matches_every_group_element(type_, rank, form):
+    from torusdual import rootdata, weyl
+
+    group = weyl.generate(rootdata.build_simple(type_, rank, form))
+    assert_stacked_snf_matches(group.array.astype(np.int64) - np.eye(rank, dtype=np.int64))
+
+
+def test_stacked_smith_form_matches_random_and_empty_stacks():
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        k, m, n = rng.integers(1, 7, size=3)
+        assert_stacked_snf_matches(rng.integers(-9, 10, size=(k, m, n)))
+    for shape in ((0, 3, 4), (4, 0, 3), (4, 3, 0), (0, 0, 0)):
+        snf = il.smith_normal_form(np.zeros(shape, dtype=np.int64))
+        k, m, n = shape
+        assert (snf.u.shape, snf.d.shape, snf.v.shape, snf.v_inv.shape) == (
+            (k, m, m), (k, m, n), (k, n, n), (k, n, n))
+        assert snf.rank.shape == (k,)
+        assert_stacked_snf_matches(np.zeros(shape, dtype=np.int64))
+    with pytest.raises(ValueError):
+        il.smith_normal_form([[[1.5]]])
+
+
+def test_stacked_smith_form_is_exact_or_raises():
+    # the exact transforms of this matrix reach 2^63, one past int64
+    edge = [[0, 2], [2**62, 1]]
+    assert max(abs(int(x)) for name in SNF_FIELDS
+               for x in getattr(il.smith_normal_form(edge), name).flat) == 2**63
+    with pytest.raises(OverflowError):
+        il.smith_normal_form(np.array([edge, [[1, 0], [0, 1]]]))
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        a = rng.integers(-2**62, 2**62, size=tuple(rng.integers(1, 4, size=2)))
+        a[rng.random(a.shape) < 0.5] = rng.integers(-9, 10)
+        try:
+            assert_stacked_snf_matches(a[None])
+        except OverflowError:
+            pass
+
+
+def test_stacked_det_matches_one_matrix():
+    rng = np.random.default_rng(3)
+    for d in range(6):
+        stack = rng.integers(-3, 4, size=(40, d, d))
+        stack[:10, :, :1] = 0  # singular slices: a zero column
+        stack[10:20, -1:] = stack[10:20, :1]  # and two equal rows
+        got = il.det(stack)
+        assert got.shape == (40,) and got.dtype == np.int64
+        assert got.tolist() == [il.det(m) for m in stack]
+        if d:
+            assert not got[:10].any()
+    assert il.det(np.zeros((0, 3, 3), dtype=np.int64)).shape == (0,)
+
+
+def test_stacked_det_bounds_by_hadamard():
+    # 2 H^2 = 2^61 passes; det 2^64 would leave int64 and must raise
+    assert il.det(np.array([np.eye(2, dtype=np.int64) * 2**15])).tolist() == [2**30]
+    with pytest.raises(OverflowError):
+        il.det(np.array([np.eye(2, dtype=np.int64) * 2**32]))
+    assert il.det([[2**32, 0], [0, 2**32]]) == 2**64  # one matrix stays in Python ints

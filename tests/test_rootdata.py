@@ -271,3 +271,19 @@ def test_dualize_and_classify_run_no_closure(type_, rank, form, monkeypatch):
     assert rdm.classify_form(dual) == dual.label[2]
     with pytest.raises(AssertionError, match="closure"):
         dual.roots
+
+
+def test_data_from_lists_tuples_and_arrays_are_equal():
+    b2 = rdm.build_simple("B", 2, "sc")
+    built = [
+        rdm.RootDatum(2, [list(v) for v in b2.simple_roots], [list(v) for v in b2.simple_coroots]),
+        rdm.RootDatum(2, b2.simple_roots, b2.simple_coroots),
+        rdm.RootDatum(2, np.array(b2.simple_roots), np.array(b2.simple_coroots)),
+    ]
+    for rd in built:
+        assert rd == b2 and hash(rd) == hash(b2)
+        assert all(type(x) is int for v in rd.simple_roots + rd.simple_coroots for x in v)
+    assert rdm.RootDatum(1, [[2]], [[1]]) == rdm.RootDatum(1, ((2,),), ((1,),))
+    assert len({rdm.RootDatum(1, [[2]], [[1]]), rdm.build_simple("A", 1, "sc")}) == 1
+    with pytest.raises(ValueError):
+        rdm.RootDatum(1, [[2.5]], [[1]])
