@@ -36,7 +36,9 @@ from .rootdata import (
     fundamental_group,
 )
 from .weyl import GroupTooLargeError, WeylGroup, generate
-from .fixedpoints import FixedSetReport, centralizer_action, fixed_set, full_fixed_points
+from .fixedpoints import (
+    FixedSetReport, centralizer_action, fixed_set, fixed_sets, full_fixed_points,
+)
 from .ktheory import (
     AffineComparisonReport,
     DualityReport,
@@ -78,6 +80,7 @@ __all__ = [
     "FixedSetReport",
     "centralizer_action",
     "fixed_set",
+    "fixed_sets",
     "full_fixed_points",
     "AffineComparisonReport",
     "DualityReport",

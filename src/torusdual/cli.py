@@ -18,7 +18,7 @@ from . import clifford as cliff
 from . import ktheory as kt
 from . import oscillator as osc
 from . import poincare as pc
-from .fixedpoints import fixed_set, full_fixed_points
+from .fixedpoints import fixed_sets, full_fixed_points
 from .rootdata import (
     SIMPLE_TYPES,
     RootDatum,
@@ -260,8 +260,8 @@ def cmd_fixed_points(args) -> int:
     group = generate(rd)
     print(f"{rd}: per-conjugacy-class fixed sets on T")
     rows = []
-    for c in group.classes:
-        rep = fixed_set(group.array[c.representative])
+    reports = fixed_sets(group.array[[c.representative for c in group.classes]])
+    for c, rep in zip(group.classes, reports):
         rows.append({
             "class_size": len(c.members),
             "fixed_dim": rep.fixed_dim,

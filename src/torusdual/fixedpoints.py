@@ -4,7 +4,9 @@ Everything here works in coordinates where Gamma = Z^n.  For w a lattice
 automorphism, T^w = {x : (w - 1) x in Z^n} / Z^n is a finite disjoint
 union of parallel subtori of dimension dim ker(w - 1).  One Smith form
 U (w - 1) V = D per fixed set gives the components, their keys in
-tors coker(w - 1) and the lattice Gamma^w.  The components are held as
+tors coker(w - 1) and the lattice Gamma^w; :func:`fixed_sets` takes the
+Smith forms of a whole stack of elements at once, and :func:`fixed_set`
+is its one-element case.  The components are held as
 one int64 array X of numerators over the largest invariant factor q, so
 their images, their keys and the action of a whole stack of centralizer
 elements are int64 products, each checked by ``intlinalg.int_matmul``;
@@ -32,6 +34,7 @@ from .intlinalg import (
     SmithDecomposition,
     _as_fractions,
     _coset_numerators,
+    _restrict,
     as_matrix,
     int_array,
     int_matmul,
@@ -41,7 +44,7 @@ from .intlinalg import (
 from .rootdata import RootDatum
 from .weyl import simple_reflection_matrices
 
-__all__ = ["FixedSetReport", "fixed_set", "full_fixed_points", "centralizer_action"]
+__all__ = ["FixedSetReport", "fixed_set", "fixed_sets", "full_fixed_points", "centralizer_action"]
 
 
 @dataclass(frozen=True)
@@ -143,15 +146,28 @@ def _difference_matrix(*mats) -> np.ndarray:
     return (stack - np.eye(n, dtype=np.int64)).reshape(-1, n)
 
 
+def fixed_sets(ws) -> list[FixedSetReport]:
+    """Fixed-set reports for a (k, n, n) stack of lattice automorphisms on
+    Z^n, from one stacked Smith form of every w - 1 (int_array bounds
+    entries by +-(2^63 - 1), so w - 1 cannot wrap)."""
+    wm = int_array(ws)
+    n = wm.shape[-1]
+    if wm.ndim != 3 or wm.shape[1] != n:
+        raise ValueError("expected a stack of square matrices")
+    matrices = wm - np.eye(n, dtype=np.int64)
+    stacked, reports = smith_normal_form(matrices), []
+    for w, matrix, *factors in zip(wm, matrices, stacked.u, stacked.d, stacked.v, stacked.v_inv):
+        snf = SmithDecomposition(*factors)
+        x, q = _coset_numerators(snf, modulo_kernel=True)
+        reports.append(FixedSetReport(w=as_matrix(w), _matrix=matrix, _snf=snf,
+                                      _numerators=x, _denominator=q))
+    return reports
+
+
 def fixed_set(w) -> FixedSetReport:
-    """Fixed-set report for one lattice automorphism w on Z^n, from the one
-    Smith form of w - 1."""
-    wm = int_array(w)
-    matrix = _difference_matrix(wm)
-    snf = smith_normal_form(matrix)
-    x, q = _coset_numerators(snf, modulo_kernel=True)
-    return FixedSetReport(w=as_matrix(wm), _matrix=matrix, _snf=snf, _numerators=x,
-                          _denominator=q)
+    """Fixed-set report for one lattice automorphism w on Z^n: the
+    one-element case of :func:`fixed_sets`."""
+    return fixed_sets(int_array(w)[None])[0]
 
 
 def full_fixed_points(rd: RootDatum) -> list[tuple[Fraction, ...]]:
@@ -182,8 +198,8 @@ def centralizer_action(report: FixedSetReport, z):
     """
     zs, snf = _stack(report, z), report._snf
     perm, restriction = _pair_action(
-        int_array(report.w)[None], int_array(snf.u)[None], int_array(snf.v)[None],
-        snf.diagonal, report._numerators[None], np.zeros(len(zs), dtype=np.int64), zs)
+        int_array(report.w)[None], snf.u[None], snf.v[None], snf.diagonal,
+        report._numerators[None], np.zeros(len(zs), dtype=np.int64), zs)
     return perm, restriction.astype(object)
 
 
@@ -207,7 +223,7 @@ def _pair_action(w, u, v, diag, x, owner, z):
     pass the membership test (w - 1) z x = 0 mod q (else ValueError) and
     is looked up by its key.  The restriction of z to Gamma^w in the
     basis V[:, r:] is solved by one stacked Smith form of the b bases
-    (:func:`_restrict`).  V^-1 is never read; every product is checked
+    (``intlinalg._restrict``).  V^-1 is never read; every product is checked
     by :func:`int_matmul`.
 
     Returns (perm, restriction): perm (P, c) int64, perm[p, i] the
@@ -239,28 +255,3 @@ def _pair_action(w, u, v, diag, x, owner, z):
         raise ValueError("a moved component is not in the fixed set")
     perm = index[owner[:, None], codes(u_tors[owner], moved // q)]
     return perm, _restrict(v[:, :, r:], owner, z)
-
-
-def _restrict(basis, owner, z):
-    """R with B R = z B for each z and its basis B = basis[owner[p]], in int64.
-
-    One Smith form U B V = D of the whole (b, n, d) stack of bases: each
-    B must have full column rank and be saturated (every d_i = 1); then
-    B R = z B holds exactly when the rows d and beyond of U z B vanish
-    and R = V (U z B)[:d], and B R = z B is checked.  ValueError when a
-    basis fails or a z does not preserve its span.
-    """
-    snf, d = smith_normal_form(basis), basis.shape[2]
-    if (snf.rank < d).any():
-        raise ValueError("basis does not have full column rank")
-    if (snf.diagonal > 1).any():
-        raise ValueError("basis spans a sublattice that is not saturated")
-    bo = basis[owner]
-    zb = int_matmul(z, bo)
-    image = int_matmul(snf.u[owner], zb)
-    if image[:, d:].any():
-        raise ValueError("matrix does not preserve the sublattice span")
-    num = int_matmul(snf.v[owner], image[:, :d])
-    if not np.array_equal(int_matmul(bo, num), zb):
-        raise ValueError("matrix does not preserve the sublattice span")
-    return num

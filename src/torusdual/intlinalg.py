@@ -1,14 +1,13 @@
 """Exact integer linear algebra over lattices.
 
-One matrix is carried as a 2-D numpy array of ``dtype=object`` holding
-Python ints, so every computation in this module is exact.  There are two
-exact algorithms: the Smith normal form, from which ranks, cokernel
-torsion, solution sets of ``M x in Z^m`` and restrictions to sublattices
-are read off, and fraction-free (Bareiss) elimination for determinants.
-Both also take a (k, m, n) stack, reduced in lockstep in int64 with
-every step bounded first, so past the int64 range they raise
-OverflowError instead of wrapping.
-Coset representatives are enumerated as int64 numerators over one common
+Two exact integer eliminations, one implementation each, on int64
+stacks: the Smith normal form, from which ranks, cokernel torsion,
+solution sets of ``M x in Z^m`` and restrictions to sublattices are
+read off, and the determinant by fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968).  A (k, m, n) stack is reduced in lockstep and
+one matrix is its k = 1 slice; every step is bounded first, so past the
+int64 range they raise OverflowError instead of wrapping.  Coset
+representatives are enumerated as int64 numerators over one common
 denominator; Fractions appear only when they are handed out as rational
 points.
 
@@ -180,10 +179,10 @@ class SmithDecomposition:
     """Unimodular U, V and diagonal D with U @ M @ V = D and d1 | d2 | ...
 
     v_inv is the exact inverse of V, kept in step with the column
-    operations that build V, so no separate inversion is needed.
-    diagonal and rank are computed on first access and kept.  For a
-    (k, m, n) stack every field is a stack of int64 arrays, diagonal is a
-    (k, min(m, n)) array and rank a (k,) array.
+    operations that build V, so no separate inversion is needed.  The
+    factors are int64 arrays.  diagonal and rank are computed on first
+    access and kept: for one matrix a tuple of ints and an int, for a
+    (k, m, n) stack a (k, min(m, n)) array and a (k,) array.
     """
 
     u: np.ndarray
@@ -204,116 +203,22 @@ class SmithDecomposition:
 
 
 def smith_normal_form(mat) -> SmithDecomposition:
-    """Smith normal form with transform matrices.
+    """Smith normal form with transform matrices, of one integer matrix
+    or of a (k, m, n) stack of them.
 
     Uses smallest-nonzero-absolute-value pivoting, first in row-major
     order, which keeps intermediate entries small at the ranks this
     library works at.  Total function: any rectangular integer matrix is
-    accepted.  One matrix is reduced in Python ints by a list-based loop;
-    a (k, m, n) stack is reduced by :func:`_smith_stack`, all k matrices
-    in lockstep in int64, each slice by the same steps as one matrix.
-    The choice is made by input ndim: for one small matrix the loop is
-    several times faster, for a whole group the lockstep is.
+    accepted.  A stack is reduced by :func:`_smith_stack`, all k matrices
+    in lockstep in int64; one matrix is its k = 1 slice.  Past the int64
+    range this raises OverflowError instead of wrapping.
     """
-    a = mat if isinstance(mat, np.ndarray) else np.asarray(mat, dtype=object)
-    if a.ndim == 3:
-        return _smith_stack(int_array(a))
-    if a.ndim != 2:
+    a = int_array(mat)
+    if a.ndim == 2:
+        return SmithDecomposition(*(x[0] for x in _smith_stack(a[None])))
+    if a.ndim != 3:
         raise ValueError("expected a 2-D matrix or a stack of them")
-    m, n = a.shape
-    work = [[_as_int(x) for x in row] for row in a.tolist()]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v_inv = [row[:] for row in v]
-
-    def swap_rows(i, j):
-        work[i], work[j] = work[j], work[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in work:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def negate_row(i):
-        work[i] = [-x for x in work[i]]
-        u[i] = [-x for x in u[i]]
-
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        wsrc, wdst = work[src], work[dst]
-        for k in range(n):
-            wdst[k] += q * wsrc[k]
-        usrc, udst = u[src], u[dst]
-        for k in range(m):
-            udst[k] += q * usrc[k]
-
-    def add_col(src, dst, q):
-        # col_dst += q * col_src, so row_src of V^-1 loses q * row_dst
-        for row in work:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        vsrc, vdst = v_inv[src], v_inv[dst]
-        for k in range(n):
-            vsrc[k] -= q * vdst[k]
-
-    def pivot_position(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = work[i][j]
-                if x != 0 and (best is None or abs(x) < abs(work[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(m, n):
-        pos = pivot_position(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            if work[t][t] < 0:
-                negate_row(t)
-            p = work[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if work[i][t] != 0:
-                    add_row(t, i, -(work[i][t] // p))
-                    dirty = dirty or work[i][t] != 0
-            for j in range(t + 1, n):
-                if work[t][j] != 0:
-                    add_col(t, j, -(work[t][j] // p))
-                    dirty = dirty or work[t][j] != 0
-            if dirty:
-                pos = pivot_position(t)
-                swap_rows(t, pos[0])
-                swap_cols(t, pos[1])
-                continue
-            # cross is clear; enforce divisibility of the remaining block
-            culprit = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if work[i][j] % p != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            add_row(culprit, t, 1)
-        t += 1
-
-    return SmithDecomposition(
-        _freeze(np.array(u, dtype=object).reshape(m, m)),
-        _freeze(np.array(work, dtype=object).reshape(m, n)),
-        _freeze(np.array(v, dtype=object).reshape(n, n)),
-        _freeze(np.array(v_inv, dtype=object).reshape(n, n)),
-    )
+    return SmithDecomposition(*_smith_stack(a))
 
 
 def _add_product(dst: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -324,13 +229,15 @@ def _add_product(dst: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     dst += a @ b
 
 
-def _smith_stack(a: np.ndarray) -> SmithDecomposition:
-    """The Smith forms of a (k, m, n) int64 stack, all k in lockstep.
+def _smith_stack(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(U, D, V, V^-1) of a (k, m, n) int64 stack, all k in lockstep.
 
-    Each slice takes the steps of the one-matrix loop of
-    :func:`smith_normal_form` in the same order, so its U, D, V, V^-1
-    are the same.  Each pass of the loop at pivot t is taken by the
-    slices still reducing there, gathered into one stack.  D and U share
+    At pivot t a slice moves its smallest nonzero block entry to (t, t),
+    clears row and column t by floor-quotient steps, and repeats until
+    the cross is clear; then, unless the pivot divides the remaining
+    block, it adds the first row holding an entry the pivot does not
+    divide to row t and goes on.  Each pass of that loop is taken by the
+    slices still reducing at t, gathered into one stack.  D and U share
     their rows and D and V their columns in one array [[D, U], [V, 0]],
     so a row step updates D and U and a column step D and V at once.
     Every step is bounded by :func:`_add_product`.
@@ -374,10 +281,8 @@ def _smith_stack(a: np.ndarray) -> SmithDecomposition:
                 keep[c] = True
             big[live], v_inv[live] = g, vi
             live, repivot = live[keep], repivot[keep]
-    return SmithDecomposition(
-        *(_freeze(np.ascontiguousarray(x))
-          for x in (big[:, :m, n:], big[:, :m, :n], big[:, m:, :n], v_inv))
-    )
+    return tuple(_freeze(np.ascontiguousarray(x))
+                 for x in (big[:, :m, n:], big[:, :m, :n], big[:, m:, :n], v_inv))
 
 
 def rank(mat) -> int:
@@ -395,96 +300,89 @@ def cokernel(mat) -> tuple[int, FiniteAbelianGroup]:
 
 
 def det(mat):
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    One matrix is reduced in Python ints.  A (k, d, d) stack goes to
-    :func:`_det_stack` and gives a (k,) int64 array.
+    """Exact determinant by fraction-free (Bareiss) elimination: a Python
+    int for one square matrix, a (k,) int64 array for a (k, d, d) stack.
+    A stack is reduced by :func:`_det_stack`; one matrix is its k = 1
+    slice.  Past the int64 range this raises OverflowError.
     """
-    a = mat if isinstance(mat, np.ndarray) else np.asarray(mat, dtype=object)
-    if a.ndim == 3:
-        return _det_stack(int_array(a))
-    m, n = a.shape
-    if m != n:
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    w = [[_as_int(x) for x in row] for row in a.tolist()]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if w[k][k] == 0:
-            for i in range(k + 1, n):
-                if w[i][k] != 0:
-                    w[k], w[i] = w[i], w[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
-            w[i][k] = 0
-        prev = w[k][k]
-    return sign * w[n - 1][n - 1]
+    a = int_array(mat)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("determinant requires a square matrix or a stack of them")
+    return int(_det_stack(a[None])[0]) if a.ndim == 2 else _det_stack(a)
 
 
 def _det_stack(a: np.ndarray) -> np.ndarray:
     """Determinants of a (k, d, d) int64 stack by Bareiss in lockstep.
 
-    Every entry Bareiss forms is a minor, so it is at most the Hadamard
-    bound H = prod_i max(1, |row_i|), and every product it takes at most
-    H^2.  2 H^2 <= 2^62 is checked before the first step (in floating
-    point; the factor 2 covers its rounding), else OverflowError.  A slice
-    with no pivot in its column has determinant 0; its remaining block is
-    set to the identity so that it rides along without dividing by zero.
+    The stack axis is moved innermost, so each step is one contiguous
+    operation over all k.  Every entry Bareiss forms is a minor, so it is
+    at most the Hadamard bound H = prod_i max(1, |row_i|), and every
+    product it takes at most H^2.  2 H^2 <= 2^62 is checked before the
+    first step (in floating point; the factor 2 covers its rounding),
+    else OverflowError.  A slice with no pivot in its column has
+    determinant 0; its remaining block is set to the identity so that it
+    rides along without dividing by zero.
     """
     k, n, _ = a.shape
-    rows = np.maximum((a.astype(np.float64) ** 2).sum(axis=2), 1.0)
+    rows = np.maximum(np.einsum("kij,kij->ki", a, a, dtype=np.float64), 1.0)
     if 2.0 * np.prod(rows, axis=1).max(initial=1.0) > 2.0 ** 62:
         raise OverflowError("determinant could pass the int64 range")
-    w, s = a.copy(), np.arange(k)
+    if n == 0:
+        return np.ones(k, dtype=np.int64)
+    w = np.ascontiguousarray(a.transpose(1, 2, 0))  # slice s is w[:, :, s]
     sign, prev, alive = np.ones(k, dtype=np.int64), np.ones(k, dtype=np.int64), np.ones(k, dtype=bool)
     for j in range(n - 1):
-        nonzero = w[:, j:, j] != 0
-        alive &= nonzero.any(axis=1)
-        w[~alive, j:, j:], prev[~alive] = np.eye(n - j, dtype=np.int64), 1
-        i = nonzero.argmax(axis=1) + j  # first pivot row at or below j
-        w[s, j], w[s, i] = w[s, i], w[s, j]
-        sign[i != j] *= -1
-        pivot = w[:, j, j].copy()
-        w[:, j + 1:, j + 1:] = (w[:, j + 1:, j + 1:] * pivot[:, None, None]
-                                - w[:, j + 1:, j:j + 1] * w[:, j:j + 1, j + 1:]) // prev[:, None, None]
+        nonzero = w[j:, j] != 0
+        dead = ~nonzero.any(axis=0)
+        if dead.any():
+            w[j:, j:, dead], prev[dead] = np.eye(n - j, dtype=np.int64)[:, :, None], 1
+            alive &= ~dead
+        i = nonzero.argmax(axis=0) + j  # first pivot row at or below j (j for a dead slice)
+        s = np.flatnonzero(i != j)
+        w[j, :, s], w[i[s], :, s] = w[i[s], :, s], w[j, :, s]
+        sign[s] *= -1
+        pivot, block = w[j, j].copy(), w[j + 1:, j + 1:]
+        block *= pivot
+        block -= w[j + 1:, j, None] * w[j, None, j + 1:]
+        if j:  # prev is 1 at the first step
+            block //= prev
         prev = pivot
-    return np.where(alive, sign * w[:, -1, -1], 0) if n else np.ones(k, dtype=np.int64)
+    return np.where(alive, sign * w[-1, -1], 0)
 
 
 def restrict_to_sublattice(mat, basis) -> np.ndarray:
     """Exact integer matrix R with basis @ R = mat @ basis, for one matrix
-    or a (k, n, n) stack of them.
-
-    Solved through the Smith form U B V = D of the n x d basis B, taken
-    once for the whole stack.  B must be saturated (every d_i = 1, as for
-    the columns of a unimodular matrix); then B R = A B holds exactly when
-    D V^-1 R = U A B, so the rows d and beyond of U A B must vanish and
-    R = V (U A B)[:d], and B R = A B is checked in Python ints.  The result
-    is (d, d), or (k, d, d) for a stack, of Python ints.  Raises ValueError
-    when the basis does not have full column rank or is not saturated, or
-    a matrix does not preserve its span.
+    or a (k, n, n) stack of them: :func:`_restrict` with the one n x d
+    basis.  The result is (d, d), or (k, d, d) for a stack, in int64.
     """
-    b = np.asarray(basis, dtype=object)
-    a = np.asarray(mat, dtype=object)
-    d = b.shape[1]
-    snf = smith_normal_form(b)
-    if snf.rank < d:
+    a = int_array(mat)
+    zs = a.reshape(-1, *a.shape[-2:])
+    r = _restrict(int_array(basis)[None], np.zeros(len(zs), dtype=np.int64), zs)
+    return r.reshape(*a.shape[:-2], *r.shape[1:])
+
+
+def _restrict(basis, owner, z):
+    """R with B R = z B for each z and its basis B = basis[owner[p]], in int64.
+
+    One Smith form U B V = D of the whole (b, n, d) stack of bases: each
+    B must have full column rank and be saturated (every d_i = 1, as for
+    the columns of a unimodular matrix); then B R = z B holds exactly
+    when the rows d and beyond of U z B vanish and R = V (U z B)[:d], and
+    B R = z B is checked.  ValueError when a basis fails or a z does not
+    preserve its span; every product is checked by :func:`int_matmul`.
+    """
+    snf, d = smith_normal_form(basis), basis.shape[2]
+    if (snf.rank < d).any():
         raise ValueError("basis does not have full column rank")
-    if max(snf.diagonal, default=1) > 1:
+    if (snf.diagonal > 1).any():
         raise ValueError("basis spans a sublattice that is not saturated")
-    ab = a @ b
-    image = snf.u @ ab
-    if (image[..., d:, :] != 0).any():
+    bo = basis[owner]
+    zb = int_matmul(z, bo)
+    image = int_matmul(snf.u[owner], zb)
+    if image[:, d:].any():
         raise ValueError("matrix does not preserve the sublattice span")
-    num = snf.v @ image[..., :d, :]
-    if not np.array_equal(b @ num, ab):
+    num = int_matmul(snf.v[owner], image[:, :d])
+    if not np.array_equal(int_matmul(bo, num), zb):
         raise ValueError("matrix does not preserve the sublattice span")
     return _freeze(num)
 

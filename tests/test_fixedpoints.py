@@ -12,7 +12,7 @@ from torusdual import fixedpoints as fp
 from torusdual import intlinalg as il
 from torusdual import rootdata as rdm
 from torusdual import weyl
-from tuple_reference import elements, mat_identity, mat_mul
+from tuple_reference import elements, mat_identity, mat_mul, smith_form
 
 
 def brute_force_component_count(w, torsion_order):
@@ -221,13 +221,16 @@ def smith_reference_fixed_count(report, z):
     snf = report._snf
     d = snf.diagonal
     tors = [i for i in range(snf.rank) if d[i] > 1]
-    # U' U V' = 1 for the Smith form of the unimodular U, so U^-1 = V' U'
-    inner = il.smith_normal_form(snf.u)
-    u_inv = inner.v @ inner.u
-    b = snf.u[tors, :] @ np.array(z, dtype=object) @ u_inv[:, tors]
+    u = snf.u.astype(object)
+    # U' U V' = 1 for the Smith form of the unimodular U, so U^-1 = V' U';
+    # both Smith forms are the Python-int reference's
+    inner_u, _, inner_v, _ = smith_form(u)
+    u_inv = np.array(inner_v, dtype=object) @ np.array(inner_u, dtype=object)
+    b = u[tors, :] @ np.array(z, dtype=object) @ u_inv[:, tors]
     d_tors = np.diag(np.array([d[i] for i in tors], dtype=object))
     coker = np.hstack([b - il.intmat(np.eye(len(tors), dtype=int)), d_tors])
-    return prod(il.smith_normal_form(coker).diagonal)
+    _, diag, _, _ = smith_form(coker)
+    return prod(diag[i][i] for i in range(len(tors)))
 
 
 @pytest.mark.parametrize("type_,rank,form", [("F", 4, "sc"), ("C", 4, "adjoint")],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from torusdual import intlinalg as il
+from tuple_reference import bareiss_det, smith_form
 
 
 def int_eye(n):
@@ -18,8 +19,9 @@ def int_eye(n):
 
 def check_decomposition(m, snf):
     assert np.array_equal(snf.u @ m @ snf.v, snf.d)
-    assert abs(il.det(snf.u)) == 1
-    assert abs(il.det(snf.v)) == 1
+    # unimodular, by the unbounded reference: the library det is bounded by Hadamard
+    assert abs(bareiss_det(snf.u)) == 1
+    assert abs(bareiss_det(snf.v)) == 1
     diag = snf.diagonal
     assert all(x >= 0 for x in diag)
     nonzero = [x for x in diag if x != 0]
@@ -98,7 +100,7 @@ def test_snf_contract_property(entries):
     snf = il.smith_normal_form(m)
     rows, cols = m.shape
     assert np.array_equal(snf.u @ m @ snf.v, snf.d)
-    assert abs(il.det(snf.u)) == 1 and abs(il.det(snf.v)) == 1
+    assert abs(bareiss_det(snf.u)) == 1 and abs(bareiss_det(snf.v)) == 1
     diag = snf.diagonal
     assert all(snf.d[i, j] == 0 for i in range(rows) for j in range(cols) if i != j)
     assert all(x >= 0 for x in diag)
@@ -302,8 +304,7 @@ def test_restrict_integral_entries_are_ints():
     cycle = il.intmat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     basis = il.intmat([[1, 0], [-1, 1], [0, -1]])
     r = il.restrict_to_sublattice(cycle, basis)
-    assert r.tolist() == [[0, -1], [1, -1]]
-    assert all(type(x) is int for x in r.flat)
+    assert r.dtype == np.int64 and r.tolist() == [[0, -1], [1, -1]]
     assert np.array_equal(basis @ r, cycle @ basis)
 
 
@@ -442,15 +443,19 @@ SNF_FIELDS = ("u", "d", "v", "v_inv")
 
 
 def assert_stacked_snf_matches(stack):
+    """Every slice of the stacked Smith form, and the one-matrix call on
+    it, equal the Python-int reference loop."""
     got = il.smith_normal_form(stack)
     assert got.rank.shape == (len(stack),)
     for i, m in enumerate(stack):
-        want = il.smith_normal_form(m)
+        want = dict(zip(SNF_FIELDS, smith_form(m)))
+        one = il.smith_normal_form(m)
         for name in SNF_FIELDS:
-            assert getattr(got, name)[i].dtype == np.int64
-            assert getattr(got, name)[i].tolist() == getattr(want, name).tolist(), name
-        assert got.rank[i] == want.rank
-        assert tuple(got.diagonal[i].tolist()) == want.diagonal
+            assert getattr(got, name)[i].dtype == getattr(one, name).dtype == np.int64
+            assert getattr(got, name)[i].tolist() == getattr(one, name).tolist() == want[name], name
+        diag = tuple(want["d"][j][j] for j in range(min(m.shape)))
+        assert tuple(got.diagonal[i].tolist()) == one.diagonal == diag
+        assert got.rank[i] == one.rank == sum(1 for x in diag if x)
 
 
 @pytest.mark.parametrize("type_,rank,form", [
@@ -482,8 +487,9 @@ def test_stacked_smith_form_matches_random_and_empty_stacks():
 def test_stacked_smith_form_is_exact_or_raises():
     # the exact transforms of this matrix reach 2^63, one past int64
     edge = [[0, 2], [2**62, 1]]
-    assert max(abs(int(x)) for name in SNF_FIELDS
-               for x in getattr(il.smith_normal_form(edge), name).flat) == 2**63
+    assert max(abs(x) for factor in smith_form(edge) for row in factor for x in row) == 2**63
+    with pytest.raises(OverflowError):
+        il.smith_normal_form(edge)
     with pytest.raises(OverflowError):
         il.smith_normal_form(np.array([edge, [[1, 0], [0, 1]]]))
     rng = np.random.default_rng(7)
@@ -504,7 +510,9 @@ def test_stacked_det_matches_one_matrix():
         stack[10:20, -1:] = stack[10:20, :1]  # and two equal rows
         got = il.det(stack)
         assert got.shape == (40,) and got.dtype == np.int64
-        assert got.tolist() == [il.det(m) for m in stack]
+        want = [bareiss_det(m) for m in stack]
+        assert got.tolist() == [il.det(m) for m in stack] == want
+        assert all(type(il.det(m)) is int for m in stack)
         if d:
             assert not got[:10].any()
     assert il.det(np.zeros((0, 3, 3), dtype=np.int64)).shape == (0,)
@@ -515,4 +523,7 @@ def test_stacked_det_bounds_by_hadamard():
     assert il.det(np.array([np.eye(2, dtype=np.int64) * 2**15])).tolist() == [2**30]
     with pytest.raises(OverflowError):
         il.det(np.array([np.eye(2, dtype=np.int64) * 2**32]))
-    assert il.det([[2**32, 0], [0, 2**32]]) == 2**64  # one matrix stays in Python ints
+    # one matrix is the k = 1 slice: exact or raise
+    assert bareiss_det([[2**32, 0], [0, 2**32]]) == 2**64
+    with pytest.raises(OverflowError):
+        il.det([[2**32, 0], [0, 2**32]])

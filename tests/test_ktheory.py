@@ -85,10 +85,11 @@ def test_oracle_takes_two_smith_forms_per_diagonal(monkeypatch):
 @pytest.mark.parametrize("type_,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)])
 def test_class_representative_independence(type_, rank):
     group = weyl.generate(rdm.build_simple(type_, rank, "sc"))
-    for c in group.classes:
-        base = kt._class_contribution(group, c.representative, c.members)
-        for member in c.members:
-            other = kt._class_contribution(group, member, c.members)
+    _, rows = kt.graded_rank_with_classes(group)
+    for c, base in zip(group.classes, rows):
+        # every member of the class taken as its representative
+        members = c.members.tolist()
+        for other in kt._class_rows(group, members, [len(members)] * len(members)):
             assert (other.even_invariants, other.odd_invariants) == (
                 base.even_invariants,
                 base.odd_invariants,

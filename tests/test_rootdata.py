@@ -152,6 +152,34 @@ def test_connection_index_values():
     assert rdm.connection_index(rdm.build_simple("F", 4, "sc")) == 1
 
 
+def _reference_table_data():
+    from torusdual.cli import REFERENCE_TABLE
+
+    return [(row.type, row.rank, row.form) for row in REFERENCE_TABLE]
+
+
+TWO_DERIVATION_DATA = _reference_table_data() + [
+    (t, r, form) for t, r in ALL_SMALL for form in ("sc", "adjoint")
+] + [("D", 4, [[1, 0, 0, 0]])]
+
+
+@pytest.mark.parametrize("type_,rank,form", TWO_DERIVATION_DATA,
+                         ids=[f"{t}{r}-{f if isinstance(f, str) else 'so'}"
+                              for t, r, f in TWO_DERIVATION_DATA])
+def test_connection_index_has_two_derivations(type_, rank, form):
+    # determinants of the simple systems against Smith forms of them and
+    # against det(Cartan) = det(roots) det(coroots), on both dual sides
+    rd = rdm.build_simple(type_, rank, form)
+    cartan = abs(il.det(rdm.cartan_matrix(type_, rank)))
+    assert cartan == CARTAN_DETS[type_](rank)
+    for side in (rd, rdm.dualize(rd)):
+        pi1, z = rdm.fundamental_group(side), rdm.center(side)
+        assert rdm.connection_index(side) == pi1.order * z.order == cartan
+        smith_tag = "sc" if pi1.is_trivial else "adjoint" if z.is_trivial else "quotient"
+        tag = rdm._form_tag(side.rank, side.simple_roots, side.simple_coroots)
+        assert tag == rdm.classify_form(side) == smith_tag
+
+
 def test_invalid_types_rejected():
     for bad in (("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9),
                 ("F", 3), ("G", 3), ("H", 2)):

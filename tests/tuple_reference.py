@@ -1,6 +1,9 @@
 """Tuple reference arithmetic for the tests: group elements as tuples of
-tuples of Python ints, multiplied entry by entry, and roots reflected one
-at a time."""
+tuples of Python ints, multiplied entry by entry, roots reflected one at
+a time, and the Smith form and determinant of one matrix in unbounded
+Python ints."""
+
+import numpy as np
 
 from torusdual.intlinalg import Matrix, as_matrix
 
@@ -51,3 +54,88 @@ def close_root_system(simple_roots, simple_coroots):
         frontier = nxt
     pairs = sorted(seen.items())
     return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+
+
+def bareiss_det(rows) -> int:
+    """Exact determinant of a square list of integer rows, by fraction-free
+    (Bareiss) elimination in Python ints."""
+    # tolist() turns numpy integers into Python ints, so nothing wraps
+    m = [list(row) for row in (rows.tolist() if isinstance(rows, np.ndarray) else rows)]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def smith_form(mat):
+    """(U, D, V, V^-1) as lists of Python-int rows, U M V = D, for an
+    m x n integer matrix M.
+
+    The pivot is the smallest nonzero |entry| of the remaining block,
+    first in row-major order; row and column t are cleared by
+    floor-quotient steps, and when the cross is clear but the pivot does
+    not divide the block, the first such row is added to row t.  These
+    are the library's steps, taken one matrix at a time without a bound.
+    """
+    a = np.asarray(mat, dtype=object)
+    m, n = a.shape
+    work = [[int(x) for x in row] for row in a.tolist()]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    v_inv = [row[:] for row in v]
+
+    def swap_rows(i, j):
+        work[i], work[j] = work[j], work[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in work + v:
+            row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def add_row(src, dst, q):  # row dst += q row src
+        work[dst] = [a + q * b for a, b in zip(work[dst], work[src])]
+        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):  # col dst += q col src, so row src of V^-1 loses q row dst
+        for row in work + v:
+            row[dst] += q * row[src]
+        v_inv[src] = [a - q * b for a, b in zip(v_inv[src], v_inv[dst])]
+
+    def pivot(t):
+        entries = [(abs(work[i][j]), i, j) for i in range(t, m) for j in range(t, n) if work[i][j]]
+        if entries:
+            _, i, j = min(entries)
+            swap_rows(t, i)
+            swap_cols(t, j)
+        return bool(entries)
+
+    t = 0
+    while t < min(m, n) and pivot(t):
+        while True:
+            if work[t][t] < 0:
+                work[t] = [-x for x in work[t]]
+                u[t] = [-x for x in u[t]]
+            p = work[t][t]
+            for i in range(t + 1, m):
+                add_row(t, i, -(work[i][t] // p))
+            for j in range(t + 1, n):
+                add_col(t, j, -(work[t][j] // p))
+            if any(work[i][t] for i in range(t + 1, m)) or any(work[t][t + 1:]):
+                pivot(t)
+                continue
+            culprit = next((i for i in range(t + 1, m)
+                            if any(x % p for x in work[i][t + 1:])), None)
+            if culprit is None:
+                break
+            add_row(culprit, t, 1)
+        t += 1
+    return u, work, v, v_inv
