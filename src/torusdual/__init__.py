@@ -3,8 +3,9 @@ K-theory, spectral, and line-bundle checks that quantify the duality.
 
 The library is organized in layers:
 
-- :mod:`torusdual.intlinalg`: exact integer/rational lattice algebra
-  (Smith normal form, cokernel torsion, solving modulo lattices);
+- :mod:`torusdual.intlinalg`: exact lattice algebra on checked int64
+  arrays (Smith normal form, cokernel torsion, solving modulo lattices)
+  and the one breadth-first closure, of roots and of Weyl groups;
 - :mod:`torusdual.rootdata`: root data of the simple compact types and
   their isogeny forms, dualization, pi_1 / center / connection index;
 - :mod:`torusdual.weyl`: Weyl groups as exact integer matrix groups;
@@ -23,7 +24,6 @@ from .intlinalg import (
     InfiniteSolutionSetError,
     SmithDecomposition,
     cokernel,
-    intmat,
     smith_normal_form,
     solve_mod_lattice,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "InfiniteSolutionSetError",
     "SmithDecomposition",
     "cokernel",
-    "intmat",
     "smith_normal_form",
     "solve_mod_lattice",
     "RootDatum",

@@ -192,15 +192,14 @@ def centralizer_action(report: FixedSetReport, z):
     Any other shape of z, one n x n matrix included, raises ValueError,
     and so does a z that does not commute with w.  Returns (perm,
     restriction): a (k, c) int64 array, perm[j, i] the index of the
-    component containing z_j . x_i, and a (k, d, d) object array of
-    Python ints, the restriction of each z to Gamma^w in the basis
+    component containing z_j . x_i, and a (k, d, d) read-only int64 array,
+    the restriction of each z to Gamma^w in the basis
     `fixed_lattice_basis`.
     """
     zs, snf = _stack(report, z), report._snf
-    perm, restriction = _pair_action(
+    return _pair_action(
         int_array(report.w)[None], snf.u[None], snf.v[None], snf.diagonal,
         report._numerators[None], np.zeros(len(zs), dtype=np.int64), zs)
-    return perm, restriction.astype(object)
 
 
 def _torsion_rows(u, diag):

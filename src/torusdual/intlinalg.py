@@ -11,9 +11,11 @@ representatives are enumerated as int64 numerators over one common
 denominator; Fractions appear only when they are handed out as rational
 points.
 
-It also owns every conversion into exact integers (:func:`int_array`,
-:func:`as_matrix`, ``_as_int``, ``_exact``) and the one int64 product
-bound (:func:`int_matmul`): nothing is truncated or wrapped.
+It owns the one integer-matrix format, checked int64 arrays (read-only
+where returned; tuples only as hashable data), with every conversion
+into it (:func:`int_array`, :func:`as_matrix`, ``_as_int``, ``_exact``),
+the one int64 product bound (:func:`int_matmul`) and the one
+breadth-first :func:`closure`, of root systems and Weyl groups alike.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from math import prod
 import numpy as np
 
 __all__ = [
+    "GroupTooLargeError",
     "InfiniteSolutionSetError",
     "FiniteAbelianGroup",
     "SmithDecomposition",
@@ -33,8 +36,7 @@ __all__ = [
     "int_array",
     "as_matrix",
     "int_matmul",
-    "intmat",
-    "zeros",
+    "closure",
     "smith_normal_form",
     "rank",
     "cokernel",
@@ -48,6 +50,10 @@ __all__ = [
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 Matrix = tuple[tuple[int, ...], ...]
+
+
+class GroupTooLargeError(RuntimeError):
+    """Closure exceeded the configured cap on its number of elements."""
 
 
 class InfiniteSolutionSetError(ValueError):
@@ -120,22 +126,43 @@ def int_matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def intmat(rows) -> np.ndarray:
-    """Build an immutable exact integer matrix from nested sequences."""
-    arr = np.array(rows, dtype=object)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D array of integers")
-    out = np.array([[_as_int(x) for x in row] for row in arr], dtype=object)
-    return _freeze(out.reshape(arr.shape))
-
-
-def zeros(m: int, n: int) -> np.ndarray:
-    return intmat(np.zeros((m, n), dtype=int))
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _keys(mats: np.ndarray) -> list[bytes]:
+    """Hash keys of a stack of matrices: the bytes of each one."""
+    flat = np.ascontiguousarray(mats).reshape(len(mats), mats.shape[1] * mats.shape[2])
+    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
+
+
+def closure(start, gens, cap: int) -> tuple[np.ndarray, dict[bytes, int]]:
+    """The orbit of a (s, a, b) start stack under right multiplication by a
+    (g, b, b) generator stack, breadth first: each level multiplies its
+    whole frontier by every generator (frontier-major) and keeps the
+    products not seen before, in first-seen order.
+
+    Products are checked by :func:`int_matmul` and cast back into the
+    start's dtype by :func:`int_array`, so past its range this raises
+    OverflowError instead of wrapping.  Returns the elements as one
+    (N, a, b) array of that dtype and the dict from each element's bytes
+    to its index; GroupTooLargeError once N would pass cap.
+    """
+    lookup: dict[bytes, int] = {}
+    gens, levels, stack = int_array(gens), [], start
+    while len(stack):
+        fresh = []
+        for i, key in enumerate(_keys(stack)):
+            if key not in lookup:
+                lookup[key] = len(lookup)
+                fresh.append(i)
+                if len(lookup) > cap:
+                    raise GroupTooLargeError(f"closure exceeded the cap of {cap} elements")
+        levels.append(stack[fresh])
+        stack = int_array(int_matmul(levels[-1][:, None], gens), start.dtype)
+        stack = stack.reshape(-1, *start.shape[1:])
+    return np.concatenate(levels), lookup
 
 
 @dataclass(frozen=True)
@@ -291,10 +318,9 @@ def rank(mat) -> int:
 
 def cokernel(mat) -> tuple[int, FiniteAbelianGroup]:
     """Cokernel of M : Z^cols -> Z^rows as (free rank, torsion)."""
-    a = np.asarray(mat, dtype=object)
+    a = int_array(mat)
     snf = smith_normal_form(a)
-    m, _ = a.shape
-    free_rank = m - snf.rank
+    free_rank = a.shape[0] - snf.rank
     torsion = tuple(int(x) for x in snf.diagonal if x not in (0, 1))
     return free_rank, FiniteAbelianGroup(torsion)
 
@@ -388,22 +414,17 @@ def _restrict(basis, owner, z):
 
 
 def in_image_lattice(snf: SmithDecomposition, vec) -> bool:
-    """Whether an integer vector lies in the image lattice M Z^n, for the
-    Smith decomposition of M."""
-    b = [Fraction(x) for x in vec]
-    if any(x.denominator != 1 for x in b):
+    """Whether an integer vector v lies in the image lattice M Z^n, for the
+    Smith decomposition U M V = D of M of rank r: exactly when d_i divides
+    (U v)_i for i < r and (U v)_i = 0 beyond, tested in int64.  A
+    non-integral v is not in it; an entry or a product past the int64
+    range raises OverflowError."""
+    try:
+        v = int_array(vec)
+    except ValueError:
         return False
-    ub = snf.u @ np.array([int(x) for x in b], dtype=object)
-    diag = snf.diagonal
-    m = snf.d.shape[0]
-    for i in range(m):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if ub[i] != 0:
-                return False
-        elif ub[i] % di != 0:
-            return False
-    return True
+    uv, r = int_matmul(snf.u, v), snf.rank
+    return not uv[r:].any() and not (uv[:r] % np.array(snf.diagonal[:r], dtype=np.int64)).any()
 
 
 def solve_mod_lattice(mat, *, modulo_kernel: bool = True) -> list[tuple[Fraction, ...]]:

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .intlinalg import Matrix, as_matrix, int_array
+from .intlinalg import Matrix, as_matrix, int_array, int_matmul
 
 __all__ = [
     "CompactBump",
@@ -103,10 +103,11 @@ class TransformedBump:
 
 
 def transform_bump(w, f):
-    """w . f for an integer matrix w; w . (v . g) is (w v) . g, exactly."""
-    mat = int_array(w).astype(object)
+    """w . f for an integer matrix w; w . (v . g) is (w v) . g, exactly
+    (int_matmul: OverflowError past the int64 range)."""
+    mat = int_array(w)
     if isinstance(f, TransformedBump):
-        f, mat = f.base, mat @ int_array(f.matrix).astype(object)
+        f, mat = f.base, int_matmul(mat, f.matrix)
     return TransformedBump(base=f, matrix=as_matrix(mat))
 
 

@@ -21,7 +21,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .intlinalg import (
-    FiniteAbelianGroup, as_matrix, cokernel, det, int_array, int_matmul, intmat, smith_normal_form,
+    INT64_MAX, FiniteAbelianGroup, GroupTooLargeError, _freeze, as_matrix, closure, cokernel, det,
+    int_array, int_matmul, smith_normal_form,
 )
 
 __all__ = [
@@ -75,7 +76,8 @@ def _validate_type_rank(type_: str, rank: int) -> None:
 
 
 def cartan_matrix(type_: str, rank: int) -> np.ndarray:
-    """Cartan matrix with A[i][j] = <alpha_i, alpha_j_check>, Bourbaki numbering."""
+    """Cartan matrix with A[i][j] = <alpha_i, alpha_j_check>, Bourbaki
+    numbering, as a read-only int64 array."""
     _validate_type_rank(type_, rank)
     n = rank
     a = [[0] * n for _ in range(n)]
@@ -107,7 +109,7 @@ def cartan_matrix(type_: str, rank: int) -> np.ndarray:
     elif type_ == "G":
         a[0][1] = -1
         a[1][0] = -3
-    return intmat(a)
+    return _freeze(int_array(a))
 
 
 @dataclass(frozen=True)
@@ -146,11 +148,11 @@ class RootDatum:
     coroots = property(lambda self: self._closure[1])
 
     def root_matrix(self) -> np.ndarray:
-        """Matrix with the simple roots as columns."""
+        """Read-only int64 matrix with the simple roots as columns."""
         return _columns(self.rank, self.simple_roots)
 
     def coroot_matrix(self) -> np.ndarray:
-        """Matrix with the simple coroots as columns."""
+        """Read-only int64 matrix with the simple coroots as columns."""
         return _columns(self.rank, self.simple_coroots)
 
     def __str__(self) -> str:
@@ -159,39 +161,42 @@ class RootDatum:
 
 
 def _columns(rank: int, vectors) -> np.ndarray:
-    return intmat([[v[i] for v in vectors] for i in range(rank)])
+    return _freeze(int_array(vectors).reshape(len(vectors), rank).T.copy())
+
+
+def _simple_reflections(rank: int, simple_roots, simple_coroots) -> np.ndarray:
+    """The simple reflections s_i = 1 - alpha_i_check alpha_i^T acting on
+    X_*, x -> x - <alpha_i, x> alpha_i_check, as one (k, n, n) int64
+    stack, the products checked by int_matmul; 1 - x wraps only at
+    x = -(2^63 - 1), so that entry raises OverflowError too."""
+    alpha, alpha_ck = (int_array(v).reshape(len(v), rank) for v in (simple_roots, simple_coroots))
+    outer = int_matmul(alpha_ck[:, :, None], alpha[:, None, :])
+    if outer.min(initial=0) == -INT64_MAX:
+        raise OverflowError("simple reflection could pass the int64 range")
+    return np.eye(rank, dtype=np.int64) - outer
 
 
 def _close_roots(rank: int, simple_roots, simple_coroots):
     """The roots and coroots, sorted by root: the orbit of the simple pairs
-    under the simple reflections s_i = 1 - alpha_i_check alpha_i^T.
+    under the simple reflections.
 
     A pair is one row [beta | beta_check], which s_i maps to
-    [beta s_i | beta_check s_i^T]; each breadth-first level reflects its
-    whole frontier by every s_i in one product and keeps the rows not yet
-    seen.  No root system of rank n has more than 2n^2 + 240 roots, so a
-    datum whose closure passes that (an affine one, say) raises ValueError.
+    [beta s_i | beta_check s_i^T], so the orbit is :func:`closure` of the
+    rows [alpha_i | alpha_i_check] under diag(s_i, s_i^T).  No root
+    system of rank n has more than 2n^2 + 240 roots, so a datum whose
+    closure passes that (an affine one, say) raises ValueError.
     """
-    alpha = int_array(simple_roots).reshape(-1, rank)
-    alpha_ck = int_array(simple_coroots).reshape(-1, rank)
-    s = np.eye(rank, dtype=np.int64) - int_matmul(alpha_ck[:, :, None], alpha[:, None, :])
+    s = _simple_reflections(rank, simple_roots, simple_coroots)
     blocks = np.zeros((len(s), 2 * rank, 2 * rank), dtype=np.int64)
     blocks[:, :rank, :rank], blocks[:, rank:, rank:] = s, s.transpose(0, 2, 1)
-    frontier = np.hstack([alpha, alpha_ck])
-    seen = set(map(tuple, frontier.tolist()))
+    start = np.hstack([int_array(v).reshape(len(s), rank) for v in (simple_roots, simple_coroots)])
     limit = 2 * rank * rank + 240
-    while len(frontier):
-        level = int_matmul(frontier, blocks).reshape(-1, 2 * rank)
-        fresh = []
-        for i, row in enumerate(map(tuple, level.tolist())):
-            if row not in seen:
-                seen.add(row)
-                fresh.append(i)
-        if len(seen) > limit:
-            raise ValueError(f"the simple reflections close on more than {limit} roots: "
-                             "not a finite root system")
-        frontier = level[fresh]
-    rows = sorted(seen)
+    try:
+        pairs, _ = closure(start[:, None], blocks, limit)
+    except GroupTooLargeError:
+        raise ValueError(f"the simple reflections close on more than {limit} roots: "
+                         "not a finite root system") from None
+    rows = sorted(map(tuple, pairs[:, 0].tolist()))
     return tuple(r[:rank] for r in rows), tuple(r[rank:] for r in rows)
 
 
@@ -230,34 +235,32 @@ def build_simple(type_: str, rank: int, form: GroupForm = "sc", *, max_rank: int
         raise ValueError(f"rank {rank} exceeds configured cap {max_rank}")
     a = cartan_matrix(type_, rank)
     n = rank
-    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    unit = np.eye(n, dtype=np.int64)
 
     if form == "sc":
         # alpha_i = row i of the Cartan matrix, coroot i = e_i
-        simple = (tuple(tuple(map(int, row)) for row in a), unit)
+        simple = (a, unit)
         tag = "sc"
     elif form == "adjoint":
         # alpha_i = e_i, coroot i = column i of the Cartan matrix
-        simple = (unit, tuple(tuple(map(int, col)) for col in a.T))
+        simple = (unit, a.T)
         tag = "adjoint"
     else:
         gens = int_array(form)
         if gens.size and (gens.ndim != 2 or gens.shape[1] != n):
             raise ValueError("quotient generators must be integer vectors of length rank")
         # X_* = coroot lattice + <gens> inside the coweight lattice Z^n
-        columns = np.hstack([a, gens.reshape(-1, n).T.astype(object)])
+        columns = np.hstack([a, gens.reshape(-1, n).T])
         # U C V = D: the basis C V[:, :n] = U^-1 D of the span, in which
         # coroot j (column j of a) has the coordinates D^-1 U a[:, j]
         snf = smith_normal_form(columns)
-        basis = (columns @ snf.v)[:, :n]
-        scaled = snf.u @ a
-        d = snf.diagonal
-        if any(x % d[i] for i in range(n) for x in scaled[i]):
+        basis = int_matmul(columns, snf.v[:, :n])
+        scaled = int_matmul(snf.u, a)
+        d = np.array(snf.diagonal, dtype=np.int64).reshape(n, 1)
+        if (scaled % d).any():
             raise ValueError("quotient generators must define a lattice containing the coroots")
-        simple = (
-            tuple(tuple(int(x) for x in basis[i]) for i in range(n)),  # alpha_i = row i of basis
-            tuple(tuple(scaled[k, i] // d[k] for k in range(n)) for i in range(n)),
-        )
+        # alpha_i = row i of basis; coroot i = column i of D^-1 U a
+        simple = (basis, (scaled // d).T)
         # a generator list is labelled by its structure, as dualize labels
         tag = _form_tag(n, *simple)
 

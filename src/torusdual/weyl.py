@@ -10,11 +10,11 @@ generic, so test fixtures like {1} or {+-1} on Z are first-class citizens.
 A group is its array: one read-only ``(|W|, n, n)`` int8 array, and an
 element is an index into it.  Classes and centralizers are ascending,
 read-only int64 index arrays, so ``group.array[cent]`` is the stacked
-centralizer.  Products are taken in int64 and enter int8 through
-:func:`torusdual.intlinalg.int_array`, which owns every conversion into
-exact integers, so a non-integral entry raises ValueError and one outside
-+-127 OverflowError.  A dict from each element's int8 bytes to its index
-looks products up during the closure and the class computation.
+centralizer.  The group is :func:`torusdual.intlinalg.closure` of the
+int8 identity: products are taken in int64 and enter int8 through
+:func:`torusdual.intlinalg.int_array`, so a non-integral entry raises
+ValueError and one outside +-127 OverflowError.  The dict from each
+element's bytes to its index looks products up in the class computation.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .intlinalg import int_array
-from .rootdata import WEYL_ORDERS, RootDatum
+from .intlinalg import GroupTooLargeError, _keys, closure, int_array
+from .rootdata import WEYL_ORDERS, RootDatum, _simple_reflections
 
 __all__ = [
     "GroupTooLargeError",
@@ -37,10 +37,6 @@ __all__ = [
 
 WEYL_ORDER_CAP = 2_000_000
 PACK_BASE, PACK_PLACES = 512, 4
-
-
-class GroupTooLargeError(RuntimeError):
-    """Closure exceeded the configured group-order cap."""
 
 
 def _column_pack(n: int) -> np.ndarray:
@@ -57,13 +53,6 @@ def _column_pack(n: int) -> np.ndarray:
     for j in range(n):
         pack[j, j // PACK_PLACES] = PACK_BASE ** (j % PACK_PLACES)
     return pack
-
-
-def _keys(mats: np.ndarray) -> list[bytes]:
-    """Hash keys of a stack of int8 matrices: the bytes of each one."""
-    width = mats.shape[1] * mats.shape[2]
-    flat = np.ascontiguousarray(mats).reshape(len(mats), width)
-    return flat.view(np.dtype((np.void, width))).ravel().tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,31 +152,14 @@ class WeylGroup:
 
     @classmethod
     def from_generators(cls, gens, rank: int, cap: int = WEYL_ORDER_CAP) -> "WeylGroup":
-        """Breadth-first closure: each frontier times each generator, first-seen order."""
+        """The :func:`closure` of the int8 identity under the generators:
+        each frontier times each generator, first-seen order."""
         gen_arr = int_array(gens, np.int8)
         if gen_arr.size and gen_arr.shape[1:] != (rank, rank):
             raise ValueError("generator shape does not match rank")
         gen_arr = gen_arr.reshape(-1, rank, rank)
-        wide_gens = gen_arr.astype(np.int64)[None]
-        frontier = np.eye(rank, dtype=np.int8)[None]
-        lookup = {key: i for i, key in enumerate(_keys(frontier))}
-        blocks = [frontier]
-        while len(frontier):
-            prods = int_array(frontier.astype(np.int64)[:, None] @ wide_gens, np.int8)
-            prods = prods.reshape(-1, rank, rank)
-            new = []
-            for k, key in enumerate(_keys(prods)):
-                if key not in lookup:
-                    lookup[key] = len(lookup)
-                    new.append(k)
-                    if len(lookup) > cap:
-                        raise GroupTooLargeError(
-                            f"group closure exceeded the cap of {cap} elements"
-                        )
-            frontier = prods[new]
-            blocks.append(frontier)
-        generators = [lookup[key] for key in _keys(gen_arr)]
-        return cls(np.concatenate(blocks), generators, lookup)
+        array, lookup = closure(np.eye(rank, dtype=np.int8)[None], gen_arr, cap)
+        return cls(array, [lookup[key] for key in _keys(gen_arr)], lookup)
 
 
 class _Transpose(WeylGroup):
@@ -208,9 +180,7 @@ class _Transpose(WeylGroup):
 def simple_reflection_matrices(rd: RootDatum) -> np.ndarray:
     """The simple reflections acting on X_*, x -> x - <alpha, x> alpha_check,
     as one (rank, n, n) int64 stack."""
-    alpha = int_array(rd.simple_roots).reshape(-1, rd.rank)
-    alpha_ck = int_array(rd.simple_coroots).reshape(-1, rd.rank)
-    return np.eye(rd.rank, dtype=np.int64) - alpha_ck[:, :, None] * alpha[:, None, :]
+    return _simple_reflections(rd.rank, rd.simple_roots, rd.simple_coroots)
 
 
 # groups by (generator bytes, cap); a stack and its transpose share one closure

@@ -9,24 +9,42 @@ from torusdual import oscillator as osc
 from torusdual import poincare as pc
 from torusdual import rootdata as rdm
 from torusdual import weyl
-from torusdual.fixedpoints import fixed_set
+from torusdual.fixedpoints import centralizer_action, fixed_set
 from tuple_reference import smith_form
 
 
-def test_intmat_rejects_non_2d():
-    with pytest.raises(ValueError):
-        il.intmat([1, 2, 3])
+def test_public_integer_matrices_are_readonly_int64():
+    # one integer-matrix format: every matrix the lattice API hands out
+    rd = rdm.build_simple("D", 4, [[1, 0, 0, 0]])
+    snf = il.smith_normal_form(rdm.cartan_matrix("B", 3))
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    _, restriction = centralizer_action(fixed_set(swap), [np.eye(3, dtype=int), swap])
+    mats = {
+        "cartan_matrix": rdm.cartan_matrix("B", 3),
+        "root_matrix": rd.root_matrix(),
+        "coroot_matrix": rd.coroot_matrix(),
+        **{f"smith_normal_form.{f}": getattr(snf, f) for f in ("u", "d", "v", "v_inv")},
+        "restrict_to_sublattice": il.restrict_to_sublattice(swap, [[1, 0], [1, 0], [0, 1]]),
+        "centralizer_action": restriction,
+    }
+    for name, m in mats.items():
+        assert m.dtype == np.int64 and not m.flags.writeable, name
+    assert restriction.tolist() == [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]
 
 
-def test_intmat_is_readonly():
-    m = il.intmat([[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        m[0, 0] = 5
+def test_simple_reflection_past_int64_raises():
+    # <alpha, alpha_check> = 2, but the entry 1 - (-1)(2^63 - 1) is 2^63
+    m = 2**63 - 1
+    rd = rdm.RootDatum(3, ((-1, 1, 1),), ((m, m, 2),))
+    with pytest.raises(OverflowError):
+        weyl.simple_reflection_matrices(rd)
+    with pytest.raises(OverflowError):
+        rd.roots
 
 
 def test_snf_rectangular_shapes():
     for rows, cols in ((1, 4), (4, 1), (2, 5), (5, 2)):
-        m = il.intmat([[(i * 7 + j * 3) % 5 - 2 for j in range(cols)] for i in range(rows)])
+        m = il.int_array([[(i * 7 + j * 3) % 5 - 2 for j in range(cols)] for i in range(rows)])
         snf = il.smith_normal_form(m)
         assert snf.d.shape == (rows, cols)
         assert np.array_equal(snf.u @ m @ snf.v, snf.d)
@@ -36,7 +54,7 @@ def test_snf_large_entries_stay_exact():
     # the library is exact in int64 or raises; the unbounded reference
     # gives the value it would have had to reach
     big = 10**30
-    m = il.intmat([[big, 1], [0, big]])
+    m = np.array([[big, 1], [0, big]], dtype=object)
     u, d, v, _ = smith_form(m)
     assert np.array_equal(np.array(u, dtype=object) @ m @ np.array(v, dtype=object), d)
     assert (d[0][0], d[1][1]) == (1, big * big)

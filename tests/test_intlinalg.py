@@ -14,7 +14,7 @@ from tuple_reference import bareiss_det, smith_form
 
 
 def int_eye(n):
-    return il.intmat(np.eye(n, dtype=int))
+    return np.eye(n, dtype=np.int64)
 
 
 def check_decomposition(m, snf):
@@ -43,12 +43,12 @@ def test_snf_identity():
 
 
 def test_snf_zero():
-    m = il.zeros(2, 2)
+    m = np.zeros((2, 2), dtype=np.int64)
     snf = il.smith_normal_form(m)
     assert np.array_equal(snf.d, m)
     check_decomposition(m, snf)
     for shape in ((0, 3), (3, 0)):
-        m = il.zeros(*shape)
+        m = np.zeros(shape, dtype=np.int64)
         assert m.shape == shape
         snf = il.smith_normal_form(m)
         assert snf.d.shape == shape and snf.rank == 0
@@ -58,23 +58,22 @@ def test_snf_zero():
 @pytest.mark.parametrize("call", [
     lambda: il.det([[Fraction(1, 2)]]),
     lambda: il.det([[1.7, 0], [0, 1]]),
-    lambda: il.intmat([[1.5]]),
     lambda: il.smith_normal_form([[Fraction(3, 2)]]),
-], ids=["det-fraction", "det-float", "intmat-float", "snf-fraction"])
+], ids=["det-fraction", "det-float", "snf-fraction"])
 def test_non_integer_input_is_rejected(call):
     with pytest.raises(ValueError):
         call()
 
 
 def test_integral_values_are_accepted():
-    m = il.intmat([[Fraction(4, 2), np.int64(3)]])
-    assert m.tolist() == [[2, 3]] and all(type(x) is int for x in m.flat)
+    m = il.int_array([[Fraction(4, 2), np.int64(3)]])
+    assert m.dtype == np.int64 and m.tolist() == [[2, 3]]
     assert il.det([[Fraction(6, 3), 0], [0, np.int32(3)]]) == 6
     assert il.smith_normal_form([[Fraction(4, 2)]]).diagonal == (2,)
 
 
 def test_snf_diag_2_3():
-    m = il.intmat([[2, 0], [0, 3]])
+    m = il.int_array([[2, 0], [0, 3]])
     snf = il.smith_normal_form(m)
     assert snf.diagonal == (1, 6)
     check_decomposition(m, snf)
@@ -85,7 +84,7 @@ def test_snf_random_matrices():
     for trial in range(500):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = il.intmat(
+        m = il.int_array(
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         )
         snf = il.smith_normal_form(m)
@@ -96,7 +95,7 @@ def test_snf_random_matrices():
 @given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
               elements=st.integers(-20, 20)))
 def test_snf_contract_property(entries):
-    m = il.intmat(entries.tolist())
+    m = il.int_array(entries.tolist())
     snf = il.smith_normal_form(m)
     rows, cols = m.shape
     assert np.array_equal(snf.u @ m @ snf.v, snf.d)
@@ -121,7 +120,7 @@ def test_snf_diagonal_matches_sympy():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        snf = il.smith_normal_form(il.intmat(entries))
+        snf = il.smith_normal_form(il.int_array(entries))
         ours = [x for x in snf.diagonal if x != 0]
         theirs = [int(f) for f in invariant_factors(Matrix(entries), domain=ZZ) if f != 0]
         assert ours == [abs(t) for t in theirs]
@@ -133,7 +132,7 @@ def test_cokernel_identity():
 
 
 def test_cokernel_index_two():
-    free, tor = il.cokernel(il.intmat([[2]]))
+    free, tor = il.cokernel(il.int_array([[2]]))
     assert free == 0
     assert tor.invariant_factors == (2,)
 
@@ -156,7 +155,7 @@ def test_cokernel_torsion_order_is_abs_det():
     done = 0
     while done < 80:
         n = rng.randint(1, 4)
-        m = il.intmat([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        m = il.int_array([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
         d = il.det(m)
         if d == 0:
             continue
@@ -167,12 +166,12 @@ def test_cokernel_torsion_order_is_abs_det():
 
 
 def test_solve_mod_lattice_inversion_on_circle():
-    reps = il.solve_mod_lattice(il.intmat([[-2]]))
+    reps = il.solve_mod_lattice(il.int_array([[-2]]))
     assert reps == [(Fraction(0),), (Fraction(1, 2),)]
 
 
 def test_solve_mod_lattice_zero_matrix():
-    reps = il.solve_mod_lattice(il.zeros(2, 2))
+    reps = il.solve_mod_lattice(np.zeros((2, 2), dtype=np.int64))
     assert reps == [(Fraction(0), Fraction(0))]
 
 
@@ -185,7 +184,7 @@ def test_solve_mod_lattice_su3_stacked():
     for s in simple_reflection_matrices(su3):
         for i in range(2):
             stacked.append([s[i][j] - int(i == j) for j in range(2)])
-    reps = il.solve_mod_lattice(il.intmat(stacked), modulo_kernel=False)
+    reps = il.solve_mod_lattice(il.int_array(stacked), modulo_kernel=False)
     assert len(reps) == 3
 
 
@@ -194,7 +193,7 @@ def test_solve_mod_lattice_counts_coker_torsion():
     done = 0
     while done < 50:
         n = rng.randint(1, 3)
-        m = il.intmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        m = il.int_array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         reps = il.solve_mod_lattice(m)
         _, tor = il.cokernel(m)
         assert len(reps) == tor.order
@@ -209,7 +208,7 @@ def test_solve_mod_lattice_counts_coker_torsion():
 @given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4),
               elements=st.integers(-4, 4)))
 def test_solve_mod_lattice_property(entries):
-    m = il.intmat(entries.tolist())
+    m = il.int_array(entries.tolist())
     snf = il.smith_normal_form(m)
     reps = il.solve_mod_lattice(m)
     assert reps == sorted(reps)
@@ -229,11 +228,39 @@ def test_solve_mod_lattice_property(entries):
             assert not il.in_image_lattice(snf, [s - t for s, t in zip(a, b)])
 
 
+def test_in_image_lattice_membership():
+    # M x is in M Z^n, whatever the shape and rank of M
+    rng = random.Random(5)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = il.int_array([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
+        snf = il.smith_normal_form(m)
+        x = np.array([rng.randint(-3, 3) for _ in range(cols)], dtype=np.int64)
+        assert il.in_image_lattice(snf, (m @ x).tolist())
+    # the image of the column (2, 4) is Z (2, 4): not (1, 2), nor (2, 5) off its span
+    snf = il.smith_normal_form([[2], [4]])
+    assert il.in_image_lattice(snf, [2, 4]) and il.in_image_lattice(snf, [-6, -12])
+    assert not il.in_image_lattice(snf, [1, 2]) and not il.in_image_lattice(snf, [2, 5])
+    assert il.in_image_lattice(snf, [Fraction(4, 2), 4.0])
+
+
+def test_in_image_lattice_non_integral_vector():
+    snf = il.smith_normal_form(int_eye(2))
+    assert not il.in_image_lattice(snf, [Fraction(1, 2), 0])
+    assert not il.in_image_lattice(snf, [1, 0.5])
+
+
+def test_in_image_lattice_past_int64_raises():
+    snf = il.smith_normal_form(int_eye(2))
+    with pytest.raises(OverflowError):
+        il.in_image_lattice(snf, [2**63, 0])
+
+
 def fake_smith(v):
     """A hand-built Smith form with invariant factors (2, 2) and the given V;
     only V and D are read when cosets are enumerated."""
     v = np.array(v, dtype=object)
-    return il.SmithDecomposition(int_eye(2), il.intmat([[2, 0], [0, 2]]), v, v)
+    return il.SmithDecomposition(int_eye(2), il.int_array([[2, 0], [0, 2]]), v, v)
 
 
 @pytest.mark.parametrize("v", [
@@ -249,50 +276,50 @@ def test_coset_numerators_past_int64_raise(v):
 
 def test_solve_mod_lattice_infinite_transverse():
     with pytest.raises(il.InfiniteSolutionSetError):
-        il.solve_mod_lattice(il.zeros(2, 2), modulo_kernel=False)
+        il.solve_mod_lattice(np.zeros((2, 2), dtype=np.int64), modulo_kernel=False)
 
 
 def test_det():
-    assert il.det(il.intmat([[2, 1], [1, 1]])) == 1
-    assert il.det(il.intmat([[2, 0], [0, 3]])) == 6
+    assert il.det(il.int_array([[2, 1], [1, 1]])) == 1
+    assert il.det(il.int_array([[2, 0], [0, 3]])) == 6
 
 
 def test_restrict_to_sublattice():
     # swap on Z^2 restricted to the fixed line span{(1,1)}
-    swap = il.intmat([[0, 1], [1, 0]])
-    basis = il.intmat([[1], [1]])
+    swap = il.int_array([[0, 1], [1, 0]])
+    basis = il.int_array([[1], [1]])
     r = il.restrict_to_sublattice(swap, basis)
     assert r.shape == (1, 1) and r[0, 0] == 1
     with pytest.raises(ValueError):
-        il.restrict_to_sublattice(il.intmat([[1, 0], [0, 2]]), il.intmat([[1], [1]]))
+        il.restrict_to_sublattice(il.int_array([[1, 0], [0, 2]]), il.int_array([[1], [1]]))
 
 
 def test_restrict_to_non_saturated_basis():
     # the columns (1, 0), (1, 2) span an index-2 sublattice; the swap keeps
     # its Q-span but not the lattice, and a basis that is not saturated is
     # rejected whatever the matrix
-    swap = il.intmat([[0, 1], [1, 0]])
+    swap = il.int_array([[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="saturated"):
-        il.restrict_to_sublattice(swap, il.intmat([[1, 1], [0, 2]]))
+        il.restrict_to_sublattice(swap, il.int_array([[1, 1], [0, 2]]))
     with pytest.raises(ValueError, match="saturated"):
-        il.restrict_to_sublattice(int_eye(2), il.intmat([[1, 1], [0, 2]]))
+        il.restrict_to_sublattice(int_eye(2), il.int_array([[1, 1], [0, 2]]))
 
 
 def test_restrict_stack_matches_single_matrices():
     mats = [[[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, -1], [-1, 0]], [[2, 1], [1, 2]]]
     # the non-saturated basis above fails a stacked call as it fails one matrix
     with pytest.raises(ValueError, match="saturated"):
-        il.restrict_to_sublattice(np.array(mats, dtype=object), il.intmat([[1, 1], [0, 2]]))
+        il.restrict_to_sublattice(np.array(mats, dtype=object), il.int_array([[1, 1], [0, 2]]))
     # a unimodular basis of Z^2: the restriction is a change of basis
-    basis = il.intmat([[1, 1], [0, 1]])
+    basis = il.int_array([[1, 1], [0, 1]])
     stacked = il.restrict_to_sublattice(np.array(mats, dtype=object), basis)
     assert stacked.shape == (4, 2, 2)
     for mat, r in zip(mats, stacked):
-        assert r.tolist() == il.restrict_to_sublattice(il.intmat(mat), basis).tolist()
-        assert np.array_equal(basis @ r, il.intmat(mat) @ basis)
+        assert r.tolist() == il.restrict_to_sublattice(il.int_array(mat), basis).tolist()
+        assert np.array_equal(basis @ r, il.int_array(mat) @ basis)
     assert stacked[0].tolist() == [[-1, 0], [1, 1]]
     # one matrix of the stack that leaves the line span{(1, 1)} fails the call
-    line = il.intmat([[1], [1]])
+    line = il.int_array([[1], [1]])
     assert il.restrict_to_sublattice(np.array(mats, dtype=object), line).tolist() == [
         [[1]], [[1]], [[-1]], [[3]]]
     with pytest.raises(ValueError):
@@ -301,8 +328,8 @@ def test_restrict_stack_matches_single_matrices():
 
 def test_restrict_integral_entries_are_ints():
     # the 3-cycle on the sum-zero lattice of Z^3
-    cycle = il.intmat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    basis = il.intmat([[1, 0], [-1, 1], [0, -1]])
+    cycle = il.int_array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    basis = il.int_array([[1, 0], [-1, 1], [0, -1]])
     r = il.restrict_to_sublattice(cycle, basis)
     assert r.dtype == np.int64 and r.tolist() == [[0, -1], [1, -1]]
     assert np.array_equal(basis @ r, cycle @ basis)
@@ -310,7 +337,7 @@ def test_restrict_integral_entries_are_ints():
 
 def test_restrict_rank_deficient_basis():
     with pytest.raises(ValueError, match="full column rank"):
-        il.restrict_to_sublattice(int_eye(2), il.intmat([[1, 2], [2, 4]]))
+        il.restrict_to_sublattice(int_eye(2), il.int_array([[1, 2], [2, 4]]))
 
 
 def _object_array(entries):
@@ -434,7 +461,7 @@ def test_smith_diagonal_and_rank_are_computed_once():
     snf = il.smith_normal_form([[2, 0], [0, 0]])
     assert snf.diagonal is snf.diagonal and snf.diagonal == (2, 0)
     assert snf.rank == 1
-    other = dataclasses.replace(snf, d=il.intmat([[1, 0], [0, 3]]))
+    other = dataclasses.replace(snf, d=il.int_array([[1, 0], [0, 3]]))
     assert other.diagonal == (1, 3) and other.rank == 2
     assert snf.diagonal == (2, 0) and snf.rank == 1
 

@@ -119,7 +119,7 @@ def euler_characteristic_oracle(group):
     for wi, w in enumerate(elems):
         for zi in group.centralizer_indices(wi):
             z = elems[zi]
-            stacked = il.intmat(
+            stacked = il.int_array(
                 [[w[i][j] - int(i == j) for j in range(n)] for i in range(n)]
                 + [[z[i][j] - int(i == j) for j in range(n)] for i in range(n)]
             )
@@ -195,6 +195,30 @@ def test_verify_duality_quotient_forms():
     # intermediate form of A3 (pi_1 = Z/2 inside Z/4)
     a3_mid = rdm.build_simple("A", 3, [[2, 0, 0]])
     assert kt.verify_duality(a3_mid).verdict == "equal"
+
+
+# forms built by the quotient path of build_simple, with their (k0, k1)
+# on both sides; the commuting-pairs oracle runs where it is cheap
+ISOGENY_FORMS = {
+    "A5-Z2": ("A", 5, [[3, 0, 0, 0, 0]], (21, 9), True),
+    "A5-Z3": ("A", 5, [[2, 0, 0, 0, 0]], (21, 9), True),
+    "D5-so": ("D", 5, [[1, 0, 0, 0, 0]], (52, 4), True),
+    "D6-half-spin": ("D", 6, [[0, 0, 0, 0, 0, 1]], (79, 0), False),
+}
+
+
+@pytest.mark.parametrize("name", list(ISOGENY_FORMS))
+def test_verify_duality_isogeny_forms(name):
+    type_, rank, form, ranks, oracle = ISOGENY_FORMS[name]
+    rd = rdm.build_simple(type_, rank, form)
+    rep = kt.verify_duality(rd)
+    assert rep.dual_label == (type_, rank, "quotient")
+    assert rdm.connection_index(rd) == abs(il.det(rdm.cartan_matrix(type_, rank)))
+    assert rep.verdict == "equal"
+    assert (rep.primal.k0, rep.primal.k1) == (rep.dual.k0, rep.dual.k1) == ranks
+    if oracle:
+        for side, graded in ((rd, rep.primal), (rdm.dualize(rd), rep.dual)):
+            assert kt.commuting_pairs_rank(weyl.generate(side)) == graded
 
 
 QUOTIENT_FORMS = [

@@ -60,7 +60,7 @@ def test_elements_permute_coroots():
                     for c in rd.coroots
                 }
                 assert imgs == coroot_set
-                assert il.det(il.intmat(g)) in (1, -1)
+                assert il.det(il.int_array(g)) in (1, -1)
 
 
 def test_conjugacy_classes_a1():
