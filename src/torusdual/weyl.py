@@ -7,14 +7,17 @@ is the transpose of the closed one and shares its classes and centralizers.
 The group machinery itself (closure, conjugacy classes, centralizers) is
 generic, so test fixtures like {1} or {+-1} on Z are first-class citizens.
 
-A group is its array: one read-only ``(|W|, n, n)`` int8 array, and an
-element is an index into it.  Classes and centralizers are ascending,
-read-only int64 index arrays, so ``group.array[cent]`` is the stacked
-centralizer.  The group is :func:`torusdual.intlinalg.closure` of the
-int8 identity: products are taken in int64 and enter int8 through
-:func:`torusdual.intlinalg.int_array`, so a non-integral entry raises
-ValueError and one outside +-127 OverflowError.  The dict from each
-element's bytes to its index looks products up in the class computation.
+A group is its array: one read-only ``(|W|, n, n)`` int8 array, the
+:func:`torusdual.intlinalg.closure` of the int8 identity (a non-integral
+entry raises ValueError and one outside +-127 OverflowError), and an
+element is an index into it.  Classes and centralizers are ascending, read-only
+int64 index arrays, so ``group.array[cent]`` is the stacked centralizer.
+
+Element w is named by its image w(p) of the probe p = (1, k, ..., k^(n-1)),
+k = 2m + 1 for the largest absolute entry m of the group.  w(p) holds the
+rows of w as balanced base-k digits, so it tells apart every integer
+matrix with entries within +-m, such as the products zw and wz of two
+elements: commutation, conjugation and inverses are read off the images.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .intlinalg import GroupTooLargeError, _keys, closure, int_array
+from .intlinalg import (
+    INT64_MAX, GroupTooLargeError, _freeze, _keys, _max_abs, closure, int_array,
+)
 from .rootdata import WEYL_ORDERS, RootDatum, _simple_reflections
 
 __all__ = [
@@ -36,23 +41,6 @@ __all__ = [
 ]
 
 WEYL_ORDER_CAP = 2_000_000
-PACK_BASE, PACK_PLACES = 512, 4
-
-
-def _column_pack(n: int) -> np.ndarray:
-    """n x ceil(n/4) matrix whose column c holds PACK_BASE^0..3 at rows 4c..4c+3.
-
-    z commutes with w exactly when (zw - wz) @ pack = 0: zw and wz are
-    elements, so each entry of zw - wz lies within +-255 < PACK_BASE, and
-    a sum of such digits times distinct powers of PACK_BASE vanishes only
-    when its lowest digit, a multiple of PACK_BASE, is 0, and so on up.
-    Four places per column keep the products far inside int64 (about
-    n * 2^41).
-    """
-    pack = np.zeros((n, -(-n // PACK_PLACES)), dtype=np.int64)
-    for j in range(n):
-        pack[j, j // PACK_PLACES] = PACK_BASE ** (j % PACK_PLACES)
-    return pack
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,45 +55,58 @@ class ConjugacyClass:
 class WeylGroup:
     """A finite group of integer matrices, closed from its generators.
 
-    ``array[i]`` is element i as int8, ``generators`` are the indices of
-    the generating matrices and ``lookup`` maps the bytes of each element
-    to its index.  Conjugacy classes are sorted by their
-    (lexicographically minimal) representative matrix, which makes every
-    downstream report ordering reproducible.
+    ``array[i]`` is element i as int8, ``_images[i]`` its probe image and
+    ``generators`` are the indices of the generating matrices.  Conjugacy
+    classes are sorted by their (lexicographically minimal) representative
+    matrix, which makes every downstream report ordering reproducible.
     """
 
-    def __init__(self, array: np.ndarray, generators: list[int], lookup: dict[bytes, int]):
+    def __init__(self, array: np.ndarray, generators: list[int]):
         self.rank = array.shape[1]
         self.array = array
         self.array.flags.writeable = False
         self.generators = generators
-        self._lookup = lookup
         self._classes: list[ConjugacyClass] | None = None
         self._centralizers: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.array)
 
-    def _indices(self, mats: np.ndarray) -> list[int]:
-        """Indices of a stack of int64 matrices, which must all be elements."""
-        return [self._lookup[key] for key in _keys(int_array(mats, np.int8))]
+    @cached_property
+    def _images(self) -> np.ndarray:
+        """Every element's image w(p), as (|W|, n) int64; row 0, the
+        identity's, is p.  Images lie below k^n / 2, so an element applied
+        to one stays below n m k^n, checked here: OverflowError, not a wrap."""
+        m = _max_abs(self.array)
+        if self.rank * m * (2 * m + 1) ** self.rank > INT64_MAX:
+            raise OverflowError("probe images could pass the int64 range")
+        return self._apply((2 * m + 1) ** np.arange(self.rank, dtype=np.int64))
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """Every element applied to the int64 vector v (an image), as
+        (|W|, n) int64; einsum reads the int8 array without casting it."""
+        return np.einsum("wij,j->wi", self.array, v)
 
     def inverse(self, i: int) -> int:
-        """g^-1 = g^(m-1), where m is the order of g = element i."""
-        g = self.array[i].astype(np.int64)
-        ident = np.eye(self.rank, dtype=np.int64)
-        prev, power = ident, g
-        while not (power == ident).all():
-            prev, power = power, power @ g
-        return self._indices(prev[None])[0]
+        """The element u with u(w(p)) = p, where w is element i."""
+        [u] = np.flatnonzero((self._apply(self._images[i]) == self._images[0]).all(axis=1))
+        return int(u)
 
     @cached_property
     def _orbits(self) -> list[np.ndarray]:
         """Orbits of the conjugation permutations of the generators, as
         ascending, read-only index arrays."""
-        a = self.array.astype(np.int64)
-        # simple reflections are involutions, but stay generic: use inverses
-        perms = [np.array(self._indices(a[g] @ a @ a[self.inverse(g)])) for g in self.generators]
+        images, perms = self._images, []
+        for g in self.generators:
+            # row w of A g(p) is (wg)(p) and row u of V g^T is (gu)(p), so
+            # sorted alike they pair w with its conjugate u = g^-1 w g
+            moved, shifted = self._apply(images[g]), images @ self.array[g].T
+            by_moved, by_shifted = np.lexsort(moved.T), np.lexsort(shifted.T)
+            if not np.array_equal(moved[by_moved], shifted[by_shifted]):
+                raise AssertionError("conjugation by a generator left the group")
+            perm = np.empty_like(by_moved)
+            perm[by_moved] = by_shifted
+            perms.append(perm)
         # label[i] falls to the smallest index in the orbit of i
         label = np.arange(len(self))
         while True:
@@ -117,8 +118,7 @@ class WeylGroup:
                 break
             label = new
         # stable, so each class's members come out ascending
-        order = np.argsort(label, kind="stable")
-        order.flags.writeable = False
+        order = _freeze(np.argsort(label, kind="stable"))
         return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
     @property
@@ -133,48 +133,46 @@ class WeylGroup:
                 key=lambda c: lex_rank[c.representative])
         return self._classes
 
-    @cached_property
-    def _packed(self) -> np.ndarray:
-        """Every element times the column pack, as int64."""
-        return self.array.astype(np.int64) @ _column_pack(self.rank)
+    def _commuting_with(self, i: int) -> np.ndarray:
+        """zw = wz exactly when their images z(w(p)) and w(z(p)) agree, as
+        both are elements."""
+        images = self._images
+        commutes = (self._apply(images[i]) == images @ self.array[i].T).all(axis=1)
+        return _freeze(np.flatnonzero(commutes))
 
     def centralizer_indices(self, i: int) -> np.ndarray:
         """The elements commuting with element i, as an ascending,
         read-only int64 index array (cached)."""
         if i not in self._centralizers:
-            w = self.array[i].astype(np.int64)
-            z_w = self.array.astype(np.int64) @ (w @ _column_pack(self.rank))
-            commutes = (z_w == w @ self._packed).reshape(len(self), -1).all(axis=1)
-            cent = np.flatnonzero(commutes)
-            cent.flags.writeable = False
-            self._centralizers[i] = cent
+            self._centralizers[i] = self._commuting_with(i)
         return self._centralizers[i]
 
     @classmethod
-    def from_generators(cls, gens, rank: int, cap: int = WEYL_ORDER_CAP) -> "WeylGroup":
-        """The :func:`closure` of the int8 identity under the generators:
-        each frontier times each generator, first-seen order."""
+    def from_generators(cls, gens, rank: int) -> "WeylGroup":
+        """The :func:`closure` of the int8 identity under the generators, at
+        most ``WEYL_ORDER_CAP`` elements in first-seen order."""
         gen_arr = int_array(gens, np.int8)
         if gen_arr.size and gen_arr.shape[1:] != (rank, rank):
             raise ValueError("generator shape does not match rank")
         gen_arr = gen_arr.reshape(-1, rank, rank)
-        array, lookup = closure(np.eye(rank, dtype=np.int8)[None], gen_arr, cap)
-        return cls(array, [lookup[key] for key in _keys(gen_arr)], lookup)
+        array, lookup = closure(np.eye(rank, dtype=np.int8)[None], gen_arr, WEYL_ORDER_CAP)
+        return cls(array, [lookup[key] for key in _keys(gen_arr)])
 
 
 class _Transpose(WeylGroup):
     """Element i is the partner's element i transposed.  The generators,
-    orbits and centralizers are the partner's index arrays; only the class
-    representatives and their order are taken on these matrices."""
+    orbits and centralizers are the partner's index arrays, computed on
+    the partner's images; only the class representatives and their order
+    are taken on these matrices."""
 
     _orbits = property(lambda self: self._partner._orbits)
 
     def __init__(self, partner: WeylGroup):
-        super().__init__(partner.array.transpose(0, 2, 1), partner.generators, {})
+        super().__init__(partner.array.transpose(0, 2, 1), partner.generators)
         self._partner, self._centralizers = partner, partner._centralizers
 
-    def _indices(self, mats: np.ndarray) -> list[int]:
-        return self._partner._indices(np.swapaxes(mats, -1, -2))
+    def _commuting_with(self, i: int) -> np.ndarray:
+        return self._partner._commuting_with(i)
 
 
 def simple_reflection_matrices(rd: RootDatum) -> np.ndarray:
@@ -183,29 +181,29 @@ def simple_reflection_matrices(rd: RootDatum) -> np.ndarray:
     return _simple_reflections(rd.rank, rd.simple_roots, rd.simple_coroots)
 
 
-# groups by (generator bytes, cap); a stack and its transpose share one closure
-_GROUPS: dict[tuple[bytes, int], WeylGroup] = {}
+# groups by generator bytes; a stack and its transpose share one closure
+_GROUPS: dict[bytes, WeylGroup] = {}
 
 
-def generate(rd: RootDatum, cap: int = WEYL_ORDER_CAP) -> WeylGroup:
+def generate(rd: RootDatum) -> WeylGroup:
     """Close the simple reflections of `rd` into the full Weyl group on X_*.
 
     A stack and its transpose (`rd` and its dual) share one closure, of the
     side with the smaller bytes; the other side's element i is element i of
     the closed side, transposed, whichever side is asked for first.  Raises
     :class:`GroupTooLargeError`, naming the datum, if the Weyl order of the
-    labelled type passes `cap`, before any closure, or if the closure does.
+    labelled type passes the cap, before any closure, or if the closure does.
     """
     t, r, _ = rd.label
     order = WEYL_ORDERS[t](r) if t in WEYL_ORDERS else 0
-    if order > cap:
-        raise GroupTooLargeError(f"{rd}: |W| = {order} exceeds the cap of {cap}")
+    if order > WEYL_ORDER_CAP:
+        raise GroupTooLargeError(f"{rd}: |W| = {order} exceeds the cap of {WEYL_ORDER_CAP}")
     gens = simple_reflection_matrices(rd)
     flipped = gens.transpose(0, 2, 1)
-    key, other = (gens.tobytes(), cap), (flipped.tobytes(), cap)
+    key, other = gens.tobytes(), flipped.tobytes()
     if key not in _GROUPS:
         try:
-            group = WeylGroup.from_generators(gens if key <= other else flipped, rd.rank, cap)
+            group = WeylGroup.from_generators(gens if key <= other else flipped, rd.rank)
         except GroupTooLargeError as exc:
             raise GroupTooLargeError(f"{rd}: {exc}") from None
         _GROUPS[min(key, other)] = group

@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -104,7 +103,7 @@ def test_verify_duality_rank_cap(capsys):
 
 def test_group_cap_is_one_error_line_naming_the_datum(monkeypatch, capsys):
     # A1, A2 and B2 close within 10 elements; G2 (order 12) does not
-    monkeypatch.setattr("torusdual.ktheory.generate", functools.partial(weyl.generate, cap=10))
+    monkeypatch.setattr(weyl, "WEYL_ORDER_CAP", 10)
     assert run(["verify-duality", "--max-rank", "2"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1

@@ -241,10 +241,11 @@ def assert_rows_agree_class_by_class(rd):
     dual_class = np.empty(len(dual), dtype=np.int64)
     for k, c in enumerate(dual.classes):
         dual_class[c.members] = k
+    dual_index = {il.as_matrix(m): i for i, m in enumerate(dual.array)}
     hit = set()
     for c, row in zip(primal.classes, rep.primal_classes):
         w_inv_t = primal.array[primal.inverse(c.representative)].T.astype(np.int64)
-        [j] = dual._indices(w_inv_t[None])
+        j = dual_index[il.as_matrix(w_inv_t)]
         assert (dual.array[j] == w_inv_t).all()
         k = int(dual_class[j])
         hit.add(k)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,9 +159,9 @@ def closures(monkeypatch):
     calls = []
     close = weyl.WeylGroup.from_generators
 
-    def counted(gens, rank, cap=weyl.WEYL_ORDER_CAP):
+    def counted(gens, rank):
         calls.append(rank)
-        return close(gens, rank, cap)
+        return close(gens, rank)
 
     monkeypatch.setattr(weyl.WeylGroup, "from_generators", counted)
     return calls
@@ -202,10 +204,11 @@ def test_dual_group_does_not_depend_on_the_side_asked_first(monkeypatch, type_, 
     assert np.shares_memory(primal.array, dual_second.array)
 
 
-def test_group_too_large():
+def test_group_too_large(monkeypatch):
     rd = rdm.build_simple("A", 3, "sc")
+    monkeypatch.setattr(weyl, "WEYL_ORDER_CAP", 10)
     with pytest.raises(weyl.GroupTooLargeError) as err:
-        weyl.WeylGroup.from_generators(weyl.simple_reflection_matrices(rd), 3, cap=10)
+        weyl.WeylGroup.from_generators(weyl.simple_reflection_matrices(rd), 3)
     assert "10" in str(err.value)
 
 
@@ -307,26 +310,74 @@ def test_inverse_matches_int64_products(type_, rank, data):
     mat = ident
     for s in word:
         mat = mat @ gens[s]
-    [idx, ident_idx] = group._indices(np.stack([mat, ident]))
+    index = {m: i for i, m in enumerate(elements(group))}
+    idx, ident_idx = index[il.as_matrix(mat)], index[il.as_matrix(ident)]
     assert il.as_matrix(group.array[idx]) == il.as_matrix(mat)
     inv = group.inverse(idx)
     a = group.array[inv].astype(np.int64)
     assert (a @ mat == ident).all()
-    assert group._indices(np.stack([mat @ a, a @ mat])) == [ident_idx, ident_idx]
+    assert [index[il.as_matrix(m)] for m in (mat @ a, a @ mat)] == [ident_idx, ident_idx]
 
 
-def test_column_pack_sees_every_commutator():
-    # an entry of zw - wz lies within +-255, and the centralizer test
-    # believes zw = wz when the packed difference vanishes; a carry
-    # (k, -1) in two neighbouring places is the way such digits could cancel
-    n = 8
-    pack = weyl._column_pack(n)
+def _probe_images(mats):
+    """The probe images of a stack of int8 matrices, taken as a group array."""
+    return weyl.WeylGroup(np.array(mats, dtype=np.int8), [])._images
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_probe_names_every_matrix_within_its_bound(m):
+    # the probe is taken from the largest entry m, so it must tell apart
+    # every matrix with entries within +-m; G2's elements reach m = 3
+    if m == 3:
+        assert np.abs(weyl.generate(rdm.build_simple("G", 2, "sc")).array).max() == 3
+    mats = list(itertools.product(range(-m, m + 1), repeat=4))
+    images = _probe_images(np.reshape(mats, (-1, 2, 2)))
+    assert len(mats) == (2 * m + 1) ** 4
+    assert len(np.unique(images, axis=0)) == len(mats)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_probe_digits_never_cancel(m):
+    # a row with adjacent extreme digits (m, -m) or (-m, m) is neither
+    # the zero row nor another such row: the carry of m - mk is never 0
+    n = 7
+    rows = [np.zeros(n, dtype=np.int64)]
     for j in range(n - 1):
-        m = np.zeros((255, n), dtype=np.int64)
-        m[:, j] = np.arange(1, 256)
-        m[:, j + 1] = -1
-        assert (m @ pack != 0).any(axis=1).all()
-    assert (np.eye(n, dtype=np.int64) * 255 @ pack != 0).any(axis=1).all()
+        for sign in (1, -1):
+            row = np.zeros(n, dtype=np.int64)
+            row[j], row[j + 1] = sign * m, -sign * m
+            rows.append(row)
+    mats = np.zeros((len(rows), n, n), dtype=np.int64)
+    mats[:, 0] = rows
+    images = _probe_images(mats)
+    assert len(np.unique(images[:, 0])) == len(rows)
+
+
+def test_probe_past_int64_raises():
+    # n m k^n passes int64 for 8 x 8 entries of 127 (k = 255)
+    with pytest.raises(OverflowError):
+        _probe_images(np.full((1, 8, 8), 127))
+
+
+@pytest.mark.parametrize("type_,rank,form", [("B", 3, "sc"), ("D", 4, [[1, 0, 0, 0]])])
+def test_centralizers_asked_first_on_the_transposed_side(monkeypatch, type_, rank, form):
+    # a fresh pair whose transposed side is asked first: its centralizers
+    # are the brute-force commuting sets, computed on the closed side's
+    # images without building a second image array
+    monkeypatch.setattr(weyl, "_GROUPS", {})
+    rd = rdm.build_simple(type_, rank, form)
+    sides = [weyl.generate(rd), weyl.generate(rdm.dualize(rd))]
+    [flipped] = [g for g in sides if isinstance(g, weyl._Transpose)]
+    [closed] = [g for g in sides if g is not flipped]
+    elems = elements(flipped)
+    for c in flipped.classes:
+        w = elems[c.representative]
+        brute = [k for k, z in enumerate(elems) if mat_mul(z, w) == mat_mul(w, z)]
+        assert flipped.centralizer_indices(c.representative).tolist() == brute
+    assert "_images" not in vars(flipped)
+    for c in flipped.classes:
+        assert np.array_equal(closed.centralizer_indices(c.representative),
+                              flipped.centralizer_indices(c.representative))
 
 
 def test_centralizer_is_an_int8_stack():
