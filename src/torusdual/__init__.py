@@ -36,9 +36,7 @@ from .rootdata import (
     fundamental_group,
 )
 from .weyl import GroupTooLargeError, WeylGroup, generate
-from .fixedpoints import (
-    FixedSetReport, centralizer_action, fixed_set, fixed_sets, full_fixed_points,
-)
+from .fixedpoints import FixedSetReport, fixed_set, fixed_sets, full_fixed_points
 from .ktheory import (
     AffineComparisonReport,
     DualityReport,
@@ -77,7 +75,6 @@ __all__ = [
     "WeylGroup",
     "generate",
     "FixedSetReport",
-    "centralizer_action",
     "fixed_set",
     "fixed_sets",
     "full_fixed_points",

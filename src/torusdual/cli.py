@@ -1,8 +1,9 @@
 """Command-line verification runs.
 
 Exit codes: 0 = every requested check passed, 1 = a mathematical check
-failed, 2 = usage or configuration error.  Every command takes
-``--json PATH`` to emit a machine-readable report with a stable schema.
+failed, 2 = usage or configuration error (an unwritable ``--json`` path
+included).  Every command takes ``--json PATH`` to emit a machine-readable
+report with a stable schema.
 """
 
 from __future__ import annotations
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except (ValueError, GroupTooLargeError) as exc:
+    except (ValueError, GroupTooLargeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

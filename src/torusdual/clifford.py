@@ -189,13 +189,6 @@ class CliffordElement:
             out[w] = (-cc) if sign < 0 else cc
         return CliffordElement.from_dict(self.dimension, out)
 
-    def grading_parity(self) -> int | None:
-        """0 for even, 1 for odd, None for mixed elements."""
-        parities = {len(w) % 2 for w, _ in self.coefficients}
-        if len(parities) == 1:
-            return parities.pop()
-        return None if parities else 0
-
     def __str__(self) -> str:
         if not self.coefficients:
             return "0"

@@ -11,13 +11,13 @@ one int64 array X of numerators over the largest invariant factor q, so
 their images, their keys and the action of a whole stack of centralizer
 elements are int64 products, each checked by ``intlinalg.int_matmul``;
 they are handed out as exact rational points only in ``components``.
-Both actions of the centralizer take a (k, n, n) stack of its elements
-and nothing else: :meth:`FixedSetReport.action` reads everything off the
-Smith form of w - 1 with no further elimination; :func:`centralizer_action`
-instead tests the membership of each z x and restricts the stack through
-one Smith form of the basis V[:, r:] of Gamma^w.  It is the one-element
-case of ``_pair_action``, which acts on the commuting pairs of a whole
-stack of elements that share one invariant-factor diagonal.
+Two actions of the centralizer: :meth:`FixedSetReport.action` takes a
+(k, n, n) stack of its elements and reads everything off the Smith form
+of w - 1 with no further elimination; ``_pair_action``, run by the
+commuting-pairs oracle on a whole stack of elements that share one
+invariant-factor diagonal, instead tests the membership of each z x and
+restricts each z through one stacked Smith form of the bases V[:, r:] of
+Gamma^w.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .intlinalg import (
 from .rootdata import RootDatum
 from .weyl import simple_reflection_matrices
 
-__all__ = ["FixedSetReport", "fixed_set", "fixed_sets", "full_fixed_points", "centralizer_action"]
+__all__ = ["FixedSetReport", "fixed_set", "fixed_sets", "full_fixed_points"]
 
 
 @dataclass(frozen=True)
@@ -117,23 +117,15 @@ class FixedSetReport:
 
         z must commute with w, which is not checked.
         """
-        zs = _stack(self, z)
+        zs = int_array(z)
+        if zs.ndim != 3 or zs.shape[1:] != (self.rank, self.rank):
+            raise ValueError(f"expected a stack of {self.rank} x {self.rank} matrices")
         u_tors, d = self._torsion
         z_minus_1 = zs - np.eye(self.rank, dtype=np.int64)
         moved = int_matmul(u_tors, int_matmul(z_minus_1, self._component_images))
         fixed = (moved % d == 0).all(axis=1).sum(axis=1)
         snf, r = self._snf, self._snf.rank
         return fixed, int_matmul(int_matmul(snf.v_inv[r:], zs), snf.v[:, r:])
-
-
-def _stack(report: FixedSetReport, z) -> np.ndarray:
-    """z as a checked (k, n, n) int64 stack acting on the fixed set of
-    report.w; ValueError for z of any other shape."""
-    n = report.rank
-    zs = int_array(z)
-    if zs.ndim != 3 or zs.shape[1:] != (n, n):
-        raise ValueError(f"expected a stack of {n} x {n} matrices")
-    return zs
 
 
 def _difference_matrix(*mats) -> np.ndarray:
@@ -181,25 +173,6 @@ def full_fixed_points(rd: RootDatum) -> list[tuple[Fraction, ...]]:
     """
     stacked = _difference_matrix(*simple_reflection_matrices(rd))
     return solve_mod_lattice(stacked, modulo_kernel=False)
-
-
-def centralizer_action(report: FixedSetReport, z):
-    """Action of a (k, n, n) stack z of centralizer elements on the fixed
-    set of w = report.w, for a report of fixed_set(w): the one-element
-    case of :func:`_pair_action`, which the commuting-pairs oracle runs on
-    whole groups.
-
-    Any other shape of z, one n x n matrix included, raises ValueError,
-    and so does a z that does not commute with w.  Returns (perm,
-    restriction): a (k, c) int64 array, perm[j, i] the index of the
-    component containing z_j . x_i, and a (k, d, d) read-only int64 array,
-    the restriction of each z to Gamma^w in the basis
-    `fixed_lattice_basis`.
-    """
-    zs, snf = _stack(report, z), report._snf
-    return _pair_action(
-        int_array(report.w)[None], snf.u[None], snf.v[None], snf.diagonal,
-        report._numerators[None], np.zeros(len(zs), dtype=np.int64), zs)
 
 
 def _torsion_rows(u, diag):

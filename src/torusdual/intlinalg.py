@@ -38,7 +38,6 @@ __all__ = [
     "int_matmul",
     "closure",
     "smith_normal_form",
-    "rank",
     "cokernel",
     "solve_mod_lattice",
     "in_image_lattice",
@@ -137,7 +136,7 @@ def _keys(mats: np.ndarray) -> list[bytes]:
     return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
 
 
-def closure(start, gens, cap: int) -> tuple[np.ndarray, dict[bytes, int]]:
+def closure(start, gens, cap: int) -> np.ndarray:
     """The orbit of a (s, a, b) start stack under right multiplication by a
     (g, b, b) generator stack, breadth first: each level multiplies its
     whole frontier by every generator (frontier-major) and keeps the
@@ -146,23 +145,24 @@ def closure(start, gens, cap: int) -> tuple[np.ndarray, dict[bytes, int]]:
     Products are checked by :func:`int_matmul` and cast back into the
     start's dtype by :func:`int_array`, so past its range this raises
     OverflowError instead of wrapping.  Returns the elements as one
-    (N, a, b) array of that dtype and the dict from each element's bytes
-    to its index; GroupTooLargeError once N would pass cap.
+    (N, a, b) array of that dtype, its rows distinct; GroupTooLargeError
+    once N would pass cap.  The elements seen so far are kept as a set
+    of their bytes, for the duplicate test only.
     """
-    lookup: dict[bytes, int] = {}
+    seen: set[bytes] = set()
     gens, levels, stack = int_array(gens), [], start
     while len(stack):
         fresh = []
         for i, key in enumerate(_keys(stack)):
-            if key not in lookup:
-                lookup[key] = len(lookup)
+            if key not in seen:
+                seen.add(key)
                 fresh.append(i)
-                if len(lookup) > cap:
+                if len(seen) > cap:
                     raise GroupTooLargeError(f"closure exceeded the cap of {cap} elements")
         levels.append(stack[fresh])
         stack = int_array(int_matmul(levels[-1][:, None], gens), start.dtype)
         stack = stack.reshape(-1, *start.shape[1:])
-    return np.concatenate(levels), lookup
+    return np.concatenate(levels)
 
 
 @dataclass(frozen=True)
@@ -310,10 +310,6 @@ def _smith_stack(a: np.ndarray) -> tuple[np.ndarray, ...]:
             live, repivot = live[keep], repivot[keep]
     return tuple(_freeze(np.ascontiguousarray(x))
                  for x in (big[:, :m, n:], big[:, :m, :n], big[:, m:, :n], v_inv))
-
-
-def rank(mat) -> int:
-    return smith_normal_form(mat).rank
 
 
 def cokernel(mat) -> tuple[int, FiniteAbelianGroup]:

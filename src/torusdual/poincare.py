@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .intlinalg import Matrix, as_matrix, int_array, int_matmul
+from .intlinalg import Matrix, as_matrix, det, int_array, int_matmul
 
 __all__ = [
     "CompactBump",
@@ -50,6 +50,7 @@ __all__ = [
 
 
 BLOCK = 256  # samples evaluated per array pass in the checks
+GRAM_WINDOW = 2  # gram_matrix indexes the translates by [-GRAM_WINDOW, GRAM_WINDOW]^n
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,12 @@ class TransformedBump:
 
 
 def transform_bump(w, f):
-    """w . f for an integer matrix w; w . (v . g) is (w v) . g, exactly
-    (int_matmul: OverflowError past the int64 range)."""
+    """w . f for an integer matrix w preserving Z^n; w . (v . g) is
+    (w v) . g, exactly (int_matmul: OverflowError past the int64 range).
+    ValueError unless the exact :func:`det` of w is +-1."""
     mat = int_array(w)
+    if mat.ndim != 2 or abs(det(mat)) != 1:
+        raise ValueError("w must preserve Z^n: a square integer matrix with det +-1")
     if isinstance(f, TransformedBump):
         f, mat = f.base, int_matmul(mat, f.matrix)
     return TransformedBump(base=f, matrix=as_matrix(mat))
@@ -206,17 +210,18 @@ def periodicity_check(f1, f2, rng, samples: int = 100) -> float:
 def equivariance_check(w, f1, f2, rng, samples: int = 100) -> float:
     """Max deviation of <w.f1, w.f2>(x, eta) - <f1, f2>(w^{-1} x, w^{-1}.eta).
 
-    w is an integer matrix preserving Z^n; the dual variable transforms by
-    the inverse-transpose action.
+    w is an integer matrix preserving Z^n (:func:`transform_bump` raises
+    ValueError unless det w = +-1); the dual variable transforms by the
+    inverse-transpose action.
     """
     warr = int_array(w)
     n = f1.rank
     if warr.shape != (n, n):
         raise ValueError("matrix size must match the bump rank")
-    winv = np.linalg.inv(warr.astype(float))
-    # w^{-1} acting on eta is the forward transpose of w
     wf1 = transform_bump(warr, f1)
     wf2 = transform_bump(warr, f2)
+    winv = np.linalg.inv(warr.astype(float))
+    # w^{-1} acting on eta is the forward transpose of w
 
     def draw(k):
         return rng.uniform(-2, 2, size=(k, n)), rng.uniform(-3, 3, size=(k, n))
@@ -229,16 +234,17 @@ def equivariance_check(w, f1, f2, rng, samples: int = 100) -> float:
     return worst
 
 
-def gram_matrix(f, x, window: int = 2) -> np.ndarray:
+def gram_matrix(f, x) -> np.ndarray:
     """Gram matrix of the translates of f at base point x, indexed by the
-    lattice window [-window, window]^n.
+    lattice window [-GRAM_WINDOW, GRAM_WINDOW]^n.
 
     The Fourier coefficients in eta of the self-pairing assemble exactly
     this matrix, whose positive semidefiniteness is the finite surrogate
     for positivity of the module inner product.
     """
     n = f.rank
-    translates = np.array(list(itertools.product(range(-window, window + 1), repeat=n)))
+    span = range(-GRAM_WINDOW, GRAM_WINDOW + 1)
+    translates = np.array(list(itertools.product(span, repeat=n)))
     vals = f(np.asarray(x, dtype=float) - translates)
     return np.outer(vals.conj(), vals)
 

@@ -39,7 +39,10 @@ __all__ = [
     "SIMPLE_TYPES",
     "ROOT_COUNTS",
     "WEYL_ORDERS",
+    "MAX_RANK",
 ]
+
+MAX_RANK = 8  # build_simple refuses larger ranks; read at call time
 
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -192,7 +195,7 @@ def _close_roots(rank: int, simple_roots, simple_coroots):
     start = np.hstack([int_array(v).reshape(len(s), rank) for v in (simple_roots, simple_coroots)])
     limit = 2 * rank * rank + 240
     try:
-        pairs, _ = closure(start[:, None], blocks, limit)
+        pairs = closure(start[:, None], blocks, limit)
     except GroupTooLargeError:
         raise ValueError(f"the simple reflections close on more than {limit} roots: "
                          "not a finite root system") from None
@@ -223,16 +226,17 @@ WEYL_ORDERS = {
 }
 
 
-def build_simple(type_: str, rank: int, form: GroupForm = "sc", *, max_rank: int = 8) -> RootDatum:
+def build_simple(type_: str, rank: int, form: GroupForm = "sc") -> RootDatum:
     """Construct the root datum of a simple compact type in a given isogeny form.
 
     form: "sc" (X_* = coroot lattice), "adjoint" (X* = root lattice), or a
     list of generators (integer vectors in fundamental-coweight
-    coordinates) for a subgroup of pi_1(adjoint).
+    coordinates) for a subgroup of pi_1(adjoint).  A rank past
+    ``MAX_RANK`` raises ValueError.
     """
     _validate_type_rank(type_, rank)
-    if rank > max_rank:
-        raise ValueError(f"rank {rank} exceeds configured cap {max_rank}")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} exceeds configured cap {MAX_RANK}")
     a = cartan_matrix(type_, rank)
     n = rank
     unit = np.eye(n, dtype=np.int64)

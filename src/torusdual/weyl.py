@@ -17,7 +17,7 @@ Element w is named by its image w(p) of the probe p = (1, k, ..., k^(n-1)),
 k = 2m + 1 for the largest absolute entry m of the group.  w(p) holds the
 rows of w as balanced base-k digits, so it tells apart every integer
 matrix with entries within +-m, such as the products zw and wz of two
-elements: commutation, conjugation and inverses are read off the images.
+elements: commutation and conjugation are read off the images.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .intlinalg import (
-    INT64_MAX, GroupTooLargeError, _freeze, _keys, _max_abs, closure, int_array,
+    INT64_MAX, GroupTooLargeError, _freeze, _max_abs, closure, int_array,
 )
 from .rootdata import WEYL_ORDERS, RootDatum, _simple_reflections
 
@@ -86,11 +86,6 @@ class WeylGroup:
         """Every element applied to the int64 vector v (an image), as
         (|W|, n) int64; einsum reads the int8 array without casting it."""
         return np.einsum("wij,j->wi", self.array, v)
-
-    def inverse(self, i: int) -> int:
-        """The element u with u(w(p)) = p, where w is element i."""
-        [u] = np.flatnonzero((self._apply(self._images[i]) == self._images[0]).all(axis=1))
-        return int(u)
 
     @cached_property
     def _orbits(self) -> list[np.ndarray]:
@@ -150,13 +145,19 @@ class WeylGroup:
     @classmethod
     def from_generators(cls, gens, rank: int) -> "WeylGroup":
         """The :func:`closure` of the int8 identity under the generators, at
-        most ``WEYL_ORDER_CAP`` elements in first-seen order."""
+        most ``WEYL_ORDER_CAP`` elements in first-seen order.
+
+        The closure starts from [1; gens], the identity and its first
+        breadth-first level, which gives the same order; so each generator
+        is one of the first len(gens) + 1 elements."""
         gen_arr = int_array(gens, np.int8)
         if gen_arr.size and gen_arr.shape[1:] != (rank, rank):
             raise ValueError("generator shape does not match rank")
         gen_arr = gen_arr.reshape(-1, rank, rank)
-        array, lookup = closure(np.eye(rank, dtype=np.int8)[None], gen_arr, WEYL_ORDER_CAP)
-        return cls(array, [lookup[key] for key in _keys(gen_arr)])
+        start = np.concatenate([np.eye(rank, dtype=np.int8)[None], gen_arr])
+        array = closure(start, gen_arr, WEYL_ORDER_CAP)
+        head = array[:len(start)]
+        return cls(array, (head == gen_arr[:, None]).all(axis=(2, 3)).argmax(axis=1).tolist())
 
 
 class _Transpose(WeylGroup):

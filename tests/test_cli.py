@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -223,6 +224,36 @@ def test_runs_that_check_nothing_exit_2_before_any_work(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# one small run of every command
+EVERY_COMMAND = [
+    ["dual", "--type", "A", "--rank", "2"],
+    ["table-check"],
+    ["verify-duality", "--max-rank", "2"],
+    ["affine-compare", "--max-rank", "2"],
+    ["ktheory", "--type", "A", "--rank", "2"],
+    ["fixed-points", "--type", "A", "--rank", "2"],
+    ["oscillator", "--dim", "1", "--grid", "250"],
+    ["clifford-check", "--max-dim", "2"],
+    ["poincare-check", "--samples", "5"],
+]
+
+
+def test_every_command_is_listed():
+    [commands] = [a.choices for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(argv[0] for argv in EVERY_COMMAND) == sorted(commands)
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[argv[0] for argv in EVERY_COMMAND])
+def test_unwritable_json_path_exits_2(tmp_path, argv, capsys):
+    # an OSError is a configuration error, not a failed check (exit 1)
+    path = tmp_path / "missing" / "report.json"
+    assert run(argv + ["--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "report.json" in err and not path.parent.exists()
 
 
 SCIPY_FREE_COMMANDS = [

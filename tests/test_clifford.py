@@ -202,14 +202,6 @@ def test_identity_fixes_everything():
     assert cl.symmetric_invariance_check(n, [[1, 0], [0, 1]], elem)
 
 
-def test_grading_parity():
-    p = cl.clifford_projection(2)
-    assert p.grading_parity() == 0
-    assert cl.generator(2, "e", 1).grading_parity() == 1
-    mixed = p + cl.generator(2, "e", 1)
-    assert mixed.grading_parity() is None
-
-
 # -- the word-image action against an element-by-element reference ---------
 
 

@@ -9,8 +9,8 @@ from torusdual import oscillator as osc
 from torusdual import poincare as pc
 from torusdual import rootdata as rdm
 from torusdual import weyl
-from torusdual.fixedpoints import centralizer_action, fixed_set
-from tuple_reference import smith_form
+from torusdual.fixedpoints import fixed_set
+from tuple_reference import centralizer_action, smith_form
 
 
 def test_public_integer_matrices_are_readonly_int64():

@@ -12,7 +12,7 @@ from torusdual import fixedpoints as fp
 from torusdual import intlinalg as il
 from torusdual import rootdata as rdm
 from torusdual import weyl
-from tuple_reference import elements, mat_identity, mat_mul, smith_form
+from tuple_reference import centralizer_action, elements, mat_identity, mat_mul, smith_form
 
 
 def brute_force_component_count(w, torsion_order):
@@ -31,7 +31,7 @@ def brute_force_component_count(w, torsion_order):
         img = m @ x
         if all(Fraction(v).denominator == 1 for v in img):
             count += 1
-    kernel_dim = n - il.rank(m)
+    kernel_dim = n - il.smith_normal_form(m).rank
     assert count % big**kernel_dim == 0
     return count // big**kernel_dim
 
@@ -133,7 +133,7 @@ def test_full_fixed_points_su3_vs_dual():
 
 def test_centralizer_action_identity():
     rep = fp.fixed_set(((-1, 0), (0, -1)))
-    perm, restriction = fp.centralizer_action(rep, [((1, 0), (0, 1))])
+    perm, restriction = centralizer_action(rep, [((1, 0), (0, 1))])
     assert tuple(perm[0].tolist()) == tuple(range(rep.component_count()))
     assert restriction[0].shape == (0, 0)
 
@@ -141,7 +141,7 @@ def test_centralizer_action_identity():
 def test_centralizer_action_su2():
     w = ((-1,),)
     rep = fp.fixed_set(w)
-    perm, restriction = fp.centralizer_action(rep, [w])
+    perm, restriction = centralizer_action(rep, [w])
     assert tuple(perm[0].tolist()) == (0, 1)  # both 0 and 1/2 are fixed by the inversion
     assert restriction[0].shape == (0, 0)
 
@@ -158,7 +158,7 @@ def test_centralizer_action_precondition():
         if mat_mul(g, g) == mat_identity(2) and mat_mul(g, cycle) != mat_mul(cycle, g)
     )
     with pytest.raises(ValueError):
-        fp.centralizer_action(fp.fixed_set(cycle), [transposition])
+        centralizer_action(fp.fixed_set(cycle), [transposition])
 
 
 def test_centralizer_action_permutes_nontrivially():
@@ -171,7 +171,7 @@ def test_centralizer_action_permutes_nontrivially():
     assert rep.component_count() == 4
     perms = set()
     for z in group.array[group.centralizer_indices(elements(group).index(minus))]:
-        perm, _ = fp.centralizer_action(rep, [z])
+        perm, _ = centralizer_action(rep, [z])
         perms.add(tuple(perm[0].tolist()))
     assert any(p != tuple(range(4)) for p in perms)
 
@@ -188,7 +188,7 @@ def test_restriction_is_exact_rational():
         basis = np.array(rep.fixed_lattice_basis, dtype=object).T
         for zi in group.centralizer_indices(c.representative):
             z = elems[zi]
-            _, restriction = fp.centralizer_action(rep, [z])
+            _, restriction = centralizer_action(rep, [z])
             assert np.array_equal(
                 basis @ restriction[0], np.array(z, dtype=object) @ basis
             )
@@ -207,7 +207,7 @@ def test_action_matches_component_enumeration(type_, rank, form):
         for zi in group.centralizer_indices(wi):
             z = elems[zi]
             (fixed,), (restriction,) = rep.action([z])
-            (perm,), (expected,) = fp.centralizer_action(rep, [z])
+            (perm,), (expected,) = centralizer_action(rep, [z])
             assert fixed == sum(1 for i, j in enumerate(perm) if i == j)
             assert restriction.shape == expected.shape
             assert np.array_equal(restriction, expected)
@@ -268,13 +268,13 @@ def test_stacked_centralizer_action_matches_single_calls(type_, rank):
     for wi, w in enumerate(group.array):
         rep = fp.fixed_set(w)
         cent = group.centralizer_indices(wi)
-        perms, restrictions = fp.centralizer_action(rep, group.array[cent])
+        perms, restrictions = centralizer_action(rep, group.array[cent])
         assert perms.shape == (len(cent), rep.component_count())
         assert restrictions.shape == (len(cent), rep.fixed_dim, rep.fixed_dim)
         basis = np.array(rep.fixed_lattice_basis, dtype=object).reshape(-1, rank).T
         stacked = il.restrict_to_sublattice(group.array[cent], basis)
         for k, zi in enumerate(cent):
-            (perm,), (restriction,) = fp.centralizer_action(rep, group.array[[zi]])
+            (perm,), (restriction,) = centralizer_action(rep, group.array[[zi]])
             assert perms[k].tolist() == perm.tolist()
             assert restrictions[k].tolist() == restriction.tolist()
             single = il.restrict_to_sublattice(group.array[zi], basis)
@@ -289,9 +289,9 @@ def test_stacked_centralizer_action_rejects_one_non_commuting(type_, rank):
     outsider = next(i for i in range(len(group)) if i not in cent)
     stack = group.array[sorted(cent) + [outsider]]
     rep = fp.fixed_set(group.array[wi])
-    fp.centralizer_action(rep, stack[:-1])
+    centralizer_action(rep, stack[:-1])
     with pytest.raises(ValueError, match="centralize"):
-        fp.centralizer_action(rep, stack)
+        centralizer_action(rep, stack)
 
 
 @pytest.mark.parametrize("z", [
@@ -305,8 +305,6 @@ def test_action_rejects_a_z_of_the_wrong_shape(z):
     rep = fp.fixed_set([[-1, 0], [0, 1]])
     with pytest.raises(ValueError, match="2 x 2"):
         rep.action(z)
-    with pytest.raises(ValueError, match="2 x 2"):
-        fp.centralizer_action(rep, z)
 
 
 def test_action_bounds_z_minus_one_at_the_int64_edge():

@@ -20,7 +20,7 @@ from torusdual import fixedpoints as fp
 from torusdual import ktheory as kt
 from torusdual import rootdata as rdm
 from torusdual import weyl
-from tuple_reference import elements
+from tuple_reference import centralizer_action, elements
 
 
 def exterior_power_matrix(r, k):
@@ -95,7 +95,7 @@ def invariant_dims_by_projection(group, rep_index):
         avg[:] = Fraction(0)
         for zi in cent:
             z = elems[zi]
-            (perm,), (restriction,) = fp.centralizer_action(report, [z])
+            (perm,), (restriction,) = centralizer_action(report, [z])
             blocks = [exterior_power_matrix(restriction, k) for k in ks]
             action = np.zeros((total, total), dtype=object)
             action[:] = Fraction(0)

@@ -147,6 +147,24 @@ def test_equivariance_rank_mismatch():
         pc.equivariance_check([[1]], f1, f2, rng, 5)
 
 
+@pytest.mark.parametrize("w", [[[2, 0], [0, 1]], [[0, 0], [0, 1]]], ids=["det-2", "singular"])
+def test_equivariance_rejects_a_matrix_not_preserving_the_lattice(w):
+    # det 2 once returned a deviation of 3.68, read as a failed identity;
+    # the singular matrix escaped as numpy's LinAlgError
+    rng = np.random.default_rng(9)
+    f1, f2 = pc.random_bump(rng, 2), pc.random_bump(rng, 2)
+    with pytest.raises(ValueError, match="det"):
+        pc.equivariance_check(w, f1, f2, rng, 5)
+
+
+@pytest.mark.parametrize("w", [[[2, 0], [0, 1]], [[0, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]],
+                         ids=["det-2", "singular", "not-square"])
+def test_transform_bump_rejects_a_matrix_not_preserving_the_lattice(w):
+    f = pc.random_bump(np.random.default_rng(10), 2)
+    with pytest.raises(ValueError):
+        pc.transform_bump(w, f)
+
+
 # -- the batched sums against a per-point reference ------------------------
 
 
@@ -298,10 +316,12 @@ def test_checks_consume_the_per_sample_stream(samples, monkeypatch):
             assert worst == 0.0 and not calls
 
 
-def test_block_boundary_check_matches_per_sample_reference():
+def test_block_boundary_check_matches_per_sample_reference(monkeypatch):
     """The returned deviations equal per-point double sums on exactly the
     per-block draws.  w = 2 is no lattice automorphism, so its equivariance
-    defect is of order one at every point and its maximum pins the points."""
+    defect is of order one at every point and its maximum pins the points;
+    the checks refuse such a w, so their determinant guard is lifted here."""
+    monkeypatch.setattr(pc, "det", lambda w: 1)
     f1 = pc.CompactBump(center=(0.2,), radius=0.7)
     f2 = pc.CompactBump(center=(-0.1,), radius=1.1)
     w = [[2]]

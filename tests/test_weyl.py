@@ -2,14 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from torusdual import intlinalg as il
 from torusdual import ktheory as kt
 from torusdual import rootdata as rdm
 from torusdual import weyl
-from tuple_reference import elements, mat_identity, mat_mul
+from tuple_reference import elements, inverse_index, mat_identity, mat_mul
 
 ORDERS = {
     ("A", 1): 2,
@@ -148,8 +146,7 @@ def test_both_sides_match_their_own_closures(type_, rank, form):
             assert _matrix_sets(group, group.centralizer_indices(c.representative)) == \
                 _matrix_sets(oracle, oracle.centralizer_indices(o.representative))
         for i in range(0, len(group), 7):
-            assert (group.array[group.inverse(i)].astype(np.int64)
-                    @ group.array[i] == np.eye(rank)).all()
+            inverse_index(group, i)  # exactly one element u with u w = 1
 
 
 @pytest.fixture
@@ -217,7 +214,37 @@ def test_trivial_and_fixture_groups():
     assert len(triv) == 1
     inv = weyl.WeylGroup.from_generators([((-1,),)], rank=1)
     assert len(inv) == 2
-    assert inv.inverse(1) == 1
+    assert inverse_index(inv, 1) == 1
+
+
+def _sc_datum_reflections(max_rank):
+    for t in rdm.SIMPLE_TYPES:
+        for r in range(1, max_rank + 1):
+            if rdm.is_simple_type(t, r):
+                yield f"{t}{r}", weyl.simple_reflection_matrices(rdm.build_simple(t, r, "sc")), r
+
+
+GENERATOR_CASES = [
+    ("empty", [], 2),
+    ("identity", [((1,),)], 1),
+    ("identity-and-sign", [((-1,),), ((1,),)], 1),
+    ("repeated", [((-1,),), ((-1,),)], 1),
+    ("swap-repeated", [((0, 1), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0))], 2),
+] + list(_sc_datum_reflections(4))
+
+
+@pytest.mark.parametrize("gens,rank", [c[1:] for c in GENERATOR_CASES],
+                         ids=[c[0] for c in GENERATOR_CASES])
+def test_generators_index_their_matrices(gens, rank):
+    # generators[k] is the index of the k-th generator's matrix, the same
+    # index for a repeated one and 0 for the identity
+    group = weyl.WeylGroup.from_generators(gens, rank)
+    assert len(group.generators) == len(gens)
+    for k, g in enumerate(gens):
+        matches = np.flatnonzero((group.array == np.asarray(g)).all(axis=(1, 2)))
+        assert group.generators[k] == int(matches[0]) and len(matches) == 1
+    elems = tuple_closure([il.as_matrix(g) for g in gens], rank)
+    assert group.generators == [elems.index(il.as_matrix(g)) for g in gens]
 
 
 def tuple_closure(gens, rank):
@@ -296,27 +323,6 @@ def test_entries_outside_int8_raise(gen):
     # ((2,),) generates 2, 4, ..., 64 and then 128, which int8 would wrap
     with pytest.raises(OverflowError):
         weyl.WeylGroup.from_generators([gen], rank=1)
-
-
-@pytest.mark.parametrize("type_,rank", [("B", 3), ("F", 4)])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_inverse_matches_int64_products(type_, rank, data):
-    rd = rdm.build_simple(type_, rank, "sc")
-    group = weyl.generate(rd)
-    gens = [np.array(s, dtype=np.int64) for s in weyl.simple_reflection_matrices(rd)]
-    word = data.draw(st.lists(st.integers(0, rank - 1), max_size=16))
-    ident = np.eye(rank, dtype=np.int64)
-    mat = ident
-    for s in word:
-        mat = mat @ gens[s]
-    index = {m: i for i, m in enumerate(elements(group))}
-    idx, ident_idx = index[il.as_matrix(mat)], index[il.as_matrix(ident)]
-    assert il.as_matrix(group.array[idx]) == il.as_matrix(mat)
-    inv = group.inverse(idx)
-    a = group.array[inv].astype(np.int64)
-    assert (a @ mat == ident).all()
-    assert [index[il.as_matrix(m)] for m in (mat @ a, a @ mat)] == [ident_idx, ident_idx]
 
 
 def _probe_images(mats):

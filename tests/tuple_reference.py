@@ -1,11 +1,14 @@
 """Tuple reference arithmetic for the tests: group elements as tuples of
 tuples of Python ints, multiplied entry by entry, roots reflected one at
 a time, and the Smith form and determinant of one matrix in unbounded
-Python ints."""
+Python ints.  Also two test-side views the library does not export: an
+element's inverse by search, and the action of centralizer elements on
+one fixed set through ``fixedpoints._pair_action``."""
 
 import numpy as np
 
-from torusdual.intlinalg import Matrix, as_matrix
+from torusdual import fixedpoints as fp
+from torusdual.intlinalg import Matrix, as_matrix, int_array
 
 
 def mat_identity(n: int) -> Matrix:
@@ -22,6 +25,29 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def elements(group) -> list[Matrix]:
     """Every element of group as a tuple matrix, in group order."""
     return [as_matrix(m) for m in group.array]
+
+
+def inverse_index(group, i: int) -> int:
+    """The index of the one element u of group with u w = 1, w = element i,
+    found by multiplying every element by w in int64."""
+    w = group.array[i].astype(np.int64)
+    products = group.array.astype(np.int64) @ w
+    [u] = np.flatnonzero((products == np.eye(group.rank, dtype=np.int64)).all(axis=(1, 2)))
+    return int(u)
+
+
+def centralizer_action(report, z):
+    """The action of a (k, n, n) stack z of centralizer elements on the
+    fixed set of w = report.w, for a report of fixed_set(w): the
+    one-element case of ``_pair_action``, which the commuting-pairs oracle
+    runs on whole groups.  A z that does not commute with w raises
+    ValueError.  Returns (perm, restriction): perm[j, i] is the component
+    holding z_j x_i, and restriction[j] is z_j on Gamma^w in the basis
+    ``fixed_lattice_basis``."""
+    zs, snf = int_array(z), report._snf
+    return fp._pair_action(
+        int_array(report.w)[None], snf.u[None], snf.v[None], snf.diagonal,
+        report._numerators[None], np.zeros(len(zs), dtype=np.int64), zs)
 
 
 def _pair(eta, x) -> int:
