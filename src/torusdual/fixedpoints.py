@@ -11,11 +11,11 @@ one int64 array X of numerators over the largest invariant factor q, so
 their images, their keys and the action of a whole stack of centralizer
 elements are int64 products, each checked by ``intlinalg.int_matmul``;
 they are handed out as exact rational points only in ``components``.
-Two actions of the centralizer: :meth:`FixedSetReport.action` takes a
-(k, n, n) stack of its elements and reads everything off the Smith form
-of w - 1 with no further elimination; ``_pair_action``, run by the
-commuting-pairs oracle on a whole stack of elements that share one
-invariant-factor diagonal, instead tests the membership of each z x and
+Two actions of commuting pairs (w, z), each on a stack of elements w that
+share one invariant-factor diagonal: ``_stacked_action``, run by the class
+sum, reads the fixed components and the restriction to Gamma^w off the
+Smith forms with no further elimination; ``_pair_action``, run by the
+commuting-pairs oracle, instead tests the membership of each z x and
 restricts each z through one stacked Smith form of the bases V[:, r:] of
 Gamma^w.
 """
@@ -84,49 +84,6 @@ class FixedSetReport:
     def component_count(self) -> int:
         return self._numerators.shape[1]
 
-    @cached_property
-    def _torsion(self):
-        return _torsion_rows(self._snf.u, self._snf.diagonal)
-
-    @cached_property
-    def _component_images(self) -> np.ndarray:
-        """The integer images y_c = M x_c of the components, one per column:
-        (M X) / q in int64, which must divide exactly."""
-        q = self._denominator
-        scaled = int_matmul(self._matrix, self._numerators)
-        if (scaled % q).any():
-            raise AssertionError("component images must be integral")
-        return scaled // q
-
-    def action(self, z):
-        """Action of a (k, n, n) stack z of centralizer elements of w, in int64.
-
-        Any other shape of z, one n x n matrix included, raises
-        ValueError.  With U (w - 1) V = D of rank r, the component of a
-        fixed point x is keyed by U_tors y mod d, where y = (w - 1) x and
-        U_tors, d are the rows of U and the invariant factors at the
-        d_i > 1.  As z commutes with w, z x has the image z y, so the
-        number of components z fixes is the number of component images y_c
-        (the columns of Y) with U_tors (z - 1) Y = 0 mod d.  The restriction
-        of z to Gamma^w is the integer matrix V^-1[r:] z V[:, r:] in the
-        basis fixed_lattice_basis.  Both come from checked products over the
-        whole stack (:func:`int_matmul`), so past the int64 range this
-        raises OverflowError instead of wrapping.
-
-        Returns (fixed, restriction): a (k,) and a (k, d, d) int64 array.
-
-        z must commute with w, which is not checked.
-        """
-        zs = int_array(z)
-        if zs.ndim != 3 or zs.shape[1:] != (self.rank, self.rank):
-            raise ValueError(f"expected a stack of {self.rank} x {self.rank} matrices")
-        u_tors, d = self._torsion
-        z_minus_1 = zs - np.eye(self.rank, dtype=np.int64)
-        moved = int_matmul(u_tors, int_matmul(z_minus_1, self._component_images))
-        fixed = (moved % d == 0).all(axis=1).sum(axis=1)
-        snf, r = self._snf, self._snf.rank
-        return fixed, int_matmul(int_matmul(snf.v_inv[r:], zs), snf.v[:, r:])
-
 
 def _difference_matrix(*mats) -> np.ndarray:
     """The square matrices m - 1, stacked one above the other, in int64
@@ -180,6 +137,43 @@ def _torsion_rows(u, diag):
     d_i > 1, and those d_i as a column, in int64 (cast checked)."""
     tors = [i for i, x in enumerate(diag) if x > 1]
     return int_array(u[..., tors, :]), int_array([int(diag[i]) for i in tors]).reshape(-1, 1)
+
+
+def _stacked_action(w, snf, x, owner, z):
+    """Action of the commuting pairs (w[owner[p]], z[p]) on fixed sets,
+    read off the Smith forms with no further elimination.
+
+    w is a (b, n, n) int64 stack whose matrices w - 1 share one
+    invariant-factor diagonal, snf their stacked Smith forms
+    U (w - 1) V = D of rank r, and x the (b, n, c) coset numerators of
+    their fixed sets over q = the largest invariant factor.  The component
+    images y = (w - 1) x / q must be integral (else AssertionError).  A
+    component is keyed by U_tors y mod d (the rows of U and the invariant
+    factors at the d_i > 1); as z commutes with w, z x has the image z y,
+    so z fixes the components with U_tors (z - 1) y = 0 mod d.  The
+    restriction of z to Gamma^w is V^-1[r:] z V[:, r:], in the basis
+    ``FixedSetReport.fixed_lattice_basis``.  A z of any shape but
+    (P, n, n) raises ValueError.  Every product is checked by
+    :func:`int_matmul`, so past the int64 range this raises OverflowError
+    instead of wrapping.  z must commute with its w, which is not checked.
+
+    Returns (fixed, restriction): a (P,) and a (P, n - r, n - r) int64 array.
+    """
+    n = w.shape[-1]
+    z = int_array(z)
+    if z.ndim != 3 or z.shape[1:] != (n, n):
+        raise ValueError(f"expected a stack of {n} x {n} matrices")
+    diag = snf.diagonal[0]
+    r = int(np.count_nonzero(diag))
+    q = int(max(diag[:r], default=1))
+    ident = np.eye(n, dtype=np.int64)
+    images = int_matmul(w - ident, x)
+    if (images % q).any():
+        raise AssertionError("component images must be integral")
+    u_tors, d = _torsion_rows(snf.u, diag)
+    moved = int_matmul(int_matmul(u_tors[owner], z - ident), (images // q)[owner])
+    fixed = (moved % d == 0).all(axis=1).sum(axis=1)
+    return fixed, int_matmul(int_matmul(snf.v_inv[owner, r:], z), snf.v[owner, :, r:])
 
 
 def _pair_action(w, u, v, diag, x, owner, z):

@@ -12,7 +12,9 @@ from torusdual import fixedpoints as fp
 from torusdual import intlinalg as il
 from torusdual import rootdata as rdm
 from torusdual import weyl
-from tuple_reference import centralizer_action, elements, mat_identity, mat_mul, smith_form
+from tuple_reference import (
+    centralizer_action, elements, mat_identity, mat_mul, smith_form, stacked_action,
+)
 
 
 def brute_force_component_count(w, torsion_order):
@@ -206,7 +208,7 @@ def test_action_matches_component_enumeration(type_, rank, form):
         rep = fp.fixed_set(w)
         for zi in group.centralizer_indices(wi):
             z = elems[zi]
-            (fixed,), (restriction,) = rep.action([z])
+            (fixed,), (restriction,) = stacked_action(rep, [z])
             (perm,), (expected,) = centralizer_action(rep, [z])
             assert fixed == sum(1 for i, j in enumerate(perm) if i == j)
             assert restriction.shape == expected.shape
@@ -241,7 +243,7 @@ def test_action_count_matches_smith_reference(type_, rank, form):
         rep = fp.fixed_set(group.array[c.representative])
         for zi in group.centralizer_indices(c.representative):
             z = group.array[zi]
-            assert rep.action([z])[0][0] == smith_reference_fixed_count(rep, z)
+            assert stacked_action(rep, [z])[0][0] == smith_reference_fixed_count(rep, z)
 
 
 def test_difference_matrix_stacks():
@@ -304,13 +306,13 @@ def test_stacked_centralizer_action_rejects_one_non_commuting(type_, rank):
 def test_action_rejects_a_z_of_the_wrong_shape(z):
     rep = fp.fixed_set([[-1, 0], [0, 1]])
     with pytest.raises(ValueError, match="2 x 2"):
-        rep.action(z)
+        stacked_action(rep, z)
 
 
 def test_action_bounds_z_minus_one_at_the_int64_edge():
     # z - 1 reaches -2^63 here, which np.abs would wrap back to -2^63
     rep = fp.fixed_set([[-1]])
-    (fixed,), (restriction,) = rep.action([[[-1]]])
+    (fixed,), (restriction,) = stacked_action(rep, [[[-1]]])
     assert fixed == 2 and restriction.shape == (0, 0)
     with pytest.raises(OverflowError):
-        rep.action([[[-(2**63 - 1)]]])
+        stacked_action(rep, [[[-(2**63 - 1)]]])

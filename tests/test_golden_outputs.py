@@ -34,7 +34,10 @@ COMMANDS = [
     "table-check",
     "verify-duality --max-rank 4",
     "verify-duality --max-rank 4 --forms sc,adjoint,so",
+    "verify-duality --max-rank 5 --allow-large --forms sc,adjoint,so",
     "ktheory --type F --rank 4 --form sc",
+    "ktheory --type E --rank 6 --form sc",
+    "ktheory --type B --rank 6 --form sc",
     "affine-compare --max-rank 4",
     "fixed-points --type E --rank 6",
     "fixed-points --type A --rank 2",
@@ -58,7 +61,7 @@ def digest(command: str, directory: Path) -> str:
 
 
 def test_every_command_has_a_recorded_digest():
-    assert len(COMMANDS) == 107
+    assert len(COMMANDS) == 110
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(COMMANDS)
 
 

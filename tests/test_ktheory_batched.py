@@ -9,9 +9,9 @@ import pytest
 from torusdual import ktheory as kt
 from torusdual import rootdata as rdm
 from torusdual import weyl
-from torusdual.fixedpoints import fixed_set
+from torusdual.fixedpoints import _stacked_action, fixed_set
 from torusdual.rootdata import is_simple_type
-from tuple_reference import bareiss_det, mat_identity
+from tuple_reference import bareiss_det, mat_identity, stacked_action
 
 REFERENCE_DATA = [
     ("A", 4, "sc"), ("B", 4, "sc"), ("C", 4, "adjoint"), ("D", 4, [[1, 0, 0, 0]]),
@@ -78,15 +78,47 @@ def test_class_sum_takes_no_float_determinant(monkeypatch, type_, rank, form, wa
     assert (rep.primal.k0, rep.primal.k1) == (rep.dual.k0, rep.dual.k1) == want
 
 
+CENTRAL_DATA = [
+    (t, r, form) for t in "ABCDFG" for r in range(1, 5) if is_simple_type(t, r)
+    for form in ("sc", "adjoint")
+] + [("D", 4, [[1, 0, 0, 0]])]
+
+
+@pytest.mark.parametrize("type_,rank,form", CENTRAL_DATA,
+                         ids=[f"{t}{r}-{f if isinstance(f, str) else 'so'}" for t, r, f in CENTRAL_DATA])
+def test_central_rows_match_full_centralizer_sum(monkeypatch, type_, rank, form):
+    # a central class is summed over W's class representatives, weighted by
+    # class size, and never asks for its centralizer
+    group = weyl.generate(rdm.build_simple(type_, rank, form))
+    reps = [c.representative for c in group.classes if len(c.members) == 1]
+    want = [reference_row(group, rep) for rep in reps]
+
+    def refuse(i):
+        raise AssertionError("a central class asked for its centralizer")
+
+    monkeypatch.setattr(group, "centralizer_indices", refuse)
+    rows = kt._class_rows(group, reps, [1] * len(reps))
+    assert [(r.even_invariants, r.odd_invariants) for r in rows] == want
+    assert all(r.centralizer_order == len(group) for r in rows)
+
+
 def test_stacked_action_matches_single_elements():
+    # each bucket of class representatives at once, against every pair
+    # (w, z) taken on its own
     group = weyl.generate(rdm.build_simple("B", 3, "adjoint"))
-    for c in group.classes:
-        report = fixed_set(group.array[c.representative])
-        cent = group.centralizer_indices(c.representative)
-        fixed, restriction = report.action(group.array[cent])
+    reps = [c.representative for c in group.classes]
+    ws = group.array[reps].astype(np.int64)
+    for members, snf, x in kt._buckets(ws):
+        cents = [group.centralizer_indices(reps[i]) for i in members]
+        owner = np.repeat(np.arange(len(members)), [len(c) for c in cents])
+        fixed, restriction = _stacked_action(ws[members], snf, x, owner,
+                                             group.array[np.concatenate(cents)])
         assert restriction.dtype == np.int64
-        for k, zi in enumerate(cent):
-            (one_fixed,), (one_restriction,) = report.action(group.array[[zi]])
+        pairs = [(reps[i], zi) for i, cent in zip(members, cents) for zi in cent]
+        assert len(pairs) == len(fixed)
+        for k, (wi, zi) in enumerate(pairs):
+            (one_fixed,), (one_restriction,) = stacked_action(fixed_set(group.array[wi]),
+                                                              group.array[[zi]])
             assert fixed[k] == one_fixed
             assert np.array_equal(restriction[k], one_restriction)
 
@@ -102,7 +134,48 @@ def test_smith_factor_past_int64_raises(v_entry, v_inv_entry):
     v_inv[n - 1, 0] = v_inv_entry
     bad = dataclasses.replace(report, _snf=dataclasses.replace(snf, v=v, v_inv=v_inv))
     with pytest.raises(OverflowError):
-        bad.action(group.array[:4])
+        stacked_action(bad, group.array[:4])
+
+
+def test_short_centralizer_raises_non_integral(monkeypatch):
+    # the first B3 sc class past the identity has |Z(w)| = 16; with one
+    # element dropped its average is 28/30
+    group = weyl.generate(rdm.build_simple("B", 3, "sc"))
+    c = next(c for c in group.classes if len(c.members) > 1)
+    cent = group.centralizer_indices(c.representative)
+    monkeypatch.setattr(group, "centralizer_indices", lambda i: cent[:-1])
+    with pytest.raises(kt.NonIntegralInvariantError):
+        kt._class_rows(group, [c.representative], [len(c.members)])
+
+
+def _minus_one_row(monkeypatch, group, identity_size):
+    """The row of the central class of -1, summed over a class list in
+    which the identity class (element 0) has identity_size members."""
+    [minus] = [c.representative for c in group.classes
+               if len(c.members) == 1 and c.representative != 0]
+    monkeypatch.setattr(group, "_classes", [
+        weyl.ConjugacyClass(0, range(identity_size)) if c.representative == 0 else c
+        for c in group.classes])
+    return kt._class_rows(group, [minus], [1])
+
+
+def test_wrong_class_size_raises_non_integral(monkeypatch):
+    # the identity fixes all 8 components of T^-1 and det(1 +- R) = 1 on
+    # Gamma^-1 = 0, so a second identity adds 16 to the even sum, 2 |W| = 96
+    # times the average
+    group = weyl.generate(rdm.build_simple("B", 3, "sc"))
+    rows = {r.representative: r for r in kt.graded_rank_with_classes(group)[1]}
+    [row] = _minus_one_row(monkeypatch, group, 1)
+    assert row == rows[row.representative]
+    with pytest.raises(kt.NonIntegralInvariantError):
+        _minus_one_row(monkeypatch, group, 2)
+
+
+def test_oversized_class_weight_raises_overflow(monkeypatch):
+    # a class weight of 2^62 must raise, not wrap
+    group = weyl.generate(rdm.build_simple("B", 3, "sc"))
+    with pytest.raises(OverflowError):
+        _minus_one_row(monkeypatch, group, 2**62)
 
 
 STEINBERG_DATA = [
