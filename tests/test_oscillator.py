@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -156,7 +159,25 @@ def test_parameter_validation():
         osc.build_q0(1, 2, 6.0)
     with pytest.raises(ValueError):
         osc.build_q0(1, 400, 0.0)
+    for halfwidth in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            osc.build_q0(1, 10, halfwidth)
     osc.build_q0(1, 3, 6.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_count_is_validated_before_any_solve(dimension, monkeypatch):
+    disc = osc.build_q0(dimension, 3, 6.0)
+    report = osc.spectral_check(disc, count=disc.size)
+    assert len(report.eigenvalues) == len(report.expected) == disc.size
+
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(osc, "_ladders", no_solve)
+    for count in (0, disc.size + 1):
+        with pytest.raises(ValueError, match="count"):
+            osc.spectral_check(disc, count=count)
 
 
 def test_report_json():
@@ -223,6 +244,51 @@ def test_residual_guard_checks_the_assembled_operator(dimension, grid, halfwidth
     assert disc.axis_operator.alpha[grid // 2] != alpha[grid // 2]
     with pytest.raises(ArithmeticError):
         osc.spectral_check(disc)
+
+
+@pytest.mark.parametrize("dimension, grid, halfwidth",
+                         [(1, 250, 6.0), (1, 1600, 6.0), (2, 50, 4.0), (2, 160, 4.0)])
+def test_streamed_guard_matches_the_block_residual(dimension, grid, halfwidth):
+    # the levels' vectors stacked into one block and checked on the sparse
+    # assembly, independent of DualityOperator, give the same residual and
+    # kernel diagnostics as the check that builds one vector at a time
+    disc = osc.build_q0(dimension, grid, halfwidth)
+    report = osc.spectral_check(disc)
+    vals, levels = osc._lowest_eigenpairs(disc, len(report.eigenvalues))
+    np.testing.assert_array_equal(vals, report.eigenvalues)
+    block = np.zeros((disc.size, len(levels)))
+    for col, (offset, factors) in enumerate(levels):
+        part = functools.reduce(np.kron, factors)
+        block[offset:offset + len(part), col] = part
+    q = assembled(disc)
+    residual = np.linalg.norm(q @ (q @ block) - block * vals, axis=0).max()
+    assert report.residual_max == pytest.approx(residual, rel=1e-9)
+    kv, ref = block[:, 0], disc.kernel_reference
+    np.testing.assert_array_equal(report.kernel_vector, kv)
+    assert report.kernel_even_fraction == pytest.approx(
+        np.linalg.norm(kv[disc.grading > 0]) / np.linalg.norm(kv), rel=1e-12)
+    assert report.kernel_cosine == pytest.approx(
+        abs(kv @ ref) / (np.linalg.norm(kv) * np.linalg.norm(ref)), rel=1e-12)
+
+
+def test_check_holds_a_few_grid_vectors():
+    # one (size x 6) block of the levels, pushed through Q twice, peaks at
+    # about 24 grid vectors; one level at a time needs a few
+    disc = osc.build_q0(2, 160, 4.0)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = osc.spectral_check(disc)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 8 * 8 * disc.size, peak / (8 * disc.size)
+    kv = report.kernel_vector
+    assert kv.nbytes == 8 * disc.size and kv.base is None
 
 
 # the CLI's grid bounds at halfwidths 4 and 10, and grid 3, where a ladder
