@@ -324,9 +324,12 @@ def symmetric_invariance_check(n: int, g, a: CliffordElement) -> bool:
 
     Intended for elements built as symmetric polynomials in the
     commuting family e_1 eps_1, ..., e_n eps_n, which the theory says are
-    always fixed; a non-orthogonal g is rejected.  Compares numerators
-    over the common denominator of a, so no Fraction is built.
+    always fixed; a non-orthogonal g is rejected, and so is an a whose
+    dimension is not n.  Compares numerators over the common denominator
+    of a, so no Fraction is built.
     """
+    if a.dimension != n:
+        raise ValueError("dimension mismatch")
     _, out = _action_numerators(g, a)
     return {w: v for w, v in out.items() if any(v)} == a._numerators[1]
 

@@ -2,22 +2,24 @@
 
 Everything here works in coordinates where Gamma = Z^n.  For w a lattice
 automorphism, T^w = {x : (w - 1) x in Z^n} / Z^n is a finite disjoint
-union of parallel subtori of dimension dim ker(w - 1).  One Smith form
-U (w - 1) V = D per fixed set gives the components, their keys in
-tors coker(w - 1) and the lattice Gamma^w; :func:`fixed_sets` takes the
-Smith forms of a whole stack of elements at once, and :func:`fixed_set`
-is its one-element case.  The components are held as
-one int64 array X of numerators over the largest invariant factor q, so
-their images, their keys and the action of a whole stack of centralizer
-elements are int64 products, each checked by ``intlinalg.int_matmul``;
-they are handed out as exact rational points only in ``components``.
-Two actions of commuting pairs (w, z), each on a stack of elements w that
-share one invariant-factor diagonal: ``_stacked_action``, run by the class
-sum, reads the fixed components and the restriction to Gamma^w off the
-Smith forms with no further elimination; ``_pair_action``, run by the
-commuting-pairs oracle, instead tests the membership of each z x and
-restricts each z through one stacked Smith form of the bases V[:, r:] of
-Gamma^w.
+union of parallel subtori of dimension dim ker(w - 1).  Its components,
+their keys in tors coker(w - 1) and the lattice Gamma^w are read off the
+Smith form U (w - 1) V = D.  :func:`_buckets` is the one place that
+turns a stack of elements into this data, from one stacked Smith form:
+it groups the elements by invariant-factor diagonal and gives each group
+its components as int64 numerators X over the largest invariant factor
+q, their images Y = (w - 1) X / q and the torsion rows U_tors, so that
+the keys U_tors Y mod d and the action of a whole stack of centralizer
+elements are int64 products, each checked by ``intlinalg.int_matmul``.
+:func:`fixed_sets`, :func:`fixed_set`, the class sum and the
+commuting-pairs oracle all read their fixed sets off these buckets.
+
+Two actions of commuting pairs (w, z) on a bucket: ``_stacked_action``,
+run by the class sum, reads the fixed components and the restriction to
+Gamma^w off the Smith forms with no further elimination; ``_pair_action``,
+run by the oracle, keeps its own steps (commutation check, membership
+test of each z x, key lookup, restriction through one stacked Smith form
+of the bases V[:, r:] of Gamma^w) and never reads V^-1.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .intlinalg import (
     Matrix,
     SmithDecomposition,
     _as_fractions,
-    _coset_numerators,
+    _coset_steps,
     _restrict,
     as_matrix,
     int_array,
@@ -51,23 +54,22 @@ __all__ = ["FixedSetReport", "fixed_set", "fixed_sets", "full_fixed_points"]
 class FixedSetReport:
     """Fixed-point data of one lattice automorphism w.
 
-    Holds the matrix M = w - 1, its Smith form U M V = D of rank r and
-    the components as the columns of the int64 numerators X over the
-    denominator q.  The rest is read off these:
-    components are rational points in [0,1)^n, one per connected
-    component of the fixed set, sorted; fixed_lattice_basis is a Z-basis
-    of Gamma intersected with ker(w - 1), the columns V[:, r:].
+    Holds w, the Smith form U (w - 1) V = D of rank r and the components
+    as the columns of the int64 numerators X over the denominator q.  The
+    rest is read off these: components are rational points in [0,1)^n,
+    one per connected component of the fixed set, sorted;
+    fixed_lattice_basis is a Z-basis of Gamma intersected with ker(w - 1),
+    the columns V[:, r:].
     """
 
     w: Matrix
-    _matrix: np.ndarray = field(repr=False, compare=False, hash=False)
     _snf: SmithDecomposition = field(repr=False, compare=False, hash=False)
     _numerators: np.ndarray = field(repr=False, compare=False, hash=False)
     _denominator: int = field(repr=False, compare=False, hash=False)
 
     @property
     def rank(self) -> int:
-        return self._matrix.shape[1]
+        return len(self.w)
 
     @property
     def fixed_dim(self) -> int:
@@ -75,7 +77,7 @@ class FixedSetReport:
 
     @cached_property
     def components(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(_as_fractions(self._numerators, self._denominator))
+        return tuple(sorted(_as_fractions(self._numerators, self._denominator)))
 
     @cached_property
     def fixed_lattice_basis(self) -> tuple[tuple[int, ...], ...]:
@@ -85,32 +87,69 @@ class FixedSetReport:
         return self._numerators.shape[1]
 
 
-def _difference_matrix(*mats) -> np.ndarray:
-    """The square matrices m - 1, stacked one above the other, in int64
-    (int_array bounds entries by +-(2^63 - 1), so this cannot wrap)."""
-    stack = int_array(mats)
-    n = stack.shape[-1]
-    if stack.ndim != 3 or stack.shape[1] != n:
-        raise ValueError("expected square matrices")
-    return (stack - np.eye(n, dtype=np.int64)).reshape(-1, n)
+class _Bucket(NamedTuple):
+    """The elements of a stack whose w - 1 share one invariant-factor
+    diagonal, with r nonzero factors, the largest q (1 when r = 0) and
+    the torsion factors d_i > 1 as a (t, 1) column d.  Per member: w, the
+    Smith factors of U (w - 1) V = D (stacked in snf), the coset
+    numerators x = V[:, :r] S mod q (b, n, c), their integral images
+    y = (w - 1) x / q and the torsion rows U_tors (b, t, n), which key a
+    component by U_tors y mod d."""
+
+    members: np.ndarray
+    w: np.ndarray
+    snf: SmithDecomposition
+    r: int
+    q: int
+    x: np.ndarray
+    y: np.ndarray
+    u_tors: np.ndarray
+    d: np.ndarray
 
 
-def fixed_sets(ws) -> list[FixedSetReport]:
-    """Fixed-set reports for a (k, n, n) stack of lattice automorphisms on
-    Z^n, from one stacked Smith form of every w - 1 (int_array bounds
-    entries by +-(2^63 - 1), so w - 1 cannot wrap)."""
+def _take(snf: SmithDecomposition, index) -> SmithDecomposition:
+    """The Smith factors of the slices index of a stacked Smith form."""
+    return SmithDecomposition(*(f[index] for f in (snf.u, snf.d, snf.v, snf.v_inv)))
+
+
+def _buckets(ws):
+    """The elements of a (k, n, n) stack ws of lattice automorphisms on
+    Z^n grouped by the invariant-factor diagonal of w - 1, from one
+    stacked Smith form; yields one :class:`_Bucket` per diagonal.
+
+    int_array bounds entries by +-(2^63 - 1), so w - 1 cannot wrap; a
+    stack of any other shape raises ValueError.  The coset steps S are
+    ``intlinalg._coset_steps``; a non-integral image y raises
+    AssertionError.  Every product is checked by :func:`int_matmul`.
+    """
     wm = int_array(ws)
     n = wm.shape[-1]
     if wm.ndim != 3 or wm.shape[1] != n:
         raise ValueError("expected a stack of square matrices")
-    matrices = wm - np.eye(n, dtype=np.int64)
-    stacked, reports = smith_normal_form(matrices), []
-    for w, matrix, *factors in zip(wm, matrices, stacked.u, stacked.d, stacked.v, stacked.v_inv):
-        snf = SmithDecomposition(*factors)
-        x, q = _coset_numerators(snf, modulo_kernel=True)
-        reports.append(FixedSetReport(w=as_matrix(w), _matrix=matrix, _snf=snf,
-                                      _numerators=x, _denominator=q))
-    return reports
+    ident = np.eye(n, dtype=np.int64)
+    stacked = smith_normal_form(wm - ident)
+    diagonals, bucket = np.unique(stacked.diagonal, axis=0, return_inverse=True)
+    for b, diag in enumerate(diagonals):
+        members = np.flatnonzero(bucket.ravel() == b)
+        r = int(np.count_nonzero(diag))
+        steps, q = _coset_steps(diag[:r])
+        snf, w = _take(stacked, members), wm[members]
+        x = int_matmul(snf.v[:, :, :r], steps) % q
+        y = int_matmul(w - ident, x)
+        if (y % q).any():
+            raise AssertionError("component images must be integral")
+        tors = np.flatnonzero(diag > 1)
+        yield _Bucket(members, w, snf, r, q, x, y // q, snf.u[:, tors], diag[tors, None])
+
+
+def fixed_sets(ws) -> list[FixedSetReport]:
+    """Fixed-set reports for a (k, n, n) stack of lattice automorphisms on
+    Z^n, in input order, read off the buckets of :func:`_buckets`."""
+    reports = {}
+    for b in _buckets(ws):
+        for j, i in enumerate(b.members.tolist()):
+            reports[i] = FixedSetReport(as_matrix(b.w[j]), _take(b.snf, j), b.x[j], b.q)
+    return [reports[i] for i in sorted(reports)]
 
 
 def fixed_set(w) -> FixedSetReport:
@@ -128,30 +167,18 @@ def full_fixed_points(rd: RootDatum) -> list[tuple[Fraction, ...]]:
     set is a finite list of points; a nonzero joint kernel propagates
     :class:`InfiniteSolutionSetError`.
     """
-    stacked = _difference_matrix(*simple_reflection_matrices(rd))
-    return solve_mod_lattice(stacked, modulo_kernel=False)
+    s = int_array(simple_reflection_matrices(rd))
+    return solve_mod_lattice((s - np.eye(rd.rank, dtype=np.int64)).reshape(-1, rd.rank),
+                             modulo_kernel=False)
 
 
-def _torsion_rows(u, diag):
-    """Rows U_tors of U (or of each U of a stack) at the invariant factors
-    d_i > 1, and those d_i as a column, in int64 (cast checked)."""
-    tors = [i for i, x in enumerate(diag) if x > 1]
-    return int_array(u[..., tors, :]), int_array([int(diag[i]) for i in tors]).reshape(-1, 1)
+def _stacked_action(bucket: _Bucket, owner, z):
+    """Action of the commuting pairs (w[owner[p]], z[p]) of one bucket on
+    fixed sets, read off the Smith forms with no further elimination.
 
-
-def _stacked_action(w, snf, x, owner, z):
-    """Action of the commuting pairs (w[owner[p]], z[p]) on fixed sets,
-    read off the Smith forms with no further elimination.
-
-    w is a (b, n, n) int64 stack whose matrices w - 1 share one
-    invariant-factor diagonal, snf their stacked Smith forms
-    U (w - 1) V = D of rank r, and x the (b, n, c) coset numerators of
-    their fixed sets over q = the largest invariant factor.  The component
-    images y = (w - 1) x / q must be integral (else AssertionError).  A
-    component is keyed by U_tors y mod d (the rows of U and the invariant
-    factors at the d_i > 1); as z commutes with w, z x has the image z y,
-    so z fixes the components with U_tors (z - 1) y = 0 mod d.  The
-    restriction of z to Gamma^w is V^-1[r:] z V[:, r:], in the basis
+    As z commutes with w, z x has the image z y, so z fixes the
+    components with U_tors (z - 1) y = 0 mod d.  The restriction of z to
+    Gamma^w is V^-1[r:] z V[:, r:], in the basis
     ``FixedSetReport.fixed_lattice_basis``.  A z of any shape but
     (P, n, n) raises ValueError.  Every product is checked by
     :func:`int_matmul`, so past the int64 range this raises OverflowError
@@ -159,65 +186,49 @@ def _stacked_action(w, snf, x, owner, z):
 
     Returns (fixed, restriction): a (P,) and a (P, n - r, n - r) int64 array.
     """
-    n = w.shape[-1]
+    n, r, snf = bucket.w.shape[-1], bucket.r, bucket.snf
     z = int_array(z)
     if z.ndim != 3 or z.shape[1:] != (n, n):
         raise ValueError(f"expected a stack of {n} x {n} matrices")
-    diag = snf.diagonal[0]
-    r = int(np.count_nonzero(diag))
-    q = int(max(diag[:r], default=1))
-    ident = np.eye(n, dtype=np.int64)
-    images = int_matmul(w - ident, x)
-    if (images % q).any():
-        raise AssertionError("component images must be integral")
-    u_tors, d = _torsion_rows(snf.u, diag)
-    moved = int_matmul(int_matmul(u_tors[owner], z - ident), (images // q)[owner])
-    fixed = (moved % d == 0).all(axis=1).sum(axis=1)
+    moved = int_matmul(int_matmul(bucket.u_tors[owner], z - np.eye(n, dtype=np.int64)),
+                       bucket.y[owner])
+    fixed = (moved % bucket.d == 0).all(axis=1).sum(axis=1)
     return fixed, int_matmul(int_matmul(snf.v_inv[owner, r:], z), snf.v[owner, :, r:])
 
 
-def _pair_action(w, u, v, diag, x, owner, z):
-    """Action of the commuting pairs (w[owner[p]], z[p]) on fixed sets.
+def _pair_action(bucket: _Bucket, owner, z):
+    """Action of the commuting pairs (w[owner[p]], z[p]) of one bucket on
+    fixed sets, with the oracle's own steps.
 
-    w is a (b, n, n) int64 stack whose matrices w - 1 share one
-    invariant-factor diagonal diag, with Smith forms U (w - 1) V = D
-    stacked in u and v, and x the (b, n, c) coset numerators of their
-    fixed sets over q = the largest invariant factor.  Every pair is
-    checked: z must commute with its w (else ValueError); the components
-    of each w must have integral images y = (w - 1) x / q and distinct
-    keys U_tors y mod d (else AssertionError); each moved point z x must
-    pass the membership test (w - 1) z x = 0 mod q (else ValueError) and
-    is looked up by its key.  The restriction of z to Gamma^w in the
-    basis V[:, r:] is solved by one stacked Smith form of the b bases
-    (``intlinalg._restrict``).  V^-1 is never read; every product is checked
-    by :func:`int_matmul`.
+    Every pair is checked: z must commute with its w (else ValueError);
+    the components of each w must have distinct keys U_tors y mod d (else
+    AssertionError); each moved point z x must pass the membership test
+    (w - 1) z x = 0 mod q (else ValueError) and is looked up by its key.
+    The restriction of z to Gamma^w in the basis V[:, r:] is solved by one
+    stacked Smith form of the bucket's bases (``intlinalg._restrict``).
+    V^-1 is never read; every product is checked by :func:`int_matmul`.
 
     Returns (perm, restriction): perm (P, c) int64, perm[p, i] the
-    component of z x_i, and restriction (P, d, d) int64, d = n - rank.
+    component of z x_i, and restriction (P, d, d) int64, d = n - r.
     """
-    wo = w[owner]
+    wo = bucket.w[owner]
     if not np.array_equal(int_matmul(z, wo), int_matmul(wo, z)):
         raise ValueError("element does not centralize w")
-    m = w - np.eye(w.shape[-1], dtype=np.int64)
-    r = int(np.count_nonzero(diag))
-    q = int(max(diag[:r], default=1))
-    u_tors, d = _torsion_rows(u, diag)
+    q, d, b = bucket.q, bucket.d, len(bucket.w)
     radix = np.cumprod(d[:, 0]) // d[:, 0]  # prod of the d_j, j < i
 
     def codes(rows, images):
         # the key U_tors y mod d of each image, as a mixed-radix integer
         return radix @ (int_matmul(rows, images) % d)
 
-    images = int_matmul(m, x)
-    if (images % q).any():
-        raise AssertionError("component images must be integral")
-    own = codes(u_tors, images // q)
-    index = np.full((len(w), prod(d.flat)), -1, dtype=np.int64)
-    index[np.arange(len(w))[:, None], own] = np.arange(own.shape[1])
+    own = codes(bucket.u_tors, bucket.y)
+    index = np.full((b, prod(d.flat)), -1, dtype=np.int64)
+    index[np.arange(b)[:, None], own] = np.arange(own.shape[1])
     if own.shape[1] != index.shape[1] or (index < 0).any():
         raise AssertionError("component keys must be distinct")
-    moved = int_matmul(m[owner], int_matmul(z, x[owner]))
+    moved = int_matmul(wo - np.eye(wo.shape[-1], dtype=np.int64),
+                       int_matmul(z, bucket.x[owner]))
     if (moved % q).any():
         raise ValueError("a moved component is not in the fixed set")
-    perm = index[owner[:, None], codes(u_tors[owner], moved // q)]
-    return perm, _restrict(v[:, :, r:], owner, z)
+    perm = index[owner[:, None], codes(bucket.u_tors[owner], moved // q)]
+    return perm, _restrict(bucket.snf.v[:, :, bucket.r:], owner, z)

@@ -11,21 +11,19 @@ the fixed sets T^w:
 and likewise for K^1 with tr_odd, where tr_even/odd(R) are the traces on
 the even/odd exterior algebra, evaluated as (det(1+R) +- det(1-R))/2.
 
-The class sum works one group at a time, in one pass per bucket.  One
-stacked Smith form U (w-1) V = D of every class representative buckets
-them by their invariant-factor diagonal (``_buckets``); a bucket shares
-q, the coset steps, the torsion rows and dim Gamma^w.  Each bucket's
-pairs (w, z) are stacked as one int64 array with an owner index and
-acted on by ``fixedpoints._stacked_action``: one product gives, for every
-pair at once, the number of components of T^w that z fixes (a component
-is keyed by its image y_c = (w-1) x_c modulo (w-1) Z^n, i.e. by U y_c mod
-the invariant factors d_i > 1, and z fixes it when z y_c has the same
-key) and its integer matrix R = V^-1[r:] z V[:, r:] on Gamma^w.  A
-non-central w pairs with every z in Z(w).  A central w (class size 1)
-has Z(w) = W, and its summand is a class function on W (a permutation
-character times an exterior-power character), so it pairs with W's class
-representatives only, each weighted by its class size, and never asks
-for its centralizer.
+The fixed sets come from ``fixedpoints._buckets``: one stacked Smith form
+U (w-1) V = D groups the elements by their invariant-factor diagonal, and
+each bucket holds its elements' coset numerators, component images y
+and torsion key U_tors y mod d; this module takes no Smith form of its
+own.  The class sum acts on each bucket of class representatives once,
+by ``fixedpoints._stacked_action``: one product gives, for every pair
+(w, z) of the bucket, the number of components of T^w that z fixes (the
+components whose key z keeps) and its integer matrix
+R = V^-1[r:] z V[:, r:] on Gamma^w.  A non-central w pairs with every z
+in Z(w).  A central w (class size 1) has Z(w) = W, and its summand is a
+class function on W (a permutation character times an exterior-power
+character), so it pairs with W's class representatives only, each
+weighted by its class size, and never asks for its centralizer.
 
 det(1 +- R) is exact: one stacked Bareiss determinant (``det``) per fixed
 dimension, over every bucket of that dimension and both signs, bounded by
@@ -36,17 +34,13 @@ are computed once per group and kept for as long as the group lives.
 
 The commuting-pairs oracle recomputes the same quantity as a sum over all
 pairs (w, z) with wz = zw, weighted 1/|W|, without the class
-decomposition and with no central shortcut, in one pass per group.  It
-shares with the class sum the bucketing by one stacked Smith form, the
-coset numerators X over the largest invariant factor q, the torsion key
-U_tors y mod d by which a component is named,
-``group.centralizer_indices``, the checked int64 product
-``intlinalg.int_matmul`` and the exact traces ``_traces``.  The rest is
-its own: it buckets every element of W, and per bucket acts on one flat
-stack of its commuting pairs by ``fixedpoints._pair_action``: it moves
-the components as z X, tests each for membership ((w - 1) z X = 0 mod q),
-looks its key up, and restricts every z to Gamma^w through one stacked
-Smith form of the bases V[:, r:].  It never reads ``_stacked_action`` or
+decomposition and with no central shortcut.  It shares the bucket data
+with the class sum, and ``group.centralizer_indices``, ``int_matmul`` and
+``_traces``.  Its steps are its own: it buckets every element of W and
+acts on each bucket's commuting pairs by ``fixedpoints._pair_action``,
+which checks that z commutes with w, tests each z x for membership
+((w - 1) z x = 0 mod q), looks its key up, and restricts z to Gamma^w
+through one stacked Smith form of the bases V[:, r:]; it never reads
 V^-1.  The two must agree.
 """
 
@@ -57,10 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoints import _pair_action, _stacked_action
-from .intlinalg import (
-    Matrix, SmithDecomposition, _coset_steps, as_matrix, det, int_matmul, smith_normal_form,
-)
+from .fixedpoints import _buckets, _pair_action, _stacked_action
+from .intlinalg import Matrix, as_matrix, det, int_matmul
 from .rootdata import RootDatum, build_simple, center as center_of, dualize
 from .weyl import WeylGroup, generate
 
@@ -172,45 +164,28 @@ def _traces(restriction: np.ndarray) -> np.ndarray:
     return np.stack([plus + minus, plus - minus], axis=1)
 
 
-def _buckets(ws):
-    """The elements of a (k, n, n) int64 stack ws grouped by the
-    invariant-factor diagonal of w - 1, from one stacked Smith form.  Within
-    a bucket the coset steps, q, the torsion rows and dim Gamma^w agree.
-    Yields (members, snf, x) per bucket: the member indices, their stacked
-    Smith factors and the (b, n, c) coset numerators V[:, :r] S mod q of
-    their fixed sets (``intlinalg._coset_steps``)."""
-    snf = smith_normal_form(ws - np.eye(ws.shape[-1], dtype=np.int64))
-    diagonals, bucket = np.unique(snf.diagonal, axis=0, return_inverse=True)
-    for b, diag in enumerate(diagonals):
-        members = np.flatnonzero(bucket.ravel() == b)
-        r = int(np.count_nonzero(diag))
-        steps, q = _coset_steps(diag[:r])
-        own = SmithDecomposition(*(f[members] for f in (snf.u, snf.d, snf.v, snf.v_inv)))
-        yield members, own, int_matmul(own.v[:, :, :r], steps) % q
-
-
 def _class_rows(group: WeylGroup, reps, sizes) -> tuple[ClassContribution, ...]:
     """The rows of the classes with representatives reps (element indices)
     and class sizes sizes, one :func:`fixedpoints._stacked_action` per
-    bucket of :func:`_buckets`.  A class of size 1 is central: its pairs
-    are w with W's class representatives, weighted by class size.  Any
-    other class pairs w with each element of Z(w).  The traces of all
-    buckets of one fixed dimension are one :func:`_traces` call.
+    bucket of :func:`fixedpoints._buckets`.  A class of size 1 is central:
+    its pairs are w with W's class representatives, weighted by class
+    size.  Any other class pairs w with each element of Z(w).  The traces
+    of all buckets of one fixed dimension are one :func:`_traces` call.
     """
     ws = group.array[reps].astype(np.int64)
     classes = group.classes
     central = ([c.representative for c in classes], [len(c.members) for c in classes])
     parts = []
-    for members, snf, x in _buckets(ws):
+    for bucket in _buckets(ws):
         pairs = [central if sizes[i] == 1 else (group.centralizer_indices(reps[i]), None)
-                 for i in members.tolist()]
+                 for i in bucket.members.tolist()]
         counts = [len(z) for z, _ in pairs]
         weights = np.concatenate([weight or np.ones(len(z), dtype=np.int64) for z, weight in pairs])
         fixed, restriction = _stacked_action(
-            ws[members], snf, x, np.repeat(np.arange(len(members)), counts),
+            bucket, np.repeat(np.arange(len(pairs)), counts),
             group.array[np.concatenate([z for z, _ in pairs])])
         orders = [len(group) if weight else len(z) for z, weight in pairs]
-        parts.append((members, x.shape[2], orders, counts, weights, fixed, restriction))
+        parts.append((bucket, orders, counts, weights, fixed, restriction))
     traces = [None] * len(parts)
     for dim in {part[-1].shape[-1] for part in parts}:
         same = [k for k, part in enumerate(parts) if part[-1].shape[-1] == dim]
@@ -219,14 +194,14 @@ def _class_rows(group: WeylGroup, reps, sizes) -> tuple[ClassContribution, ...]:
         for k, part in zip(same, np.split(stacked, ends[:-1])):
             traces[k] = part
     rows = [None] * len(reps)
-    for (members, count, orders, counts, weights, fixed, restriction), tr in zip(parts, traces):
+    for (bucket, orders, counts, weights, fixed, restriction), tr in zip(parts, traces):
         terms = int_matmul(fixed[:, None, None], tr[:, None])[:, 0]
         # bounds len(terms) max|weight| max|term|, so that neither a weighted
         # term nor any class's sum of them below can pass the int64 range
         int_matmul(weights[None], terms)
         # 2 |Z(w)| times the even/odd class averages
         sums = np.add.reduceat(weights[:, None] * terms, np.cumsum([0, *counts[:-1]]))
-        for i, order, (even, odd) in zip(members.tolist(), orders, sums.tolist()):
+        for i, order, (even, odd) in zip(bucket.members.tolist(), orders, sums.tolist()):
             scale = 2 * order
             for val in (even, odd):
                 if val % scale != 0 or val < 0:
@@ -238,7 +213,7 @@ def _class_rows(group: WeylGroup, reps, sizes) -> tuple[ClassContribution, ...]:
                 class_size=sizes[i],
                 centralizer_order=order,
                 fixed_dim=restriction.shape[-1],
-                component_count=count,
+                component_count=bucket.x.shape[2],
                 even_invariants=even // scale,
                 odd_invariants=odd // scale,
             )
@@ -272,25 +247,22 @@ def commuting_pairs_rank(group: WeylGroup) -> GradedRank:
     """Oracle: sum over all commuting pairs (w, z), weight 1/|W|, in one
     pass over the group.
 
-    Shares :func:`_buckets` (one stacked Smith form of every w - 1, the
-    elements grouped by their invariant-factor diagonal, and the coset
-    numerators), the torsion key of a component,
-    ``group.centralizer_indices``, the checked int64 product and
-    :func:`_traces` with :func:`graded_rank_with_classes`.  Otherwise
-    independent, with no central shortcut: each bucket's commuting pairs
-    are flattened into one stack and acted on by
-    :func:`fixedpoints._pair_action` (moved numerators with their
-    membership test, restriction to Gamma^w through one stacked Smith
-    form of the bases), and det(1 +- R) is one stacked Bareiss over both
-    signs.  Must agree with :func:`graded_rank_with_classes`.
+    Shares the bucket data of :func:`fixedpoints._buckets` (one stacked
+    Smith form of every w - 1, the coset numerators, their images and the
+    torsion key), ``group.centralizer_indices``, the checked int64 product
+    and :func:`_traces` with :func:`graded_rank_with_classes`.  Its own
+    steps, with no central shortcut: each bucket's commuting pairs are one
+    stack for :func:`fixedpoints._pair_action` (commutation check, moved
+    numerators with their membership test, key lookup, restriction to
+    Gamma^w through one stacked Smith form of the bases).  Must agree with
+    :func:`graded_rank_with_classes`.
     """
     ws = group.array.astype(np.int64)
     even = odd = 0  # 2 |W| times k0 and k1
-    for members, snf, x in _buckets(ws):
-        cents = [group.centralizer_indices(i) for i in members.tolist()]
-        owner = np.repeat(np.arange(len(members)), [len(c) for c in cents])
-        perm, restriction = _pair_action(ws[members], snf.u, snf.v, snf.diagonal[0], x, owner,
-                                         ws[np.concatenate(cents)])
+    for bucket in _buckets(ws):
+        cents = [group.centralizer_indices(i) for i in bucket.members.tolist()]
+        owner = np.repeat(np.arange(len(cents)), [len(c) for c in cents])
+        perm, restriction = _pair_action(bucket, owner, ws[np.concatenate(cents)])
         fixed = (perm == np.arange(perm.shape[1])).sum(axis=1)
         e, o = int_matmul(fixed, _traces(restriction)).tolist()
         even, odd = even + e, odd + o

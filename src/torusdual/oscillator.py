@@ -216,20 +216,18 @@ def build_q0(dimension: int, grid_points: int, halfwidth: float) -> OscillatorDi
 def expected_levels(dimension: int, count: int) -> np.ndarray:
     """First `count` eigenvalues of the continuum operator squared.
 
-    1D multiplicities are 1, 2, 2, ...; the 2D sequence is the
-    convolution of two 1D sequences.
+    Level 4 pi k has multiplicity 1, 2, 2, ... in 1D (k = |n|), and in
+    dimension d the d-fold convolution of that sequence (the multi-indices
+    with |n_1| + ... + |n_d| = k).  Every level occurs, so k < count
+    suffices.  ValueError for a dimension below 1.
     """
-    mult_1d = lambda k: 1 if k == 0 else 2
-    levels = []
-    k = 0
-    while len(levels) < count:
-        if dimension == 1:
-            m = mult_1d(k)
-        else:
-            m = sum(mult_1d(k1) * mult_1d(k - k1) for k1 in range(k + 1))
-        levels.extend([4.0 * np.pi * k] * m)
-        k += 1
-    return np.array(levels[:count])
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
+    k = np.arange(max(count, 1))
+    line, mult = np.where(k == 0, 1, 2), np.ones(1, dtype=np.int64)
+    for _ in range(dimension):
+        mult = np.convolve(mult, line)[:len(k)]
+    return np.repeat(4.0 * np.pi * k, mult)[:count]
 
 
 def _tridiagonal_apply(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:

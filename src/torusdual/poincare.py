@@ -10,14 +10,15 @@ here are the quasi-periodicity of the section transform, the
 periodicity of the pairing in both variables, its Weyl equivariance, and
 a truncated Gram-matrix surrogate for positivity.
 
-A bump is any callable with a ``support_bounds()`` method returning the
-corners (lo, hi) of a box outside which it vanishes.  It is evaluated on
-an ``(..., n)`` array of points and returns the matching ``(...)`` array
-of values (a single point gives a float).  The lattice sums therefore run
-over one window per bump: the integer offsets of a box as wide as the
-support box, shifted by a per-point start; offsets whose translate misses
-the support contribute exact zeros.  ``pairing`` and ``section_transform``
-take one point or an ``(s, n)`` stack of points.
+A bump is any callable with a ``rank`` and a ``support_bounds()`` method
+returning the corners (lo, hi) of a box outside which it vanishes.  It is
+evaluated on an ``(..., n)`` array of points and returns the matching
+``(...)`` array of values (a single point gives a float).  The lattice
+sums therefore run over one window per bump: the integer offsets of a box
+as wide as the support box, shifted by a per-point start; offsets whose
+translate misses the support contribute exact zeros.  ``pairing`` and
+``section_transform`` take one point and character, shape (n,), or an
+``(s, n)`` stack of each, and raise ValueError on any other shapes.
 
 The checks take their samples in blocks of at most ``BLOCK``, so that
 memory stays bounded for any sample count.  For each block of k samples
@@ -51,6 +52,7 @@ __all__ = [
 
 BLOCK = 256  # samples evaluated per array pass in the checks
 GRAM_WINDOW = 2  # gram_matrix indexes the translates by [-GRAM_WINDOW, GRAM_WINDOW]^n
+BUMP_RADII = (0.4, 1.6)  # random_bump draws its radius uniformly from this range
 
 
 @dataclass(frozen=True)
@@ -128,10 +130,14 @@ def _window(f, xs: np.ndarray) -> np.ndarray:
     return starts[:, None, :] + offsets[None, :, :]
 
 
-def _stack(*arrays):
-    """Promote points to (s, n) stacks; report whether the input was one point."""
+def _stack(n: int, *arrays):
+    """Promote points to (s, n) stacks; report whether the input was one
+    point.  ValueError unless every array has one shape, (n,) or (s, n)."""
     arrays = [np.asarray(a, dtype=float) for a in arrays]
-    return arrays[0].ndim == 1, [np.atleast_2d(a) for a in arrays]
+    shape = arrays[0].shape
+    if shape[-1:] != (n,) or len(shape) > 2 or any(a.shape != shape for a in arrays):
+        raise ValueError(f"expected points and characters of one shape, (n,) or (s, n), n = {n}")
+    return len(shape) == 1, [np.atleast_2d(a) for a in arrays]
 
 
 def section_transform(f, x, chi):
@@ -139,8 +145,9 @@ def section_transform(f, x, chi):
 
     chi is the character g -> e^{2 pi i <chi, g>}.  One point gives a
     complex; an (s, n) stack of points and characters gives s values.
+    ValueError unless x and chi have one shape, (n,) or (s, n), n = f.rank.
     """
-    single, (xs, chis) = _stack(x, chi)
+    single, (xs, chis) = _stack(f.rank, x, chi)
     g = _window(f, xs)
     vals = f(xs[:, None, :] - g)
     phases = np.exp(2j * np.pi * (g * chis[:, None, :]).sum(axis=-1))
@@ -151,8 +158,11 @@ def section_transform(f, x, chi):
 def pairing(f1, f2, x, eta):
     """The module-valued inner product at the point (x, eta), by the
     defining double lattice sum.  One point gives a complex; an (s, n)
-    stack of points gives s values."""
-    single, (xs, etas) = _stack(x, eta)
+    stack of points gives s values.  ValueError unless f2.rank = f1.rank
+    = n and x and eta have one shape, (n,) or (s, n)."""
+    if f2.rank != f1.rank:
+        raise ValueError(f"bumps of ranks {f1.rank} and {f2.rank}")
+    single, (xs, etas) = _stack(f1.rank, x, eta)
     ga, gb = _window(f1, xs), _window(f2, xs)
     va = f1(xs[:, None, :] - ga)
     vb = f2(xs[:, None, :] - gb)
@@ -249,7 +259,7 @@ def gram_matrix(f, x) -> np.ndarray:
     return np.outer(vals.conj(), vals)
 
 
-def random_bump(rng, rank: int, radius_range=(0.4, 1.6)) -> CompactBump:
+def random_bump(rng, rank: int) -> CompactBump:
     center = tuple(float(c) for c in rng.uniform(-0.5, 0.5, size=rank))
-    radius = float(rng.uniform(*radius_range))
+    radius = float(rng.uniform(*BUMP_RADII))
     return CompactBump(center=center, radius=radius)

@@ -340,3 +340,13 @@ def test_common_denominator_action_matches_per_term_fractions():
         for elem, fixed in ((a, False), (zero, True), (p, True)):
             assert cl.symmetric_invariance_check(2, g, elem) is fixed
             assert (cl.orthogonal_action(g, elem) == elem) is fixed
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_symmetric_invariance_rejects_a_dimension_mismatch(n):
+    # the swap fixes P_2, but n names another dimension than P_2's
+    swap = [[0, 1], [1, 0]]
+    p2 = cl.clifford_projection(2)
+    assert cl.symmetric_invariance_check(2, swap, p2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cl.symmetric_invariance_check(n, swap, p2)

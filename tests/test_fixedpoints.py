@@ -13,8 +13,13 @@ from torusdual import intlinalg as il
 from torusdual import rootdata as rdm
 from torusdual import weyl
 from tuple_reference import (
-    centralizer_action, elements, mat_identity, mat_mul, smith_form, stacked_action,
+    centralizer_action, elements, mat_identity, mat_mul, one_bucket, smith_form, stacked_action,
 )
+
+
+def minus_one(w) -> np.ndarray:
+    """w - 1 in int64, for one square integer matrix w."""
+    return np.asarray(w, dtype=np.int64) - np.eye(len(w), dtype=np.int64)
 
 
 def brute_force_component_count(w, torsion_order):
@@ -25,7 +30,7 @@ def brute_force_component_count(w, torsion_order):
     points as long as N is a multiple of the torsion order.
     """
     n = len(w)
-    m = fp._difference_matrix(w)
+    m = minus_one(w)
     big = max(torsion_order, 1)
     count = 0
     for point in product(range(big), repeat=n):
@@ -246,19 +251,13 @@ def test_action_count_matches_smith_reference(type_, rank, form):
             assert stacked_action(rep, [z])[0][0] == smith_reference_fixed_count(rep, z)
 
 
-def test_difference_matrix_stacks():
-    a, b = ((0, 1), (1, 0)), ((-1, 0), (0, 1))
-    assert fp._difference_matrix(a, b).tolist() == [[-1, 1], [1, -1], [-2, 0], [0, 0]]
-    assert fp._difference_matrix(a).tolist() == [[-1, 1], [1, -1]]
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4).flatmap(
     lambda n: arrays(np.int64, (n, n), elements=st.integers(-4, 4))))
 def test_component_count_is_coker_torsion(w):
     # ROADMAP item 3: #components of T^w = |tors coker(w - 1)|
     rep = fp.fixed_set(w)
-    _, torsion = il.cokernel(fp._difference_matrix(w))
+    _, torsion = il.cokernel(minus_one(w))
     assert rep.component_count() == torsion.order
     assert rep._numerators.shape == (len(w), torsion.order)
     assert len(set(rep.components)) == rep.component_count()
@@ -316,3 +315,62 @@ def test_action_bounds_z_minus_one_at_the_int64_edge():
     assert fixed == 2 and restriction.shape == (0, 0)
     with pytest.raises(OverflowError):
         stacked_action(rep, [[[-(2**63 - 1)]]])
+
+
+def test_fixed_sets_keep_input_order():
+    # one stacked call over the class representatives, whose buckets
+    # interleave, against each representative on its own
+    group = weyl.generate(rdm.build_simple("B", 3, "adjoint"))
+    ws = group.array[[c.representative for c in group.classes]]
+    reports = fp.fixed_sets(ws)
+    assert len({fp.fixed_set(w)._snf.diagonal for w in ws}) > 1
+    assert [r.w for r in reports] == [il.as_matrix(w) for w in ws]
+    for w, report in zip(ws, reports):
+        alone = fp.fixed_set(w)
+        assert report.components == alone.components == tuple(sorted(alone.components))
+        assert report.fixed_dim == alone.fixed_dim
+        assert report.component_count() == alone.component_count()
+        assert report.fixed_lattice_basis == alone.fixed_lattice_basis
+
+
+def test_fixed_sets_reject_a_stack_that_is_not_square():
+    with pytest.raises(ValueError, match="square"):
+        fp.fixed_sets(np.zeros((2, 2, 3), dtype=int))
+
+
+# a quarter turn of Z^2: w - 1 has invariant factors (1, 2), so T^w holds
+# two points, 0 and (1/2, 1/2)
+QUARTER_TURN = [[0, -1], [1, 0]]
+
+
+def test_pair_action_rejects_a_moved_point_outside_the_fixed_set():
+    bucket = one_bucket(QUARTER_TURN)
+    ident = np.eye(2, dtype=np.int64)[None]
+    owner = np.zeros(1, dtype=np.int64)
+    (perm,), _ = fp._pair_action(bucket, owner, ident)
+    assert perm.tolist() == [0, 1]
+    # (1/2, 0) is not fixed: (w - 1) x = (-1/2, 1/2)
+    bad = bucket._replace(x=np.array([[[0, 1], [0, 0]]]))
+    with pytest.raises(ValueError, match="fixed set"):
+        fp._pair_action(bad, owner, ident)
+
+
+def test_pair_action_rejects_duplicate_component_keys():
+    bucket = one_bucket(QUARTER_TURN)
+    bad = bucket._replace(y=bucket.y[..., [0, 0]])
+    with pytest.raises(AssertionError, match="distinct"):
+        fp._pair_action(bad, np.zeros(1, dtype=np.int64), np.eye(2, dtype=np.int64)[None])
+
+
+def test_buckets_reject_non_integral_images(monkeypatch):
+    # numerators taken over twice the right denominator name points that
+    # are not fixed, so their images (w - 1) x / q are not integral
+    coset_steps = fp._coset_steps
+
+    def doubled(diag):
+        steps, q = coset_steps(diag)
+        return steps, 2 * q
+
+    monkeypatch.setattr(fp, "_coset_steps", doubled)
+    with pytest.raises(AssertionError, match="integral"):
+        one_bucket(QUARTER_TURN)

@@ -9,9 +9,9 @@ import pytest
 from torusdual import ktheory as kt
 from torusdual import rootdata as rdm
 from torusdual import weyl
-from torusdual.fixedpoints import _stacked_action, fixed_set
+from torusdual.fixedpoints import _buckets, _stacked_action, fixed_set
 from torusdual.rootdata import is_simple_type
-from tuple_reference import bareiss_det, mat_identity, stacked_action
+from tuple_reference import bareiss_det, mat_identity, one_bucket, stacked_action
 
 REFERENCE_DATA = [
     ("A", 4, "sc"), ("B", 4, "sc"), ("C", 4, "adjoint"), ("D", 4, [[1, 0, 0, 0]]),
@@ -30,7 +30,8 @@ def reference_row(group, rep):
     tors = [i for i in range(r) if d[i] > 1]
     # the int64 Smith factors as Python ints, so the per-z products stay exact
     u_tors, v_inv, v = (x.astype(object) for x in (snf.u[tors, :], snf.v_inv[r:], snf.v[:, r:]))
-    images = report._matrix.astype(object) @ np.array(report.components, dtype=object).T
+    minus_one = np.array(report.w, dtype=object) - np.identity(report.rank, dtype=object)
+    images = minus_one @ np.array(report.components, dtype=object).T
     assert all(v.denominator == 1 for v in images.flat)
     # integral: Python ints keep the per-z products below out of Fraction arithmetic
     images = np.array([[int(v) for v in row] for row in images], dtype=object).reshape(images.shape)
@@ -108,13 +109,12 @@ def test_stacked_action_matches_single_elements():
     group = weyl.generate(rdm.build_simple("B", 3, "adjoint"))
     reps = [c.representative for c in group.classes]
     ws = group.array[reps].astype(np.int64)
-    for members, snf, x in kt._buckets(ws):
-        cents = [group.centralizer_indices(reps[i]) for i in members]
-        owner = np.repeat(np.arange(len(members)), [len(c) for c in cents])
-        fixed, restriction = _stacked_action(ws[members], snf, x, owner,
-                                             group.array[np.concatenate(cents)])
+    for bucket in _buckets(ws):
+        cents = [group.centralizer_indices(reps[i]) for i in bucket.members]
+        owner = np.repeat(np.arange(len(cents)), [len(c) for c in cents])
+        fixed, restriction = _stacked_action(bucket, owner, group.array[np.concatenate(cents)])
         assert restriction.dtype == np.int64
-        pairs = [(reps[i], zi) for i, cent in zip(members, cents) for zi in cent]
+        pairs = [(reps[i], zi) for i, cent in zip(bucket.members, cents) for zi in cent]
         assert len(pairs) == len(fixed)
         for k, (wi, zi) in enumerate(pairs):
             (one_fixed,), (one_restriction,) = stacked_action(fixed_set(group.array[wi]),
@@ -127,14 +127,14 @@ def test_stacked_action_matches_single_elements():
 def test_smith_factor_past_int64_raises(v_entry, v_inv_entry):
     group = weyl.generate(rdm.build_simple("B", 3, "sc"))
     w = next(m for m in group.array if fixed_set(m).fixed_dim == 2)
-    report = fixed_set(w)
-    snf, n = report._snf, report.rank
+    bucket = one_bucket(w)
+    snf, n = bucket.snf, len(w)
     v, v_inv = snf.v.copy(), snf.v_inv.copy()
-    v[0, n - 1] = v_entry
-    v_inv[n - 1, 0] = v_inv_entry
-    bad = dataclasses.replace(report, _snf=dataclasses.replace(snf, v=v, v_inv=v_inv))
+    v[0, 0, n - 1] = v_entry
+    v_inv[0, n - 1, 0] = v_inv_entry
+    bad = bucket._replace(snf=dataclasses.replace(snf, v=v, v_inv=v_inv))
     with pytest.raises(OverflowError):
-        stacked_action(bad, group.array[:4])
+        _stacked_action(bad, np.zeros(4, dtype=np.int64), group.array[:4])
 
 
 def test_short_centralizer_raises_non_integral(monkeypatch):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -150,6 +151,21 @@ def test_expected_levels_patterns():
     assert list(lv1) == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
     lv2 = osc.expected_levels(2, 13) / PI4
     assert list(lv2) == [0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("dimension,count,reach", [(1, 40, 21), (2, 60, 8), (3, 60, 6), (4, 60, 4)])
+def test_expected_levels_count_multi_indices(dimension, count, reach):
+    # level 4 pi k once for each n in Z^d with |n_1| + ... + |n_d| = k
+    norms = sorted(sum(map(abs, n)) for n in itertools.product(range(-reach, reach + 1),
+                                                               repeat=dimension))
+    assert norms[count - 1] < reach  # every norm up to the last one kept is enumerated
+    assert np.allclose(osc.expected_levels(dimension, count), PI4 * np.array(norms[:count]))
+
+
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_expected_levels_reject_a_dimension_below_one(dimension):
+    with pytest.raises(ValueError, match="dimension"):
+        osc.expected_levels(dimension, 4)
 
 
 def test_parameter_validation():

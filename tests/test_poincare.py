@@ -8,6 +8,13 @@ from torusdual import poincare as pc
 TOL = 1e-10
 
 
+def wide_bump(rng, rank, radii):
+    """A bump drawn as pc.random_bump draws one, center first, but with
+    its radius uniform in radii instead of pc.BUMP_RADII."""
+    center = tuple(float(c) for c in rng.uniform(-0.5, 0.5, size=rank))
+    return pc.CompactBump(center=center, radius=float(rng.uniform(*radii)))
+
+
 class SumBump:
     """a*f + b*g wrapper; keeps the support-bounds protocol."""
 
@@ -125,7 +132,7 @@ def test_pairing_factorizes_through_section_transform():
 def test_gram_matrix_positive_semidefinite():
     rng = np.random.default_rng(8)
     for rank in (1, 2):
-        f = pc.random_bump(rng, rank, radius_range=(0.8, 2.0))
+        f = wide_bump(rng, rank, (0.8, 2.0))
         for _ in range(10):
             gram = pc.gram_matrix(f, rng.uniform(-1, 1, rank))
             assert np.linalg.eigvalsh(gram).min() >= -TOL
@@ -197,7 +204,7 @@ def reference_pairing(f1, f2, x, eta):
 
 def _bumps(rank):
     rng = np.random.default_rng(10 + rank)
-    f = pc.random_bump(rng, rank, radius_range=(0.8, 1.6))
+    f = wide_bump(rng, rank, (0.8, 1.6))
     g = pc.random_bump(rng, rank)
     # radius 1/2 at the origin: a support box of integer width
     half = pc.CompactBump(center=(0.0,) * rank, radius=0.5)
@@ -259,7 +266,7 @@ def test_single_points_return_python_scalars():
 
 def test_gram_matrix_matches_per_translate_values():
     rng = np.random.default_rng(31)
-    f = pc.random_bump(rng, 2, radius_range=(0.8, 2.0))
+    f = wide_bump(rng, 2, (0.8, 2.0))
     x = rng.uniform(-1, 1, 2)
     vals = np.array([f(x - np.array(t)) for t in itertools.product(range(-2, 3), repeat=2)])
     assert np.array_equal(pc.gram_matrix(f, x), np.outer(vals, vals))
@@ -349,3 +356,33 @@ def test_block_boundary_check_matches_per_sample_reference(monkeypatch):
         assert rng.bit_generator.state == ref.bit_generator.state, samples
         assert abs(worst - expected) <= 1e-12, samples
         assert expected > 1e-2 if samples else worst == 0.0
+
+
+@pytest.mark.parametrize("x,eta", [
+    ([0.1, 0.2], [0.3]),  # a character of length 1 broadcast over rank 2
+    ([[0.1, 0.2]], [0.3, 0.4]),  # a stack of points with one character
+    ([0.1, 0.2], [[0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]),  # one point, three characters
+    ([0.1, 0.2, 0.3], [0.3, 0.4, 0.5]),  # rank 3 points for a rank 2 bump
+    ([[[0.1, 0.2]]], [[[0.3, 0.4]]]),  # a 3-d stack
+    (0.1, 0.3),  # scalars
+], ids=["short-eta", "stack-and-point", "point-and-stack", "wrong-rank", "3-d", "scalars"])
+def test_sums_reject_mismatched_shapes(x, eta):
+    f = pc.CompactBump(center=(0.0, 0.0), radius=0.8)
+    with pytest.raises(ValueError, match="one shape"):
+        pc.pairing(f, f, x, eta)
+    with pytest.raises(ValueError, match="one shape"):
+        pc.section_transform(f, x, eta)
+
+
+def test_pairing_rejects_bumps_of_different_ranks():
+    f, g = pc.CompactBump((0.0, 0.0), 0.8), pc.CompactBump((0.1,), 0.9)
+    with pytest.raises(ValueError, match="ranks"):
+        pc.pairing(f, g, [0.1, 0.2], [0.3, 0.4])
+    with pytest.raises(ValueError, match="ranks"):
+        pc.pairing(g, f, [0.1], [0.3])
+
+
+def test_random_bump_draws_its_radius_from_the_module_range():
+    rng = np.random.default_rng(40)
+    radii = [pc.random_bump(rng, 2).radius for _ in range(50)]
+    assert pc.BUMP_RADII[0] <= min(radii) <= max(radii) < pc.BUMP_RADII[1]

@@ -1,15 +1,15 @@
 """Tuple reference arithmetic for the tests: group elements as tuples of
 tuples of Python ints, multiplied entry by entry, roots reflected one at
 a time, and the Smith form and determinant of one matrix in unbounded
-Python ints.  Also three test-side views the library does not export: an
-element's inverse by search, and the action of centralizer elements on
-one fixed set through ``fixedpoints._pair_action`` and through
-``fixedpoints._stacked_action``."""
+Python ints.  Also test-side views the library does not export: an
+element's inverse by search, the one-member bucket of one element, and
+the action of centralizer elements on its fixed set through
+``fixedpoints._pair_action`` and through ``fixedpoints._stacked_action``."""
 
 import numpy as np
 
 from torusdual import fixedpoints as fp
-from torusdual.intlinalg import Matrix, SmithDecomposition, as_matrix, int_array
+from torusdual.intlinalg import Matrix, as_matrix, int_array
 
 
 def mat_identity(n: int) -> Matrix:
@@ -37,31 +37,32 @@ def inverse_index(group, i: int) -> int:
     return int(u)
 
 
+def one_bucket(w):
+    """The one bucket of ``fixedpoints._buckets`` for one element w."""
+    [bucket] = fp._buckets(int_array(w)[None])
+    return bucket
+
+
 def centralizer_action(report, z):
     """The action of a (k, n, n) stack z of centralizer elements on the
-    fixed set of w = report.w, for a report of fixed_set(w): the
-    one-element case of ``_pair_action``, which the commuting-pairs oracle
-    runs on whole groups.  A z that does not commute with w raises
-    ValueError.  Returns (perm, restriction): perm[j, i] is the component
-    holding z_j x_i, and restriction[j] is z_j on Gamma^w in the basis
-    ``fixed_lattice_basis``."""
-    zs, snf = int_array(z), report._snf
-    return fp._pair_action(
-        int_array(report.w)[None], snf.u[None], snf.v[None], snf.diagonal,
-        report._numerators[None], np.zeros(len(zs), dtype=np.int64), zs)
+    fixed set of w = report.w, for a report of fixed_set(w): ``_pair_action``
+    on the one-member bucket of w, as the commuting-pairs oracle runs it on
+    whole buckets.  A z that does not commute with w raises ValueError.
+    Returns (perm, restriction): perm[j, i] is the component holding
+    z_j x_i, in the bucket's order of the numerators, and restriction[j]
+    is z_j on Gamma^w in the basis ``fixed_lattice_basis``."""
+    zs = int_array(z)
+    return fp._pair_action(one_bucket(report.w), np.zeros(len(zs), dtype=np.int64), zs)
 
 
 def stacked_action(report, z):
     """The action of a (k, n, n) stack z of centralizer elements on the
-    fixed set of w = report.w, for a report of fixed_set(w): the one-member
-    bucket of ``_stacked_action``, which the class sum runs on whole buckets
-    of class representatives.  Returns (fixed, restriction): fixed[j] is the
-    number of components z_j fixes, and restriction[j] is z_j on Gamma^w in
-    the basis ``fixed_lattice_basis``."""
-    snf = report._snf
-    stacked = SmithDecomposition(*(f[None] for f in (snf.u, snf.d, snf.v, snf.v_inv)))
-    return fp._stacked_action(int_array(report.w)[None], stacked, report._numerators[None],
-                              np.zeros(len(z), dtype=np.int64), z)
+    fixed set of w = report.w, for a report of fixed_set(w):
+    ``_stacked_action`` on the one-member bucket of w, as the class sum
+    runs it on whole buckets of class representatives.  Returns (fixed,
+    restriction): fixed[j] is the number of components z_j fixes, and
+    restriction[j] is z_j on Gamma^w in the basis ``fixed_lattice_basis``."""
+    return fp._stacked_action(one_bucket(report.w), np.zeros(len(z), dtype=np.int64), z)
 
 
 def _pair(eta, x) -> int:
