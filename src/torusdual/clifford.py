@@ -13,19 +13,21 @@ Elements are stored as maps from canonical words (sorted generator index
 tuples) to Gaussian-rational coefficients, so those identities are
 checked as literal equalities, with no floats anywhere.
 
+Inside, a word is a bit mask over the 2n generators and an element is
+integer numerators over one denominator: words multiply by xor, and moving
+generator k past a word flips the sign once per generator above k.  So
+products and the action build each output ``Fraction`` once, at the end.
+
 An exact orthogonal matrix g acts diagonally on t x t*.  It sends each
 word through the images of its generators, with Python int coefficients
 where the entries of g are integral and Fraction ones where they are
-not.  The word's coefficient enters as an integer numerator over the
-common denominator of the element, so each output coefficient is one
-``Fraction`` built at the end; only the result is wrapped in ``QI`` and
-``CliffordElement``.
+not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -96,27 +98,25 @@ I_UNIT = QI(Fraction(0), Fraction(1))
 Word = tuple[int, ...]
 
 
-def _mul_words(a: Word, b: Word) -> tuple[int, Word]:
-    """Clifford product of canonical words; returns (sign, canonical word).
+def _mask(word: Word) -> int:
+    return sum(1 << g for g in word)
 
-    Generators square to +1 and distinct ones anticommute, so the product
-    is +-(symmetric difference); the sign counts the transpositions needed
-    to merge-sort the concatenation.
-    """
-    sign = 1
-    out = list(a)
-    for g in b:
-        # move g left past the tail of `out` to its sorted position
-        pos = len(out)
-        while pos > 0 and out[pos - 1] > g:
-            pos -= 1
-            sign = -sign
-        if pos > 0 and out[pos - 1] == g:
-            # g^2 = +1: cancel the pair; crossing count already applied
-            del out[pos - 1]
-        else:
-            out.insert(pos, g)
-    return sign, tuple(out)
+
+@cache
+def _word(mask: int) -> Word:
+    return tuple(g for g in range(mask.bit_length()) if mask >> g & 1)
+
+
+def _swaps(a: int, b: int) -> int:
+    """Transpositions that merge-sort the concatenation of words a and b
+    (masks): the pairs i in a, j in b with i > j.  Generators square to
+    +1, so the product of the words is (-1)^swaps (a xor b)."""
+    count = 0
+    a >>= 1
+    while a:
+        count += (a & b).bit_count()
+        a >>= 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -134,13 +134,19 @@ class CliffordElement:
     def as_dict(self) -> dict[Word, QI]:
         return dict(self.coefficients)
 
+    @staticmethod
+    def _from_numerators(n: int, den: int, nums: dict[int, list]) -> "CliffordElement":
+        """The element with coefficients (re + im i) / den on the mask words."""
+        return CliffordElement.from_dict(
+            n, {_word(w): QI(Fraction(re, den), Fraction(im, den)) for w, (re, im) in nums.items()})
+
     @cached_property
-    def _numerators(self) -> tuple[int, dict[Word, list]]:
-        """(den, {word: [re, im]}): the coefficients as integer numerators
+    def _numerators(self) -> tuple[int, dict[int, list]]:
+        """(den, {mask: [re, im]}): the coefficients as integer numerators
         over den, the lcm of their denominators (1 for the zero element)."""
         den = lcm(*(x.denominator for _, c in self.coefficients for x in (c.re, c.im)))
-        return den, {w: [c.re.numerator * (den // c.re.denominator),
-                         c.im.numerator * (den // c.im.denominator)]
+        return den, {_mask(w): [c.re.numerator * (den // c.re.denominator),
+                                c.im.numerator * (den // c.im.denominator)]
                      for w, c in self.coefficients}
 
     def _check(self, other: "CliffordElement"):
@@ -164,15 +170,18 @@ class CliffordElement:
 
     def __mul__(self, other: "CliffordElement") -> "CliffordElement":
         self._check(other)
-        out: dict[Word, QI] = {}
-        for wa, ca in self.coefficients:
-            for wb, cb in other.coefficients:
-                sign, w = _mul_words(wa, wb)
-                coeff = ca * cb
-                if sign < 0:
-                    coeff = -coeff
-                out[w] = out.get(w, QI()) + coeff
-        return CliffordElement.from_dict(self.dimension, out)
+        den_a, nums_a = self._numerators
+        den_b, nums_b = other._numerators
+        out: dict[int, list] = {}
+        for wa, (ar, ai) in nums_a.items():
+            for wb, (br, bi) in nums_b.items():
+                re, im = ar * br - ai * bi, ar * bi + ai * br
+                if _swaps(wa, wb) & 1:
+                    re, im = -re, -im
+                acc = out.setdefault(wa ^ wb, [0, 0])
+                acc[0] += re
+                acc[1] += im
+        return CliffordElement._from_numerators(self.dimension, den_a * den_b, out)
 
     def scale(self, c: QI) -> "CliffordElement":
         return CliffordElement.from_dict(
@@ -272,33 +281,34 @@ def _generator_images(n: int, g) -> list[list[tuple[int, object]]]:
     g acts on the e-basis by its matrix and on the dual basis by the
     inverse transpose; for exactly orthogonal g those coincide.
     """
-    rows = [[_exact(x) for x in row] for row in np.asarray(g)]
-    m = len(rows)
-    if m != n or any(len(row) != m for row in rows):
+    arr = np.asarray(g)
+    if arr.shape != (n, n):
         raise ValueError("matrix size must match the Clifford dimension")
+    rows = arr.tolist() if arr.dtype.kind in "iu" else [[_exact(x) for x in row] for row in arr]
     cols = list(zip(*rows))
-    if any(sum(map(mul, cols[i], cols[j])) != int(i == j) for i in range(m) for j in range(i, m)):
+    if any(sum(map(mul, cols[i], cols[j])) != int(i == j) for i in range(n) for j in range(i, n)):
         raise ValueError("matrix is not exactly orthogonal")
     # e_j -> sum_k g[k][j] e_k and eps_j -> sum_k g[k][j] eps_k
     # (orthogonal: g^{-T} = g)
     return [[(shift + k, v) for k, v in enumerate(col) if v] for shift in (0, n) for col in cols]
 
 
-def _action_numerators(g, a: CliffordElement) -> tuple[int, dict[Word, list]]:
-    """(den, {word: [re, im]}): g applied to a, over the denominator of
+def _action_numerators(g, a: CliffordElement) -> tuple[int, dict[int, list]]:
+    """(den, {mask: [re, im]}): g applied to a, over the denominator of
     a._numerators.  The numerators are ints, or Fractions where g has
     rational entries; entries that cancel stay as zeros."""
     images = _generator_images(a.dimension, g)
     den, nums = a._numerators
-    out: dict[Word, list] = {}
+    out: dict[int, list] = {}
     for w, (re, im) in nums.items():
-        terms: dict[Word, object] = {(): 1}
-        for gidx in w:
-            nxt: dict[Word, object] = {}
+        terms: dict[int, object] = {0: 1}
+        for gidx in _word(w):
+            nxt: dict[int, object] = {}
             for word, coeff in terms.items():
                 for k, v in images[gidx]:
-                    sign, prod = _mul_words(word, (k,))
-                    nxt[prod] = nxt.get(prod, 0) + sign * coeff * v
+                    # the word times generator k: one swap per generator above k
+                    key, term = word ^ 1 << k, coeff * v
+                    nxt[key] = nxt.get(key, 0) + (-term if (word >> k + 1).bit_count() & 1 else term)
             terms = nxt
         for word, coeff in terms.items():
             acc = out.setdefault(word, [0, 0])
@@ -314,9 +324,7 @@ def orthogonal_action(g, a: CliffordElement) -> CliffordElement:
     expansion accumulates their numerators, and each output coefficient
     is divided once.
     """
-    den, out = _action_numerators(g, a)
-    return CliffordElement.from_dict(
-        a.dimension, {w: QI(Fraction(re, den), Fraction(im, den)) for w, (re, im) in out.items()})
+    return CliffordElement._from_numerators(a.dimension, *_action_numerators(g, a))
 
 
 def symmetric_invariance_check(n: int, g, a: CliffordElement) -> bool:

@@ -118,18 +118,27 @@ class DualityOperator:
         size = sum(prod(c) for c in self.components)
         return size, size
 
+    @functools.cached_property
+    def _plan(self) -> tuple:
+        """([(start, stop, shape)] per component, [(source, target, axis,
+        transpose, sign)] per step of the application)."""
+        ends = list(itertools.accumulate(prod(c) for c in self.components))
+        blocks = [(stop - prod(c), stop, c) for stop, c in zip(ends, self.components)]
+        # component t is reached along axis k from t xor 2**k: by A when t
+        # is on midpoints along k, by A^T when it is on nodes
+        steps = [(t ^ 1 << k, t, k, not t >> k & 1, (-1.0) ** (t % (1 << k)).bit_count())
+                 for t, k in itertools.product(range(len(blocks)), range(self.dimension))]
+        return blocks, steps
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         cols = x.reshape(len(x), -1)
         out = np.zeros_like(cols)
-        ends = np.cumsum([prod(c) for c in self.components])[:-1]
-        src, dst = ([part.reshape(c + (-1,)) for part, c in zip(np.split(a, ends), self.components)]
+        blocks, steps = self._plan
+        src, dst = ([a[start:stop].reshape(c + (-1,)) for start, stop, c in blocks]
                     for a in (cols, out))
-        # component t is reached along axis k from t xor 2**k: by A when t
-        # is on midpoints along k, by A^T when it is on nodes
-        for t, k in itertools.product(range(len(src)), range(self.dimension)):
-            self.axis.apply(src[t ^ 1 << k], dst[t], k, transpose=not t >> k & 1,
-                            sign=(-1.0) ** bin(t % (1 << k)).count("1"))
+        for source, target, k, transpose, sign in steps:
+            self.axis.apply(src[source], dst[target], k, transpose=transpose, sign=sign)
         return out.reshape(x.shape)
 
     def square_norm(self) -> float:

@@ -5,20 +5,24 @@ their lattice-translate inner product
 
     <f1, f2>(x, eta) = sum_{a,b in Z^n} conj(f1(x-a)) f2(x-b) e^{2 pi i <eta, b-a>}
 
-is a finite sum because the supports are balls.  The checks exercised
-here are the quasi-periodicity of the section transform, the
-periodicity of the pairing in both variables, its Weyl equivariance, and
-a truncated Gram-matrix surrogate for positivity.
+is a finite sum because the supports are balls.  Its phase splits, so
+``pairing`` computes it as conj(sigma_f1) sigma_f2, two single lattice
+sums; the double sum stays as the test reference
+(``tests/test_poincare.py::reference_pairing``).  The checks exercised
+here are the quasi-periodicity of the section transform, the periodicity
+of the pairing in both variables, its Weyl equivariance, and a truncated
+Gram-matrix surrogate for positivity.
 
 A bump is any callable with a ``rank`` and a ``support_bounds()`` method
 returning the corners (lo, hi) of a box outside which it vanishes.  It is
 evaluated on an ``(..., n)`` array of points and returns the matching
-``(...)`` array of values (a single point gives a float).  The lattice
-sums therefore run over one window per bump: the integer offsets of a box
+``(...)`` array of values (a single point gives a float).  Each lattice
+sum therefore runs over one window per bump: the integer offsets of a box
 as wide as the support box, shifted by a per-point start; offsets whose
 translate misses the support contribute exact zeros.  ``pairing`` and
 ``section_transform`` take one point and character, shape (n,), or an
-``(s, n)`` stack of each, and raise ValueError on any other shapes.
+``(s, n)`` stack of each, and raise ValueError on any other shapes;
+``gram_matrix`` takes one point of shape (n,).
 
 The checks take their samples in blocks of at most ``BLOCK``, so that
 memory stays bounded for any sample count.  For each block of k samples
@@ -140,6 +144,14 @@ def _stack(n: int, *arrays):
     return len(shape) == 1, [np.atleast_2d(a) for a in arrays]
 
 
+def _lattice_sum(f, xs: np.ndarray, chis: np.ndarray) -> np.ndarray:
+    """(s,) sums sum_g f(xs[i] - g) e^{2 pi i <chis[i], g>} over one window of f."""
+    g = _window(f, xs)
+    vals = f(xs[:, None, :] - g)
+    phases = np.exp(2j * np.pi * np.einsum("skn,sn->sk", g, chis))
+    return (vals * phases).sum(axis=-1)
+
+
 def section_transform(f, x, chi):
     """sigma(x, chi) = sum_g f(x - g) chi(g), chi given as a point of the dual torus.
 
@@ -148,28 +160,20 @@ def section_transform(f, x, chi):
     ValueError unless x and chi have one shape, (n,) or (s, n), n = f.rank.
     """
     single, (xs, chis) = _stack(f.rank, x, chi)
-    g = _window(f, xs)
-    vals = f(xs[:, None, :] - g)
-    phases = np.exp(2j * np.pi * (g * chis[:, None, :]).sum(axis=-1))
-    out = (vals * phases).sum(axis=-1)
+    out = _lattice_sum(f, xs, chis)
     return complex(out[0]) if single else out
 
 
 def pairing(f1, f2, x, eta):
-    """The module-valued inner product at the point (x, eta), by the
-    defining double lattice sum.  One point gives a complex; an (s, n)
-    stack of points gives s values.  ValueError unless f2.rank = f1.rank
-    = n and x and eta have one shape, (n,) or (s, n)."""
+    """The module-valued inner product at the point (x, eta), as
+    conj(sigma_f1(x, eta)) sigma_f2(x, eta): e^{2 pi i <eta, b - a>} splits.
+    One point gives a complex; an (s, n) stack of points gives s values.
+    ValueError unless f2.rank = f1.rank = n and x and eta have one shape,
+    (n,) or (s, n)."""
     if f2.rank != f1.rank:
         raise ValueError(f"bumps of ranks {f1.rank} and {f2.rank}")
     single, (xs, etas) = _stack(f1.rank, x, eta)
-    ga, gb = _window(f1, xs), _window(f2, xs)
-    va = f1(xs[:, None, :] - ga)
-    vb = f2(xs[:, None, :] - gb)
-    # <eta, b - a> as <eta, b> - <eta, a>, indexed (s, a, b)
-    pa, pb = (np.einsum("skn,sn->sk", g, etas) for g in (ga, gb))
-    phases = np.exp(2j * np.pi * (pb[:, None, :] - pa[:, :, None]))
-    out = np.einsum("sa,sab,sb->s", np.conj(va), phases, vb)
+    out = np.conj(_lattice_sum(f1, xs, etas)) * _lattice_sum(f2, xs, etas)
     return complex(out[0]) if single else out
 
 
@@ -253,9 +257,12 @@ def gram_matrix(f, x) -> np.ndarray:
     for positivity of the module inner product.
     """
     n = f.rank
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"expected a base point of shape (n,), n = {n}")
     span = range(-GRAM_WINDOW, GRAM_WINDOW + 1)
     translates = np.array(list(itertools.product(span, repeat=n)))
-    vals = f(np.asarray(x, dtype=float) - translates)
+    vals = f(x - translates)
     return np.outer(vals.conj(), vals)
 
 

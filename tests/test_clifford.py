@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -202,12 +203,79 @@ def test_identity_fixes_everything():
     assert cl.symmetric_invariance_check(n, [[1, 0], [0, 1]], elem)
 
 
-# -- the word-image action against an element-by-element reference ---------
+# -- the mask product and the word-image action against list-merge references
+
+
+def mul_words(a, b):
+    """Clifford product of canonical words; returns (sign, canonical word).
+
+    Generators square to +1 and distinct ones anticommute, so the product
+    is +-(symmetric difference); the sign counts the transpositions needed
+    to merge-sort the concatenation.
+    """
+    sign = 1
+    out = list(a)
+    for g in b:
+        # move g left past the tail of `out` to its sorted position
+        pos = len(out)
+        while pos > 0 and out[pos - 1] > g:
+            pos -= 1
+            sign = -sign
+        if pos > 0 and out[pos - 1] == g:
+            # g^2 = +1: cancel the pair; crossing count already applied
+            del out[pos - 1]
+        else:
+            out.insert(pos, g)
+    return sign, tuple(out)
+
+
+def reference_product(a, b):
+    """a * b term by term: one QI product and one list-merge per pair of words."""
+    out = {}
+    for wa, ca in a.coefficients:
+        for wb, cb in b.coefficients:
+            sign, w = mul_words(wa, wb)
+            coeff = ca * cb
+            out[w] = out.get(w, QI()) + (coeff if sign > 0 else -coeff)
+    return cl.CliffordElement.from_dict(a.dimension, out)
+
+
+def all_words(n):
+    return [w for k in range(2 * n + 1) for w in itertools.combinations(range(2 * n), k)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mask_product_matches_list_merge_on_every_pair_of_words(n):
+    words = all_words(n)
+    assert len(words) == 4**n
+    for a in words:
+        for b in words:
+            sign, w = mul_words(a, b)
+            ma, mb = cl._mask(a), cl._mask(b)
+            assert (-1) ** cl._swaps(ma, mb) == sign, (a, b)
+            assert cl._word(ma ^ mb) == w, (a, b)
+            basis = cl.CliffordElement.from_dict(n, {a: cl.ONE})
+            other = cl.CliffordElement.from_dict(n, {b: cl.ONE})
+            assert (basis * other).coefficients == ((w, QI(Fraction(sign))),), (a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_products_of_random_elements_match_the_reference(n):
+    rng = random.Random(40 + n)
+    for _ in range(10):
+        a, b = random_element(rng, n), random_element(rng, n)
+        got = a * b
+        assert got == reference_product(a, b)
+        assert all(type(c.re) is Fraction and type(c.im) is Fraction
+                   for _, c in got.coefficients)
+    p = cl.clifford_projection(n)
+    assert p * p == reference_product(p, p) == p
 
 
 def reference_action(g, a):
-    """Old-style action: each generator image is a CliffordElement and each
-    word is the Clifford product of its images, scaled by its coefficient."""
+    """Element-by-element action: each generator image is a CliffordElement
+    and each word is the reference product of its images, scaled by its
+    coefficient."""
     n = a.dimension
     garr = [[Fraction(x) for x in row] for row in g]
     images = [
@@ -221,7 +289,7 @@ def reference_action(g, a):
     for w, c in a.coefficients:
         term = cl.scalar(n, c)
         for gidx in w:
-            term = term * images[gidx]
+            term = reference_product(term, images[gidx])
         out = out + term
     return out
 
@@ -277,14 +345,25 @@ def test_action_matches_reference_product(n):
 
 def test_integral_entry_types_agree():
     a = random_element(random.Random(7), 3)
+    p = cl.clifford_projection(3)
     g = [[0, -1, 0], [0, 0, 1], [1, 0, 0]]
-    results = [
-        cl.orthogonal_action(g, a),
-        cl.orthogonal_action(np.array(g, dtype=np.int64), a),
-        cl.orthogonal_action([[Fraction(v, 1) for v in row] for row in g], a),
-    ]
-    assert results[0] == results[1] == results[2] == reference_action(g, a)
+    bad = [[0, -1, 0], [0, 0, 2], [1, 0, 0]]
+    kinds = (
+        lambda m: m,
+        lambda m: np.array(m, dtype=np.int8),
+        lambda m: np.array(m, dtype=np.int64),
+        lambda m: [[Fraction(v, 1) for v in row] for row in m],
+    )
+    results = [cl.orthogonal_action(kind(g), a) for kind in kinds]
+    assert all(r == reference_action(g, a) for r in results)
     assert results[0] != a
+    for kind in kinds:
+        assert cl.symmetric_invariance_check(3, kind(g), p)
+        assert not cl.symmetric_invariance_check(3, kind(g), a)
+        with pytest.raises(ValueError, match="orthogonal"):
+            cl.orthogonal_action(kind(bad), a)
+        with pytest.raises(ValueError, match="orthogonal"):
+            cl.symmetric_invariance_check(3, kind(bad), p)
 
 
 def test_non_orthogonal_action_rejected():
@@ -299,7 +378,8 @@ def per_term_action(g, a):
     """The action with one Fraction multiply-add per term: each word's
     expansion is scaled by its QI coefficient term by term."""
     n = a.dimension
-    images = cl._generator_images(n, g)
+    cols = [[Fraction(row[j]) for row in g] for j in range(n)]
+    images = [[(shift + k, v) for k, v in enumerate(col) if v] for shift in (0, n) for col in cols]
     out = {}
     for w, c in a.coefficients:
         terms = {(): 1}
@@ -307,7 +387,7 @@ def per_term_action(g, a):
             nxt = {}
             for word, coeff in terms.items():
                 for k, v in images[gidx]:
-                    sign, prod = cl._mul_words(word, (k,))
+                    sign, prod = mul_words(word, (k,))
                     nxt[prod] = nxt.get(prod, 0) + sign * coeff * v
             terms = nxt
         for word, coeff in terms.items():

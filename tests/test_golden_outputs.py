@@ -42,6 +42,7 @@ COMMANDS = [
     "fixed-points --type E --rank 6",
     "fixed-points --type A --rank 2",
     "fixed-points --type D --rank 4 --form so",
+    "clifford-check --max-dim 4",
 ]
 
 
@@ -61,7 +62,7 @@ def digest(command: str, directory: Path) -> str:
 
 
 def test_every_command_has_a_recorded_digest():
-    assert len(COMMANDS) == 110
+    assert len(COMMANDS) == 111
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(COMMANDS)
 
 

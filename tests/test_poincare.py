@@ -272,6 +272,16 @@ def test_gram_matrix_matches_per_translate_values():
     assert np.array_equal(pc.gram_matrix(f, x), np.outer(vals, vals))
 
 
+@pytest.mark.parametrize("x", [0.3, [0.3], [0.3, 0.1, 0.5]],
+                         ids=["scalar", "length-1", "rank-3"])
+def test_gram_matrix_rejects_a_base_point_of_another_shape(x):
+    # a scalar or length-1 point would broadcast to (0.3, 0.3)
+    f = pc.CompactBump(center=(0.0, 0.0), radius=0.8)
+    with pytest.raises(ValueError, match=r"shape \(n,\), n = 2"):
+        pc.gram_matrix(f, x)
+    assert pc.gram_matrix(f, [0.3, 0.1]).shape == (25, 25)
+
+
 def _block_draws(kind, rng, n, samples):
     """The fields each check draws: per block of k <= BLOCK samples, each
     field once as a (k, n) array, in field order."""
