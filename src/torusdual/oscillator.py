@@ -16,21 +16,30 @@ staggered because a collocated 3-point stencil doubles the whole spectrum
 through lattice doublers.
 
 Q is never assembled.  The 1D axis operator A (node -> midpoint) is
-bidiagonal and is kept as its two diagonals; Q is applied from them.  In
-1D, Q = [[0, A^T], [A, 0]], so Q^2 = diag(A^T A, A A^T): two grading
-sectors, tridiagonal because A is bidiagonal.  In 2D the sectors are nn,
-mn, nm, mm (node or midpoint per axis) and sector (p, q) of Q^2 is
-B_p (x) I + I (x) B_q with B_n = A^T A, B_m = A A^T.  So only the two 1D
-blocks are solved; sector levels are sums and vectors Kronecker products.
-Each level's vector is built from its 1D factors and verified against the
-applied Q on its own, so the check holds a few grid-sized vectors however
-many levels are asked for.
+bidiagonal and is kept as its two diagonals; Q is applied from them, one
+spinor component at a time.  In 1D, Q = [[0, A^T], [A, 0]], so
+Q^2 = diag(A^T A, A A^T): two grading sectors, tridiagonal because A is
+bidiagonal.  In 2D the sectors are nn, mn, nm, mm (node or midpoint per
+axis) and sector (p, q) of Q^2 is B_p (x) I + I (x) B_q with B_n = A^T A,
+B_m = A A^T.  So only the 1D blocks are solved; sector levels are sums
+and vectors Kronecker products.
 
-The two tridiagonal ladders are solved by block shift-invert iteration
-on B + 2 pi, each solve by odd-even cyclic reduction (Buzbee, Golub and
-Nielson, SIAM J. Numer. Anal. 7, 1970), and a Sturm count (Parlett, The
-Symmetric Eigenvalue Problem, ch. 3) certifies that no level below the
-reported ones was missed.  Everything runs on numpy alone.
+Q is odd for the grading, so A pairs the two blocks: it maps each pair
+(lambda, v) of B_n outside the kernel to the pair (lambda, A v / |A v|)
+of B_m.  Here A A^T = D D^T + pi^2 M M^T + 2 pi (D the difference, M the
+sum of the products y f onto midpoints) lies above 2 pi, so A has full
+row rank and the kernel of B_n is its one level below 2 pi.  Only B_n is
+solved, by block shift-invert iteration on B_n + 2 pi, each solve by
+odd-even cyclic reduction (Buzbee, Golub and Nielson, SIAM J. Numer.
+Anal. 7, 1970).  A Sturm count (Parlett, The Symmetric Eigenvalue
+Problem, ch. 3) on each block certifies that no level below the reported
+ones was missed.
+
+Each level's vector is built on its one component from its 1D factors
+and verified against the applied Q on its own: Q is applied twice to
+that component and the residual taken over the components that result.
+So the check holds a few grid-sized vectors however many levels are
+asked for.  Everything runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -130,15 +139,30 @@ class DualityOperator:
                  for t, k in itertools.product(range(len(blocks)), range(self.dimension))]
         return blocks, steps
 
+    def apply(self, parts: dict, out: dict | None = None) -> dict:
+        """Q applied to the vector whose components are `parts`, {s: array
+        of component s's shape, with any trailing column axes}; absent
+        components are zero and only the steps from present ones run.
+        Returns {t: (Q x)_t} for each component t reached, added into the
+        arrays of `out` where given."""
+        out = {} if out is None else out
+        blocks, steps = self._plan
+        for source, target, k, transpose, sign in steps:
+            if source in parts:
+                f = parts[source]
+                if target not in out:
+                    out[target] = np.zeros(blocks[target][2] + f.shape[self.dimension:])
+                self.axis.apply(f, out[target], k, transpose=transpose, sign=sign)
+        return out
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         cols = x.reshape(len(x), -1)
         out = np.zeros_like(cols)
-        blocks, steps = self._plan
-        src, dst = ([a[start:stop].reshape(c + (-1,)) for start, stop, c in blocks]
+        blocks, _ = self._plan
+        src, dst = ({s: a[start:stop].reshape(c + (-1,)) for s, (start, stop, c) in enumerate(blocks)}
                     for a in (cols, out))
-        for source, target, k, transpose, sign in steps:
-            self.axis.apply(src[source], dst[target], k, transpose=transpose, sign=sign)
+        self.apply(src, dst)
         return out.reshape(x.shape)
 
     def square_norm(self) -> float:
@@ -306,15 +330,25 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     return below
 
 
+def _check_count(diag: np.ndarray, off: np.ndarray, found: int, cut: float) -> None:
+    """ArithmeticError unless the tridiagonal (diag, off) has exactly
+    `found` eigenvalues below cut."""
+    below = _sturm_count(diag, off, cut)
+    if below != found:
+        raise ArithmeticError(f"{below} eigenvalues lie below {cut:.6g}, {found} were found")
+
+
 def _lowest_tridiagonal(diag: np.ndarray, off: np.ndarray, count: int, start: np.ndarray):
     """Lowest min(count, N) eigenpairs of the positive semidefinite N x N
-    tridiagonal B = (diag, off), from a start block of N rows.
+    tridiagonal B = (diag, off), from a start block of N rows, and the cut
+    that certifies them.
 
     Each step solves (B + 2 pi) Y = X and takes the Rayleigh-Ritz pairs of
     B on span Y through its Gram matrix (B Y = X - 2 pi Y).  It stops when
-    every wanted pair has a residual <= 1e-12 max|B|, and raises
-    ArithmeticError unless B has exactly that many eigenvalues below the
-    midpoint between the last wanted and the next Ritz value.
+    every wanted pair has a residual <= 1e-12 max|B|.  The cut is the
+    midpoint between the last wanted and the next Ritz value (infinite
+    when the block has no next one), and ArithmeticError is raised unless
+    B has exactly that many eigenvalues below it.
     """
     k = min(count, len(diag))
     solve = _cyclic_reduction(diag + SHIFT, off)
@@ -336,16 +370,13 @@ def _lowest_tridiagonal(diag: np.ndarray, off: np.ndarray, count: int, start: np
     else:
         raise ArithmeticError(f"shift-invert iteration did not converge in {MAX_STEPS} steps")
     cut = (theta[k - 1] + (theta[k] if k < p else np.inf)) / 2
-    below = _sturm_count(diag, off, cut)
-    if below != k:
-        raise ArithmeticError(f"{below} eigenvalues lie below {cut:.6g}, {k} were found")
-    return theta[:k], x[:, :k]
+    _check_count(diag, off, k, cut)
+    return theta[:k], x[:, :k], cut
 
 
 def _hermite_functions(points: np.ndarray, count: int) -> np.ndarray:
     """exp(-pi y^2) H_j(sqrt(2 pi) y) for j < count, normalised in L^2:
-    the continuum eigenfunctions of A^T A (level 4 pi j) and of A A^T
-    (level 4 pi (j + 1))."""
+    the continuum eigenfunctions of A^T A, level 4 pi j."""
     t = np.sqrt(2.0 * np.pi) * points
     out = np.empty((len(points), count))
     prev, cur = np.zeros_like(t), np.exp(-t * t / 2)
@@ -356,12 +387,23 @@ def _hermite_functions(points: np.ndarray, count: int) -> np.ndarray:
 
 
 def _ladders(disc: OscillatorDiscretization, count: int) -> list:
-    """Lowest min(count, N) eigenpairs of B_n = A^T A and B_m = A A^T, each
-    started from the Hermite functions on its points."""
-    y = disc.nodes
-    return [_lowest_tridiagonal(diag, off, count,
-                                _hermite_functions(points, min(len(diag), count + EXTRA_VECTORS)))
-            for (diag, off), points in zip(disc.axis_operator.squares(), (y, (y[:-1] + y[1:]) / 2))]
+    """Lowest min(count, N) eigenpairs of B_n = A^T A and B_m = A A^T.
+
+    Only B_n is solved, for one level more, started from the Hermite
+    functions on the nodes.  Its levels above KERNEL_THRESHOLD are B_m's,
+    with vectors A v / |A v|, and B_m's own Sturm count at B_n's cut
+    raises ArithmeticError if that misses a level of B_m, as it does when
+    A lacks full row rank and B_m has a zero level.
+    """
+    axis = disc.axis_operator
+    (diag, off), (diag_m, off_m) = axis.squares()
+    vals, vecs, cut = _lowest_tridiagonal(
+        diag, off, count + 1, _hermite_functions(disc.nodes, min(len(diag), count + 1 + EXTRA_VECTORS)))
+    above = vals >= KERNEL_THRESHOLD
+    paired = np.zeros((len(diag_m), int(above.sum())))
+    axis.apply(vecs[:, above], paired, 0)
+    _check_count(diag_m, off_m, paired.shape[1], cut)
+    return [(vals[:count], vecs[:, :count]), (vals[above], paired / np.linalg.norm(paired, axis=0))]
 
 
 def _lowest_eigenpairs(disc: OscillatorDiscretization, count: int):
@@ -386,20 +428,25 @@ def _lowest_eigenpairs(disc: OscillatorDiscretization, count: int):
 def spectral_check(disc: OscillatorDiscretization, count: int | None = None) -> SpectralReport:
     """Lowest spectrum of the squared operator with kernel diagnostics; every
     pair must satisfy |Q(Qv) - lambda v| <= 1e-8 |Q^2| on disc.q.  The pairs
-    are checked one vector at a time; only the lowest one is kept."""
+    are checked one vector at a time, each on the components it reaches;
+    only the lowest one is kept, as a full-size vector."""
     if count is None:
         count = 10 if disc.dimension == 1 else 6
     if not 1 <= count <= disc.size:
         raise ValueError(f"count must be between 1 and the operator size {disc.size}")
     vals, levels = _lowest_eigenpairs(disc, count)
     norm_est = disc.q.square_norm()
+    components = disc.q.components
     residual_max, kv = 0.0, None
     for lam, (offset, factors) in zip(vals, levels):
-        part = functools.reduce(np.kron, factors)
-        v = np.zeros(disc.size)
-        v[offset:offset + len(part)] = part
-        kv = v if kv is None else kv
-        residual_max = max(residual_max, float(np.linalg.norm(disc.q @ (disc.q @ v) - lam * v)))
+        part = functools.reduce(np.multiply.outer, factors)
+        component = components.index(part.shape)
+        out = disc.q.apply(disc.q.apply({component: part}))
+        out[component] -= lam * part
+        residual_max = max(residual_max, float(np.linalg.norm([np.linalg.norm(r) for r in out.values()])))
+        if kv is None:
+            kv = np.zeros(disc.size)
+            kv[offset:offset + part.size] = part.ravel()
     if residual_max > 1e-8 * norm_est:
         raise ArithmeticError(
             f"eigensolver residual {residual_max:.3e} exceeds 1e-8 * |Q^2| = {1e-8 * norm_est:.3e}"

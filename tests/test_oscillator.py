@@ -47,6 +47,36 @@ def test_applied_q_matches_assembly(dimension, grid):
     np.testing.assert_allclose(disc.q @ x[:, 0], want[:, 0], rtol=0, atol=1e-14 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("tail", [(), (1,), (3,)], ids=["vector", "1-column", "3-columns"])
+@pytest.mark.parametrize("dimension, grid", [(1, 5), (1, 50), (2, 12), (2, 20)])
+def test_component_apply_matches_assembly(dimension, grid, tail):
+    # Q applied to random vectors on random subsets of the components, the
+    # others absent, equals the assembled Q on the zero-padded vector, and
+    # returns exactly the components that the present ones reach
+    disc = osc.build_q0(dimension, grid, 4.0)
+    q = assembled(disc)
+    shapes = disc.q.components
+    starts = np.cumsum([0] + [np.prod(c) for c in shapes])
+    rng = np.random.default_rng([dimension, grid, len(tail)])
+    subsets = [c for r in range(1, len(shapes) + 1) for c in itertools.combinations(range(len(shapes)), r)]
+    for pick in rng.choice(len(subsets), size=min(len(subsets), 6), replace=False):
+        parts = {s: rng.normal(size=shapes[s] + tail) for s in subsets[pick]}
+        x = np.zeros((disc.size,) + tail)
+        for s, part in parts.items():
+            x[starts[s]:starts[s + 1]] = part.reshape((-1,) + tail)
+        want = q @ x
+        got = disc.q.apply(parts)
+        assert set(got) == {s ^ 1 << k for s in parts for k in range(dimension)}
+        scale = np.abs(want).max()
+        for t, shape in enumerate(shapes):
+            block = want[starts[t]:starts[t + 1]]
+            if t in got:
+                assert got[t].shape == shape + tail
+                np.testing.assert_allclose(got[t].reshape(block.shape), block, rtol=0, atol=1e-14 * scale)
+            else:
+                assert not block.any()
+
+
 @pytest.mark.parametrize("dimension, grid", [(1, 50), (1, 200), (2, 12), (2, 30)])
 def test_norm_estimate_matches_assembled_square(dimension, grid):
     disc = osc.build_q0(dimension, grid, 6.0)
@@ -289,7 +319,8 @@ def test_streamed_guard_matches_the_block_residual(dimension, grid, halfwidth):
 
 def test_check_holds_a_few_grid_vectors():
     # one (size x 6) block of the levels, pushed through Q twice, peaks at
-    # about 24 grid vectors; one level at a time needs a few
+    # about 24 grid vectors; one level at a time, on the components it
+    # reaches, needs about 3, the kept kernel vector among them
     disc = osc.build_q0(2, 160, 4.0)
     started = not tracemalloc.is_tracing()
     if started:
@@ -302,7 +333,7 @@ def test_check_holds_a_few_grid_vectors():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < 8 * 8 * disc.size, peak / (8 * disc.size)
+    assert peak < 4 * 8 * disc.size, peak / (8 * disc.size)
     kv = report.kernel_vector
     assert kv.nbytes == 8 * disc.size and kv.base is None
 
@@ -356,6 +387,34 @@ def test_missed_level_raises():
     start = np.eye(20)[:, 1:9]
     with pytest.raises(ArithmeticError, match="eigenvalues lie below"):
         osc._lowest_tridiagonal(np.arange(20.0), np.zeros(19), 3, start)
+
+
+@pytest.mark.parametrize("dropped", [1, 5, 10])
+def test_a_level_dropped_from_b_n_fails_the_b_m_sturm_count(dropped, monkeypatch):
+    # B_m's pairs are derived from B_n's above the kernel: a level of B_n
+    # lost before the derivation leaves B_m one level short below the cut
+    solve = osc._lowest_tridiagonal
+
+    def drop(*args):
+        vals, vecs, cut = solve(*args)
+        return np.delete(vals, dropped), np.delete(vecs, dropped, axis=1), cut
+
+    monkeypatch.setattr(osc, "_lowest_tridiagonal", drop)
+    with pytest.raises(ArithmeticError, match="eigenvalues lie below"):
+        osc._ladders(osc.build_q0(1, 250, 6.0), 10)
+
+
+def test_a_zero_level_of_b_m_raises():
+    # a zero row of A gives B_m = A A^T a zero level that no pair of B_n
+    # above its kernel maps to: the Sturm count of B_m finds it, and no
+    # vector A v is divided by a zero norm
+    disc = osc.build_q0(1, 250, 6.0)
+    alpha, beta = disc.axis_operator.alpha.copy(), disc.axis_operator.beta.copy()
+    alpha[100] = beta[100] = 0.0
+    disc.axis_operator = osc.AxisOperator(alpha, beta)
+    with np.errstate(divide="raise", invalid="raise"), \
+            pytest.raises(ArithmeticError, match="eigenvalues lie below"):
+        osc._ladders(disc, 10)
 
 
 def test_1d_observed_convergence_order():
